@@ -163,6 +163,22 @@ def embed(text: str, cfg: EmbedderConfig) -> np.ndarray:
     return Embedder(cfg).embed(text)
 
 
+# Below this norm the squares inside np.linalg.norm may be subnormal or zero,
+# so the vector is first divided by its largest magnitude.
+_TINY_NORM = 1e-150
+
+
+def _rescaled(v: np.ndarray, norm: float) -> tuple[np.ndarray, float]:
+    """``v`` and its norm, divided by max(abs(v)) when the norm is tiny."""
+    if norm >= _TINY_NORM:
+        return v, norm
+    scale = float(np.max(np.abs(v), initial=0.0))
+    if scale == 0.0:
+        return v, 0.0
+    v = v / scale
+    return v, float(np.linalg.norm(v))
+
+
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Distance in [0, 1]: 0 identical direction, 0.5 orthogonal, 1 antiparallel.
 
@@ -175,9 +191,12 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
         raise InputError(f"dimension mismatch: {a.shape} vs {b.shape}")
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        log.debug("cosine_distance on zero vector, returning 0.5")
-        return 0.5
+    if na < _TINY_NORM or nb < _TINY_NORM:
+        a, na = _rescaled(a, na)
+        b, nb = _rescaled(b, nb)
+        if na == 0.0 or nb == 0.0:
+            log.debug("cosine_distance on zero vector, returning 0.5")
+            return 0.5
     sim = float(np.dot(a, b) / (na * nb))
     sim = max(-1.0, min(1.0, sim))
     return (1.0 - sim) / 2.0
@@ -188,7 +207,12 @@ def centroid_cosine_distances(vectors: np.ndarray, centroid: np.ndarray) -> np.n
     vectors = np.asarray(vectors, dtype=np.float64)
     centroid = np.asarray(centroid, dtype=np.float64)
     norms = np.linalg.norm(vectors, axis=1)
-    cnorm = float(np.linalg.norm(centroid))
+    centroid, cnorm = _rescaled(centroid, float(np.linalg.norm(centroid)))
+    tiny = np.flatnonzero(norms < _TINY_NORM)
+    if tiny.size:
+        vectors = vectors.copy()
+        for i in tiny:
+            vectors[i], norms[i] = _rescaled(vectors[i], norms[i])
     out = np.full(len(vectors), 0.5)
     if cnorm == 0.0:
         return out

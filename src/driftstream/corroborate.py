@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import DataPoint, InputError
 
@@ -19,6 +22,10 @@ EARTH_RADIUS_KM = 6371.0088
 DEFAULT_PAD_SECONDS = 86400.0
 DEFAULT_RADIUS_KM = 50.0
 MAX_RADIUS_KM = 1000.0
+
+# Upper bound on the (point, event) pairs one prefilter block holds, which
+# keeps the numpy temporaries of assign_labels at a few MB.
+_BLOCK_PAIRS = 1 << 18
 
 POLARITY_RELEVANT = "relevant"
 POLARITY_IRRELEVANT = "irrelevant"
@@ -42,6 +49,11 @@ class CorroborativeEvent:
             raise InputError(f"event {self.id}: ts_start after ts_end")
         if not (0.0 < self.radius_km <= MAX_RADIUS_KM):
             raise InputError(f"event {self.id}: radius {self.radius_km} out of range")
+        for name, value, limit in (("lat", self.lat, 90.0), ("lon", self.lon, 180.0)):
+            # the range test also rejects NaN and infinities
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not -limit <= value <= limit):
+                raise InputError(f"event {self.id}: {name} {value!r} out of range")
         if self.polarity not in (POLARITY_RELEVANT, POLARITY_IRRELEVANT):
             raise InputError(f"event {self.id}: unknown polarity {self.polarity!r}")
 
@@ -87,31 +99,81 @@ def assign_labels(
     A point matches when it has coordinates, lies within the event radius, and
     its timestamp falls inside [ts_start - pad, ts_end + pad]. Among multiple
     matches the nearest event wins, with ties going to the smallest event id.
-    Geo-less and unmatched points stay unlabeled.
+    Geo-less and unmatched points stay unlabeled. Assignments come back in
+    input point order.
+
+    The match runs in two stages. A numpy prefilter takes the geotagged points
+    in blocks and keeps the (point, event) pairs inside the padded span whose
+    vectorised haversine distance is within the radius plus a small slack, a
+    superset of the true matches. Then the scalar :func:`haversine_km` and the
+    original per-pair tests decide membership and ties on those survivors
+    alone, so results are identical to checking every pair. A block holds at
+    most about ``_BLOCK_PAIRS`` pairs, so memory stays bounded however long
+    the feed is.
     """
+    located = [p for p in points if p.geo is not None]
+    if not located or not events:
+        return []
+    span_lo = np.array([e.ts_start - pad_seconds for e in events], dtype=np.float64)
+    span_hi = np.array([e.ts_end + pad_seconds for e in events], dtype=np.float64)
+    ev_lat = np.radians([e.lat for e in events])
+    ev_lon = np.radians([e.lon for e in events])
+    ev_cos = np.cos(ev_lat)
+    reach = np.array([e.radius_km for e in events], dtype=np.float64) * (1.0 + 1e-9) + 1e-6
+    by_lo = np.argsort(span_lo, kind="stable")
+    sorted_lo = span_lo[by_lo]
+
     out: list[LabelAssignment] = []
-    for p in points:
-        if p.geo is None:
+    step = max(1, _BLOCK_PAIRS // len(events))
+    for start in range(0, len(located), step):
+        block = located[start:start + step]
+        ts = np.array([p.ts for p in block], dtype=np.float64)
+        # events whose padded span can overlap the block's time range, in input order
+        cand = by_lo[:np.searchsorted(sorted_lo, ts.max(), side="right")]
+        cand = np.sort(cand[span_hi[cand] >= ts.min()])
+        if cand.size == 0:
             continue
-        best: tuple[float, str, CorroborativeEvent] | None = None
-        for e in events:
-            if not (e.ts_start - pad_seconds <= p.ts <= e.ts_end + pad_seconds):
-                continue
-            dist = haversine_km(p.geo, (e.lat, e.lon))
-            if dist > e.radius_km:
-                continue
-            key = (dist, e.id)
-            if best is None or key < (best[0], best[1]):
-                best = (dist, e.id, e)
-        if best is not None:
-            dist, _, e = best
-            out.append(
-                LabelAssignment(
-                    point_id=p.id, event_id=e.id, label=e.label,
-                    distance_km=dist, dt_seconds=_time_offset(p.ts, e),
-                )
-            )
+        lat = np.radians([p.lat for p in block])[:, None]
+        lon = np.radians([p.lon for p in block])[:, None]
+        h = (np.sin((lat - ev_lat[cand]) / 2.0) ** 2
+             + np.cos(lat) * ev_cos[cand] * np.sin((lon - ev_lon[cand]) / 2.0) ** 2)
+        dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+        ts = ts[:, None]
+        survive = (span_lo[cand] <= ts) & (ts <= span_hi[cand]) & (dist <= reach[cand])
+        # np.nonzero walks row-major: points in block order, events in input order
+        rows, cols = np.nonzero(survive)
+        survivors: dict[int, list[CorroborativeEvent]] = {}
+        for r, j in zip(rows.tolist(), cand[cols].tolist()):
+            survivors.setdefault(r, []).append(events[j])
+        for r, candidates in survivors.items():
+            match = _nearest_match(block[r], candidates, pad_seconds)
+            if match is not None:
+                out.append(match)
     return out
+
+
+def _nearest_match(
+    p: DataPoint, events: Iterable[CorroborativeEvent], pad_seconds: float,
+) -> LabelAssignment | None:
+    """The exact per-pair decision: padded span, scalar haversine within the
+    radius, nearest event first and then the smallest id."""
+    best: tuple[float, str, CorroborativeEvent] | None = None
+    for e in events:
+        if not (e.ts_start - pad_seconds <= p.ts <= e.ts_end + pad_seconds):
+            continue
+        dist = haversine_km(p.geo, (e.lat, e.lon))
+        if dist > e.radius_km:
+            continue
+        key = (dist, e.id)
+        if best is None or key < (best[0], best[1]):
+            best = (dist, e.id, e)
+    if best is None:
+        return None
+    dist, _, e = best
+    return LabelAssignment(
+        point_id=p.id, event_id=e.id, label=e.label,
+        distance_km=dist, dt_seconds=_time_offset(p.ts, e),
+    )
 
 
 def label_fraction(points: Sequence, assignments: Sequence[LabelAssignment]) -> float:
@@ -140,11 +202,11 @@ def load_events(path: str | Path) -> list[CorroborativeEvent]:
                 CorroborativeEvent(
                     id=d["id"], ts_start=d["ts_start"], ts_end=d["ts_end"],
                     lat=d["lat"], lon=d["lon"],
-                    radius_km=d.get("radius_km") or DEFAULT_RADIUS_KM,
+                    radius_km=DEFAULT_RADIUS_KM if d.get("radius_km") is None else d["radius_km"],
                     polarity=d["polarity"], source=d.get("source", ""),
                 )
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, InputError) as exc:
             raise InputError(f"{path}:{lineno}: bad event line: {exc}") from exc
     return events
 

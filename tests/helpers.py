@@ -1,11 +1,12 @@
-"""Shared fixtures-by-hand for the test suite: geometry builders and the
-independent routing oracle."""
+"""Shared fixtures-by-hand for the test suite: geometry builders, the
+independent routing oracle and the pair-by-pair labeling reference."""
 
 import math
 
 import numpy as np
 
 from driftstream.core import DataPoint, SOURCE_CORROBORATIVE
+from driftstream.corroborate import LabelAssignment, _time_offset, haversine_km
 from driftstream.pool import ModelRecord
 from driftstream.windows import DataWindow, DeltaBand
 
@@ -94,3 +95,31 @@ def cone_window(rng, n, angle_deg, spread_deg, dim=16, wid="w"):
         q /= np.linalg.norm(q)
         pts.append(point(f"{wid}{i}", np.cos(a) * axis + np.sin(a) * q, ts=i))
     return DataWindow(pts, capacity=n, window_id=wid)
+
+
+def reference_assign_labels(points, events, pad_seconds):
+    """The labeling rule checked for every (point, event) pair with the scalar
+    haversine; assign_labels must return exactly this list."""
+    out = []
+    for p in points:
+        if p.geo is None:
+            continue
+        best = None
+        for e in events:
+            if not (e.ts_start - pad_seconds <= p.ts <= e.ts_end + pad_seconds):
+                continue
+            dist = haversine_km(p.geo, (e.lat, e.lon))
+            if dist > e.radius_km:
+                continue
+            key = (dist, e.id)
+            if best is None or key < (best[0], best[1]):
+                best = (dist, e.id, e)
+        if best is not None:
+            dist, _, e = best
+            out.append(
+                LabelAssignment(
+                    point_id=p.id, event_id=e.id, label=e.label,
+                    distance_km=dist, dt_seconds=_time_offset(p.ts, e),
+                )
+            )
+    return out

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftstream.core import (
@@ -132,6 +132,7 @@ class TestCosineDistance:
     @given(st.lists(st.floats(-5, 5), min_size=4, max_size=4),
            st.floats(1e-3, 1e3))
     @settings(max_examples=200, deadline=None)
+    @example(a=[0.0, 0.0, 0.0, 2.27e-162], scale=4.0)
     def test_positive_scaling_invariance(self, a, scale):
         a = np.array(a)
         b = np.array([1.0, -2.0, 0.5, 3.0])
@@ -142,6 +143,9 @@ class TestCosineDistance:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
         vectors = rng.standard_normal((20, 5))
+        # rows whose squared components underflow, and a true zero row
+        vectors = np.vstack([vectors, [0.0, 0.0, 0.0, 0.0, 2.27e-162],
+                             [1e-170, -3e-170, 0.0, 0.0, 0.0], np.zeros(5)])
         centroid = rng.standard_normal(5)
         batch = centroid_cosine_distances(vectors, centroid)
         scalar = [cosine_distance(v, centroid) for v in vectors]

@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import reference_assign_labels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftstream import corroborate
 from driftstream.core import DataPoint, InputError
 from driftstream.corroborate import (
     EARTH_RADIUS_KM,
@@ -66,6 +69,19 @@ class TestEventValidation:
         with pytest.raises(InputError):
             CorroborativeEvent(id="e", ts_start=0, ts_end=1, lat=0, lon=0,
                                radius_km=10, polarity="maybe")
+
+    @pytest.mark.parametrize("lat, lon", [
+        (95.0, 0.0), (-90.5, 0.0), (0.0, 180.5), (0.0, -181.0),
+        (math.nan, 0.0), (0.0, math.inf), ("x", 0.0), (0.0, None), (True, 0.0),
+    ])
+    def test_bad_coordinates_rejected(self, lat, lon):
+        with pytest.raises(InputError):
+            CorroborativeEvent(id="e", ts_start=0, ts_end=1, lat=lat, lon=lon,
+                               radius_km=10, polarity="relevant")
+
+    def test_boundary_coordinates_accepted(self):
+        assert event("e", -90.0, 180).lon == 180
+        assert event("e", 90, -180.0).lat == 90
 
     def test_label_mapping(self):
         assert event("e", 0, 0, polarity="relevant").label == 1
@@ -174,6 +190,83 @@ class TestAssignLabels:
         assert forward == backward
 
 
+@st.composite
+def labeling_inputs(draw):
+    """Points and events for the differential test. Centres are shared among
+    events (distance ties), some radii equal the scalar distance to a point
+    exactly, and timestamps come in no particular order."""
+    coord = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
+    centres = draw(st.lists(coord, min_size=1, max_size=3))
+    points = []
+    for i in range(draw(st.integers(0, 12))):
+        ts = draw(st.integers(0, 2000))
+        if draw(st.booleans()) and draw(st.booleans()):
+            points.append(point(f"p{i}", ts=ts))
+            continue
+        lat, lon = draw(st.sampled_from(centres))
+        lat = min(90.0, max(-90.0, lat + draw(st.floats(-8.0, 8.0))))
+        lon = min(180.0, max(-180.0, lon + draw(st.floats(-8.0, 8.0))))
+        points.append(point(f"p{i}", lat, lon, ts=ts))
+    located = [p for p in points if p.geo is not None]
+    events = []
+    for i in range(draw(st.integers(0, 12))):
+        centre = draw(st.sampled_from(centres))
+        radius = draw(st.floats(0.5, corroborate.MAX_RADIUS_KM))
+        if located and draw(st.booleans()):
+            d = haversine_km(draw(st.sampled_from(located)).geo, centre)
+            if 0.0 < d <= corroborate.MAX_RADIUS_KM:
+                radius = d
+        ts_start = draw(st.integers(0, 2000))
+        events.append(CorroborativeEvent(
+            id=f"e{draw(st.integers(0, 4))}", ts_start=ts_start,
+            ts_end=ts_start + draw(st.integers(0, 300)), lat=centre[0], lon=centre[1],
+            radius_km=radius, polarity=draw(st.sampled_from(["relevant", "irrelevant"])),
+        ))
+    return points, events
+
+
+class TestPrefilterMatchesReference:
+    @given(labeling_inputs(), st.sampled_from([0, 0.0, 150.0, 86400.0]),
+           st.sampled_from([1, 5, corroborate._BLOCK_PAIRS]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_assignments_as_pair_by_pair(self, inputs, pad, block_pairs):
+        # small blocks put more events in play than one block has room for
+        points, events = inputs
+        with mock.patch.object(corroborate, "_BLOCK_PAIRS", block_pairs):
+            got = assign_labels(points, events, pad)
+        assert got == reference_assign_labels(points, events, pad)
+
+    def test_exact_radius_and_shared_centre(self):
+        p = point("p", 10.0, 20.0, ts=50)
+        d = haversine_km(p.geo, (10.5, 20.5))
+        events = [event("b", 10.5, 20.5, radius=d), event("a", 10.5, 20.5, radius=d)]
+        got = assign_labels([p], events, 0)
+        assert got == reference_assign_labels([p], events, 0)
+        assert got[0].event_id == "a" and got[0].distance_km == d
+
+    def test_every_point_at_exact_radius_is_labeled(self):
+        # numpy's sin/arcsin can exceed math's by an ulp; across this many
+        # pairs some do, and the prefilter's slack must keep them
+        rng = np.random.default_rng(11)
+        n = 50_000
+        lat = rng.uniform(-84.0, 84.0, n)
+        lon = rng.uniform(-174.0, 174.0, n)
+        offsets = rng.uniform(-5.0, 5.0, (n, 2))
+        points = [point(f"p{i}", float(lat[i]), float(lon[i]), ts=i) for i in range(n)]
+        events = []
+        for i, p in enumerate(points):
+            centre = (float(lat[i] + offsets[i, 0]), float(lon[i] + offsets[i, 1]))
+            events.append(event(f"e{i}", *centre, radius=haversine_km(p.geo, centre),
+                                ts_start=i, ts_end=i))
+        got = assign_labels(points, events, 0)
+        assert [(a.point_id, a.event_id) for a in got] == [
+            (f"p{i}", f"e{i}") for i in range(n)]
+
+    def test_empty_inputs(self):
+        assert assign_labels([], [event("e", 0.0, 0.0)], 0) == []
+        assert assign_labels([point("p", 0.0, 0.0)], [], 0) == []
+
+
 class TestLabelFraction:
     def test_none_assigned(self):
         assert label_fraction([point("p")], []) == 0.0
@@ -206,6 +299,30 @@ class TestFeedIO:
         path.write_text('{"id":"e","ts_start":0,"ts_end":1,"lat":0.0,"lon":0.0,'
                         '"polarity":"relevant"}\n')
         assert load_events(path)[0].radius_km == 50.0
+
+    def test_null_radius_gets_default(self, tmp_path):
+        path = tmp_path / "feed.jsonl"
+        path.write_text('{"id":"e","ts_start":0,"ts_end":1,"lat":0.0,"lon":0.0,'
+                        '"radius_km":null,"polarity":"relevant"}\n')
+        assert load_events(path)[0].radius_km == 50.0
+
+    @pytest.mark.parametrize("radius", ["0", "0.0", "-5"])
+    def test_explicit_nonpositive_radius_rejected(self, tmp_path, radius):
+        path = tmp_path / "feed.jsonl"
+        path.write_text('{"id":"e","ts_start":0,"ts_end":1,"lat":0.0,"lon":0.0,'
+                        f'"radius_km":{radius},"polarity":"relevant"}}\n')
+        with pytest.raises(InputError, match=":1: .*radius"):
+            load_events(path)
+
+    @pytest.mark.parametrize("lat", ['"x"', "95"])
+    def test_bad_coordinate_line_reports_position(self, tmp_path, lat):
+        path = tmp_path / "feed.jsonl"
+        path.write_text('{"id":"e1","ts_start":0,"ts_end":1,"lat":0.0,"lon":0.0,'
+                        '"polarity":"relevant"}\n'
+                        f'{{"id":"e2","ts_start":0,"ts_end":1,"lat":{lat},"lon":0.0,'
+                        '"polarity":"relevant"}\n')
+        with pytest.raises(InputError, match=":2: .*lat"):
+            load_events(path)
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "feed.jsonl"
