@@ -45,6 +45,9 @@ class CorroborativeEvent:
     source: str = ""
 
     def __post_init__(self):
+        for name, value in (("ts_start", self.ts_start), ("ts_end", self.ts_end)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InputError(f"event {self.id}: {name} {value!r} is not an integer")
         if self.ts_start > self.ts_end:
             raise InputError(f"event {self.id}: ts_start after ts_end")
         if not (0.0 < self.radius_km <= MAX_RADIUS_KM):
@@ -181,13 +184,6 @@ def label_fraction(points: Sequence, assignments: Sequence[LabelAssignment]) -> 
     if not points:
         raise InputError("need at least one point")
     return len(assignments) / len(points)
-
-
-def corroborative_ratio(unlabeled_count: int, corroborative_count: int) -> float:
-    """Labeled-to-unlabeled ratio, the alternative bookkeeping convention."""
-    if unlabeled_count == 0:
-        return math.inf if corroborative_count else 0.0
-    return corroborative_count / unlabeled_count
 
 
 def load_events(path: str | Path) -> list[CorroborativeEvent]:

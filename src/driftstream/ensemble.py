@@ -8,19 +8,14 @@ the prediction path can run in parallel with pool maintenance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import DataPoint, cosine_distance
-from .pool import ModelView, k_nearest, predict_raw
+from .core import DataPoint
+from .pool import ModelRecord, k_nearest, predict_raw
 
 DEFAULT_K = 5
-
-# Selection policies map (models, point vector, k) to an ordered member list.
-# k-nearest over memory centroids is the one implemented; alternatives
-# (recent models, top performers, band-containment) plug in here.
-SelectionPolicy = Callable[[Sequence[ModelView], np.ndarray, int], list[ModelView]]
 
 
 @dataclass(frozen=True)
@@ -50,50 +45,46 @@ class TeamSelection:
         }
 
 
-def select_models(models: Sequence, point: DataPoint, k: int = DEFAULT_K) -> list[str]:
+def select_models(models: Sequence[ModelRecord], point: DataPoint, k: int = DEFAULT_K) -> list[str]:
     """Ids of the k models whose memory centroids are nearest to the point."""
-    return [m.id for m in k_nearest(list(models), point.vec, k)]
+    return [m.id for _, m in k_nearest(list(models), point.vec, k)]
 
 
-def team_weights(members: Sequence[tuple[float, float]], literal: bool = False) -> np.ndarray:
+def team_weights(members: Sequence[tuple[float, float]]) -> np.ndarray:
     """Softmax weights from (omega, distance) pairs.
 
-    The raw score is omega * (1 - distance) so nearer models dominate; with
-    ``literal=True`` it is omega * distance instead (farther models dominate),
-    kept for fidelity experiments.
+    The raw score is omega * (1 - distance), so nearer models dominate.
     """
     if len(members) == 0:
         raise ValueError("need at least one member")
     omega = np.array([m[0] for m in members], dtype=np.float64)
     dist = np.array([m[1] for m in members], dtype=np.float64)
-    raw = omega * dist if literal else omega * (1.0 - dist)
+    return _softmax(omega * (1.0 - dist))
+
+
+def _softmax(raw: np.ndarray) -> np.ndarray:
     shifted = np.exp(raw - raw.max())
     return shifted / shifted.sum()
 
 
 def form_team(
-    models: Sequence[ModelView],
-    point: DataPoint,
-    k: int = DEFAULT_K,
-    literal: bool = False,
+    models: Sequence[ModelRecord], point: DataPoint, k: int = DEFAULT_K,
 ) -> TeamSelection | None:
     """Build the weighted team for a point; None when the pool is empty."""
     chosen = k_nearest(list(models), point.vec, k)
     if not chosen:
         return None
-    distances = [cosine_distance(point.vec, m.centroid) for m in chosen]
-    weights = team_weights([(m.omega, d) for m, d in zip(chosen, distances)], literal=literal)
-    raw = [m.omega * (d if literal else 1.0 - d) for m, d in zip(chosen, distances)]
+    raw = np.array([m.omega * (1.0 - d) for d, m in chosen])
     members = tuple(
-        TeamMember(model_id=m.id, distance=d, raw_weight=r, weight=float(w))
-        for m, d, r, w in zip(chosen, distances, raw, weights)
+        TeamMember(model_id=m.id, distance=d, raw_weight=float(r), weight=float(w))
+        for (d, m), r, w in zip(chosen, raw, _softmax(raw))
     )
     return TeamSelection(point_id=point.id, members=members)
 
 
 def team_predict(
     team: TeamSelection | None,
-    models_by_id: dict[str, ModelView],
+    models_by_id: dict[str, ModelRecord],
     point: DataPoint,
 ) -> tuple[float, int] | None:
     """Weighted mean probability and its thresholded label (1 iff p >= 0.5).

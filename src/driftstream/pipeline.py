@@ -76,7 +76,7 @@ class PipelineConfig:
     def pool_config(self) -> PoolConfig:
         return PoolConfig(
             lam=self.lam, delta=self.delta, k=self.k, min_train=self.min_train,
-            learn_rate=self.learn_rate, epochs=self.epochs, seed=self.seed,
+            learn_rate=self.learn_rate, epochs=self.epochs,
         )
 
 
@@ -147,10 +147,11 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
 
     Truth labels never enter the pipeline's points; they come back as a
     separate id-to-label map used only for evaluation. The stream must be
-    sorted by timestamp.
+    sorted by timestamp, and point ids must be unique.
     """
     points: list[DataPoint] = []
     truth: dict[str, int] = {}
+    first_line: dict[str, int] = {}
     last_ts = None
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -172,6 +173,9 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
             raise InputError(f"{path}:{lineno}: malformed stream line: {exc}") from exc
         if last_ts is not None and point.ts < last_ts:
             raise InputError(f"{path}:{lineno}: stream not sorted by ts")
+        first = first_line.setdefault(point.id, lineno)
+        if first != lineno:
+            raise InputError(f"{path}:{lineno}: duplicate id {point.id!r}, first on line {first}")
         last_ts = point.ts
         points.append(point)
     return points, truth

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,6 @@ class PoolConfig:
     min_train: int = 50
     learn_rate: float = 0.1
     epochs: int = 20
-    seed: int = 0
 
     def effective_lambda(self, band: DeltaBand) -> float:
         if self.lam is None:
@@ -71,6 +70,10 @@ class ModelRecord:
     def __post_init__(self):
         if not (0.0 <= self.omega <= 1.0):
             raise InputError(f"omega {self.omega} outside [0, 1]")
+
+    @property
+    def centroid(self) -> np.ndarray:
+        return self.memory.centroid
 
 
 class GeneralMemory:
@@ -131,31 +134,10 @@ class Pool:
                 lab, src = labels[p.id]
                 gm.points[i] = p.with_label(lab, src)
 
-    def snapshot(self) -> list["ModelView"]:
-        """Immutable per-model views for the concurrent prediction path."""
-        return [
-            ModelView(
-                id=m.id,
-                weights=m.weights.copy(),
-                centroid=m.memory.centroid.copy(),
-                band=m.band,
-                omega=m.omega,
-                created_at=m.created_at,
-            )
-            for m in self.models
-        ]
-
-
-@dataclass(frozen=True)
-class ModelView:
-    """Frozen slice of a model record: everything prediction needs."""
-
-    id: str
-    weights: np.ndarray
-    centroid: np.ndarray
-    band: DeltaBand
-    omega: float
-    created_at: int
+    def snapshot(self) -> list[ModelRecord]:
+        """Copies of the models, with their own weights and memory windows, that
+        later routing and retraining leave unchanged; prediction reads these."""
+        return [replace(m, weights=m.weights.copy(), memory=m.memory.copy()) for m in self.models]
 
 
 @dataclass(frozen=True)
@@ -230,18 +212,13 @@ def _fit_logistic(x, y, cfg: PoolConfig, init: np.ndarray | None) -> np.ndarray:
     return w
 
 
-def predict_raw(model: ModelRecord | ModelView, point: DataPoint) -> float:
+def predict_raw(model: ModelRecord, point: DataPoint) -> float:
     """Classifier probability sigmoid(w.x + b), kept strictly inside (0, 1)."""
     w = model.weights
     if len(point.vec) + 1 != len(w):
         raise InputError(f"dim mismatch: point {len(point.vec)}, weights {len(w)}")
     z = float(point.vec @ w[:-1] + w[-1])
     return float(np.clip(sigmoid(np.float64(z)), 1e-15, 1.0 - 1e-15))
-
-
-def predict_raw_batch(model: ModelRecord | ModelView, vectors: np.ndarray) -> np.ndarray:
-    z = vectors @ model.weights[:-1] + model.weights[-1]
-    return np.clip(sigmoid(z), 1e-15, 1.0 - 1e-15)
 
 
 def train_classifier(
@@ -292,17 +269,15 @@ def fine_tune_step(model: ModelRecord, point: DataPoint, cfg: PoolConfig) -> Non
     model.weights = model.weights - (cfg.learn_rate / 10.0) * (float(p) - point.label) * x
 
 
-def k_nearest(models: list, vec: np.ndarray, k: int) -> list:
-    """The k models with memory centroids closest to ``vec``.
-
-    Ties break toward older created_at, then lexicographic id. Works on
-    ModelRecord (live centroid) and ModelView (frozen centroid) alike.
+def k_nearest(
+    models: list[ModelRecord], vec: np.ndarray, k: int
+) -> list[tuple[float, ModelRecord]]:
+    """(distance, model) pairs for the k models with memory centroids closest
+    to ``vec``. Ties break toward older created_at, then lexicographic id.
     """
-    def centroid_of(m):
-        return m.centroid if hasattr(m, "centroid") else m.memory.centroid
-
     ranked = sorted(
-        models, key=lambda m: (cosine_distance(vec, centroid_of(m)), m.created_at, m.id)
+        ((cosine_distance(vec, m.centroid), m) for m in models),
+        key=lambda dm: (dm[0], dm[1].created_at, dm[1].id),
     )
     return ranked[:k]
 
@@ -318,8 +293,7 @@ def process_point(pool: Pool, point: DataPoint, cfg: PoolConfig) -> RoutingOutco
     appended: list[str] = []
     updated: list[str] = []
     owned = False
-    for model in k_nearest(pool.models, point.vec, cfg.k):
-        d = cosine_distance(point.vec, model.memory.centroid)
+    for d, model in k_nearest(pool.models, point.vec, cfg.k):
         membership = band_membership(model.band, d, cfg.effective_lambda(model.band))
         if membership == INSIDE:
             model.memory.append(point)
@@ -429,11 +403,10 @@ def _window_to_json(w: DataWindow) -> dict:
 
 
 def _window_from_json(d: dict) -> DataWindow:
-    w = DataWindow(capacity=d["capacity"], role=d["role"], window_id=d["id"])
-    w.points = [_point_from_json(p) for p in d["points"]]
-    # restore the running sum verbatim so incremental state continues bit-exact
-    w._vec_sum = None if d["vec_sum"] is None else np.array(d["vec_sum"], dtype=np.float64)
-    return w
+    return DataWindow.restore(
+        [_point_from_json(p) for p in d["points"]], d["vec_sum"],
+        capacity=d["capacity"], role=d["role"], window_id=d["id"],
+    )
 
 
 def save_pool(pool: Pool, path: str | Path) -> None:

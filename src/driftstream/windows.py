@@ -21,7 +21,6 @@ DEFAULT_DELTA = 0.6
 
 ROLE_CLASSIFIER = "classifier_window"
 ROLE_STREAM = "stream_window"
-ROLE_SMOOTHING = "smoothing_window"
 
 INSIDE = "inside"
 GENERALIZATION = "generalization"
@@ -47,6 +46,18 @@ class DataWindow:
         self._vec_sum: np.ndarray | None = None
         for p in points:
             self.append(p)
+
+    @classmethod
+    def restore(cls, points, vec_sum, capacity: int, role: str, window_id: str) -> "DataWindow":
+        """A window of ``points`` whose running sum is a copy of ``vec_sum``, not
+        rebuilt by re-appending (which can change its last bits)."""
+        w = cls(capacity=capacity, role=role, window_id=window_id)
+        w.points = list(points)
+        w._vec_sum = None if vec_sum is None else np.array(vec_sum, dtype=np.float64)
+        return w
+
+    def copy(self) -> "DataWindow":
+        return self.restore(self.points, self._vec_sum, self.capacity, self.role, self.id)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -91,10 +102,6 @@ class DeltaBand:
     def __post_init__(self):
         if not (0.0 <= self.lo <= self.hi <= 1.0):
             raise InputError(f"invalid band bounds [{self.lo}, {self.hi}]")
-
-    def contains(self, dist: float) -> bool:
-        """Closed-interval membership, used for band mass accounting."""
-        return self.lo <= dist <= self.hi
 
 
 @dataclass(frozen=True)

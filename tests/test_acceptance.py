@@ -11,7 +11,7 @@ from driftstream.corroborate import EARTH_RADIUS_KM, CorroborativeEvent, assign_
 from driftstream.drift import DistanceHistogram, detect_drift, kl_divergence
 from driftstream.ensemble import TeamMember, TeamSelection, team_predict, team_weights
 from driftstream.pipeline import PipelineConfig, replay
-from driftstream.pool import ModelView, logistic_loss_and_grad, process_point
+from driftstream.pool import logistic_loss_and_grad, process_point
 from driftstream.synth import SynthConfig, generate_synthetic
 from driftstream.windows import (
     DeltaBand,

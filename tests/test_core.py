@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from driftstream.core import (
@@ -135,6 +135,11 @@ class TestCosineDistance:
     @example(a=[0.0, 0.0, 0.0, 2.27e-162], scale=4.0)
     def test_positive_scaling_invariance(self, a, scale):
         a = np.array(a)
+        # a product that lands below the smallest normal float loses bits or
+        # becomes 0 (5e-324 * 0.5 == 0.0), so a * scale is then no positive
+        # multiple of a and the property does not apply
+        scaled = np.abs(a * scale)
+        assume(np.all((a == 0.0) | (scaled >= np.finfo(np.float64).tiny)))
         b = np.array([1.0, -2.0, 0.5, 3.0])
         assert cosine_distance(a, b) == pytest.approx(
             cosine_distance(a * scale, b), abs=1e-9

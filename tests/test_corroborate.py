@@ -13,7 +13,6 @@ from driftstream.corroborate import (
     EARTH_RADIUS_KM,
     CorroborativeEvent,
     assign_labels,
-    corroborative_ratio,
     haversine_km,
     label_fraction,
     load_events,
@@ -60,6 +59,18 @@ class TestEventValidation:
         with pytest.raises(InputError):
             CorroborativeEvent(id="e", ts_start=10, ts_end=5, lat=0, lon=0,
                                radius_km=10, polarity="relevant")
+
+    @pytest.mark.parametrize("ts_start, ts_end", [
+        ("0", 1), (0, "1"), ("1735614420", "1735787220"), (0.0, 1), (0, 1.5),
+        (False, True), (None, 1),
+    ])
+    def test_non_integer_timestamps_rejected(self, ts_start, ts_end):
+        with pytest.raises(InputError, match="not an integer"):
+            CorroborativeEvent(id="e", ts_start=ts_start, ts_end=ts_end, lat=0, lon=0,
+                               radius_km=10, polarity="relevant")
+
+    def test_numpy_integer_timestamps_accepted(self):
+        assert event("e", 0, 0, ts_start=np.int64(5), ts_end=np.int64(9)).ts_end == 9
 
     def test_radius_cap(self):
         with pytest.raises(InputError):
@@ -276,11 +287,6 @@ class TestLabelFraction:
         got = assign_labels(pts, [event("e", 0.0, 0.0)], 0)
         assert label_fraction(pts, got) == 1.0
 
-    def test_table_style_month(self):
-        # 7205 unlabeled, 189 corroborative: fraction of total vs ratio to unlabeled
-        assert 189 / (7205 + 189) == pytest.approx(0.02556, abs=1e-4)
-        assert corroborative_ratio(7205, 189) == pytest.approx(0.02623, abs=1e-4)
-
     def test_empty_points_rejected(self):
         with pytest.raises(InputError):
             label_fraction([], [])
@@ -322,6 +328,16 @@ class TestFeedIO:
                         f'{{"id":"e2","ts_start":0,"ts_end":1,"lat":{lat},"lon":0.0,'
                         '"polarity":"relevant"}\n')
         with pytest.raises(InputError, match=":2: .*lat"):
+            load_events(path)
+
+    @pytest.mark.parametrize("ts", ['"1735614420"', "1735614420.0", "true", "null"])
+    def test_non_integer_timestamp_line_reports_position(self, tmp_path, ts):
+        path = tmp_path / "feed.jsonl"
+        path.write_text('{"id":"e1","ts_start":0,"ts_end":1,"lat":0.0,"lon":0.0,'
+                        '"polarity":"relevant"}\n'
+                        f'{{"id":"e2","ts_start":{ts},"ts_end":1735787220,"lat":0.0,'
+                        '"lon":0.0,"polarity":"relevant"}\n')
+        with pytest.raises(InputError, match=":2: bad event line: .*ts_start"):
             load_events(path)
 
     def test_malformed_line_reports_position(self, tmp_path):

@@ -32,3 +32,6 @@ def test_demo_runs(path, tmp_path):
     assert proc.returncode == 0, proc.stderr
     if path.stem == "04_corroborative_labeling":
         assert re.search(r"austin-politics\s+-> label 0 from news-election", proc.stdout)
+    if path.stem == "05_end_to_end_replay":
+        assert "knowledgebase:" in proc.stdout
+        assert not list(tmp_path.glob("driftstream-demo-*"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import make_model
 
 from driftstream.core import DataPoint
 from driftstream.ensemble import (
@@ -14,7 +15,6 @@ from driftstream.ensemble import (
     team_predict,
     team_weights,
 )
-from driftstream.pool import ModelView
 from driftstream.windows import DeltaBand
 
 
@@ -23,20 +23,17 @@ def point(pid, vec):
 
 
 def view(mid, centroid, omega=0.9, created_at=0, weights=None, dim=None):
-    dim = dim if dim is not None else len(centroid)
-    w = np.zeros(dim + 1) if weights is None else np.asarray(weights, dtype=float)
-    return ModelView(id=mid, weights=w, centroid=np.asarray(centroid, dtype=float),
-                     band=DeltaBand(0.6, 0.0, 1.0), omega=omega, created_at=created_at)
+    # the memory holds the centroid as its single point, which reproduces it exactly
+    return make_model(mid, np.asarray(centroid, dtype=float), DeltaBand(0.6, 0.0, 1.0),
+                      weights=weights, omega=omega, created_at=created_at, dim=dim)
 
 
 def view_with_output(mid, centroid, output, omega=0.9, created_at=0):
-    """A view whose classifier emits a fixed probability for unit e1 input."""
+    """A model whose classifier emits a fixed probability for unit e1 input."""
     logit = math.log(output / (1.0 - output))
-    dim = len(centroid)
-    w = np.zeros(dim + 1)
+    w = np.zeros(len(centroid) + 1)
     w[0] = logit  # x = e1 picks this up, bias zero
-    return ModelView(id=mid, weights=w, centroid=np.asarray(centroid, dtype=float),
-                     band=DeltaBand(0.6, 0.0, 1.0), omega=omega, created_at=created_at)
+    return view(mid, centroid, omega=omega, created_at=created_at, weights=w)
 
 
 def angled(deg, dim=3):
@@ -90,12 +87,6 @@ class TestTeamWeights:
 
     def test_singleton_weight_is_one(self):
         np.testing.assert_allclose(team_weights([(0.4, 0.9)]), [1.0])
-
-    def test_literal_mode_prefers_farther(self):
-        prox = team_weights([(0.9, 0.1), (0.9, 0.8)])
-        lit = team_weights([(0.9, 0.1), (0.9, 0.8)], literal=True)
-        assert prox[0] > prox[1]
-        assert lit[0] < lit[1]
 
     @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                     min_size=1, max_size=8))

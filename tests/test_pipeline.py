@@ -81,6 +81,12 @@ class TestLoadStream:
         with pytest.raises(InputError, match=":2"):
             load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
 
+    def test_duplicate_id_rejected_with_both_line_numbers(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_stream(path, [stream_row(0, 1), stream_row(1, 2), stream_row(0, 3, label=1)])
+        with pytest.raises(InputError, match=r":3: duplicate id 'p0', first on line 1"):
+            load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+
     def test_truth_labels_stay_out_of_points(self, tmp_path):
         path = tmp_path / "s.jsonl"
         write_stream(path, [stream_row(0, 1, label=1), stream_row(1, 2, label=0)])
@@ -339,5 +345,15 @@ class TestCli:
         write_stream(stream, [stream_row(0, 100), stream_row(1, 5)])  # unsorted
         feed = tmp_path / "c.jsonl"
         feed.write_text("")
+        assert cli_main(["replay", "--stream", str(stream), "--corroborative",
+                         str(feed), "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 1
+
+        write_stream(stream, [stream_row(0, 1), stream_row(0, 2)])  # duplicate id
+        assert cli_main(["replay", "--stream", str(stream), "--corroborative",
+                         str(feed), "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 1
+
+        write_stream(stream, [stream_row(0, 1), stream_row(1, 2)])
+        feed.write_text('{"id":"e","ts_start":"0","ts_end":"10","lat":10.0,"lon":20.0,'
+                        '"polarity":"relevant"}\n')  # quoted timestamps
         assert cli_main(["replay", "--stream", str(stream), "--corroborative",
                          str(feed), "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 1

@@ -1,12 +1,15 @@
 import copy
 import math
+import sys
 
 import numpy as np
 import pytest
 from helpers import make_model, oracle_route, point, random_routing_fixture, vec_at_distance
 
+from driftstream import core
 from driftstream.core import SOURCE_CORROBORATIVE
 from driftstream.drift import DriftVerdict
+from driftstream.ensemble import form_team, team_predict
 from driftstream.pool import (
     GeneralMemory,
     Pool,
@@ -235,6 +238,76 @@ class TestRoutingOracle:
             assert set(outcome.models_appended) == exp_app, f"trial {trial}"
             assert set(outcome.updated) == exp_upd, f"trial {trial}"
             assert outcome.general_memory_hit == exp_gm, f"trial {trial}"
+
+
+class TestDistanceReuse:
+    @pytest.fixture
+    def distance_calls(self, monkeypatch):
+        """Counts cosine_distance calls made through any driftstream module."""
+        calls = []
+        original = core.cosine_distance
+
+        def counted(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("driftstream") and getattr(module, "cosine_distance", None) is original:
+                monkeypatch.setattr(module, "cosine_distance", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_models", [1, 3, 5, 8])
+    def test_one_distance_per_model(self, distance_calls, n_models):
+        rng = np.random.default_rng(n_models)
+        pool = Pool()
+        for j in range(n_models):
+            pool.models.append(make_model(f"m{j}", rng.standard_normal(4),
+                                          DeltaBand(0.6, 0.2, 0.8), created_at=j))
+        x = point("x", rng.standard_normal(4))
+        process_point(pool, x, PoolConfig(k=5))
+        assert len(distance_calls) == n_models
+        distance_calls.clear()
+        form_team(pool.snapshot(), x, k=5)
+        assert len(distance_calls) == n_models
+
+
+class TestSnapshot:
+    def test_routing_and_retraining_leave_snapshot_unchanged(self):
+        rng = np.random.default_rng(14)
+        cfg = PoolConfig()
+        pool = Pool()
+        pool.models.append(train_classifier(two_cluster_points(rng, n=100), cfg, model_id="m1"))
+        pool.models.append(train_classifier(two_cluster_points(rng, n=100, sep=0.5), cfg,
+                                            model_id="m2", created_at=1))
+        snapshot = pool.snapshot()
+        by_id = {m.id: m for m in snapshot}
+        for live, snap in zip(pool.models, snapshot):
+            assert snap.memory is not live.memory
+            np.testing.assert_array_equal(snap.centroid, live.centroid)
+        probes = [point(f"q{i}", rng.standard_normal(6)) for i in range(20)]
+
+        def frozen_state():
+            return [(m.centroid.copy(), m.weights.copy()) for m in snapshot], [
+                team_predict(form_team(snapshot, q), by_id, q) for q in probes
+            ]
+
+        members, predictions = frozen_state()
+        live_centroid = pool.models[0].centroid.copy()
+        live_weights = pool.models[0].weights.copy()
+
+        for p in two_cluster_points(rng, n=60, sep=2.0):
+            process_point(pool, p, cfg)
+        verdict = DriftVerdict(kl=1.0, threshold=0.05, drifted=True, compared=("m1", "live"))
+        on_drift(pool, {"m1": verdict}, cfg)
+        # the live model did move, so the comparison below is not vacuous
+        assert not np.array_equal(pool.models[0].centroid, live_centroid)
+        assert not np.array_equal(pool.models[0].weights, live_weights)
+
+        members_after, predictions_after = frozen_state()
+        for (c0, w0), (c1, w1) in zip(members, members_after):
+            np.testing.assert_array_equal(c0, c1)
+            np.testing.assert_array_equal(w0, w1)
+        assert predictions == predictions_after
 
 
 class TestGeneralMemory:
