@@ -1,8 +1,10 @@
 """The classifier pool and per-point teamed prediction.
 
 Trains two regional models, routes fresh points through the pool (band
-membership decides which memories absorb them), then assembles a weighted
-team for each query point and blends the members' probabilities.
+membership decides which memories absorb them), then predicts a window of
+query points from a frozen snapshot: each point gets a weighted team of the
+nearest models, which blends the members' probabilities. Replay makes the
+same call once per window.
 
 Run: python3 demos/03_teamed_classifiers.py
 """
@@ -13,9 +15,8 @@ from driftstream import (
     DataPoint,
     Pool,
     PoolConfig,
-    form_team,
+    predict_window,
     process_point,
-    team_predict,
     train_classifier,
 )
 
@@ -74,12 +75,13 @@ for name, vec in probes.items():
           f"general memory: {outcome.general_memory_hit}")
 print(f"  general memory now holds {len(pool.general)} point(s) for future models")
 
-print("\n== teamed prediction for one point ==")
-query = DataPoint(id="query", ts=100, text="", vec=storms + 0.1 * rng.standard_normal(dim))
+print("\n== teamed prediction for a window of one point ==")
+query = storms + 0.1 * rng.standard_normal(dim)
 snapshot = pool.snapshot()
-team = form_team(snapshot, query, k=cfg.k)
-for member in team.members:
-    print(f"  {member.model_id}: distance={member.distance:.3f} "
-          f"raw={member.raw_weight:.3f} softmax weight={member.weight:.3f}")
-probability, label = team_predict(team, {m.id: m for m in snapshot}, query)
-print(f"  blended probability {probability:.3f} -> label {label}")
+omega = {m.id: m.omega for m in snapshot}
+decision = predict_window(snapshot, query[None, :], k=cfg.k)[0]
+for member in decision["team"]:
+    raw = omega[member["model"]] * (1.0 - member["d"])
+    print(f"  {member['model']}: distance={member['d']:.3f} "
+          f"raw={raw:.3f} softmax weight={member['w']:.3f}")
+print(f"  blended probability {decision['p']:.3f} -> label {decision['label']}")

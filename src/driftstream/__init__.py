@@ -24,7 +24,7 @@ from .drift import (
     kl_divergence,
     smooth_zero_bins,
 )
-from .ensemble import TeamSelection, form_team, select_models, team_predict, team_weights
+from .ensemble import predict_window, team_weights
 from .pipeline import (
     DetectedEvent,
     PipelineConfig,

@@ -44,8 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--jump", type=float, default=1.0)
 
     rep = sub.add_parser("replay", help="replay a stream against corroborative events")
-    rep.add_argument("--stream", required=True)
-    rep.add_argument("--corroborative", required=True)
+    rep.add_argument("--stream", help="stream JSONL (default: the config's stream=)")
+    rep.add_argument("--corroborative",
+                     help="corroborative feed (default: the config's corroborative=)")
     rep.add_argument("--config", required=True)
     rep.add_argument("--out", required=True)
 
@@ -85,7 +86,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_replay(args) -> int:
     cfg = load_config(args.config)
-    result = replay(args.stream, args.corroborative, cfg, out_dir=args.out)
+    for name in ("stream", "corroborative"):
+        if not (getattr(args, name) or getattr(cfg, name)):
+            raise ConfigError(f"no {name} path: pass --{name} or set {name}= in the config")
+    result = replay(args.stream or cfg.stream, args.corroborative or cfg.corroborative,
+                    cfg, out_dir=args.out)
     print(f"knowledgebase: {result.knowledgebase}")
     print(f"reports: {result.reports}")
     for row in result.report_rows:

@@ -61,10 +61,9 @@ class DataPoint:
             raise InputError(f"point {self.id}: vec has non-finite components")
         if (self.lat is None) != (self.lon is None):
             raise InputError(f"point {self.id}: lat and lon must be given together")
-        if self.lat is not None and not (-90.0 <= self.lat <= 90.0):
-            raise InputError(f"point {self.id}: lat {self.lat} out of range")
-        if self.lon is not None and not (-180.0 <= self.lon <= 180.0):
-            raise InputError(f"point {self.id}: lon {self.lon} out of range")
+        for name, value, limit in (("lat", self.lat, 90.0), ("lon", self.lon, 180.0)):
+            if value is not None and (isinstance(value, bool) or not -limit <= value <= limit):
+                raise InputError(f"point {self.id}: {name} {value!r} out of range")
         if self.label is not None:
             if self.label not in (LABEL_RELEVANT, LABEL_IRRELEVANT):
                 raise InputError(f"point {self.id}: label must be 0 or 1")

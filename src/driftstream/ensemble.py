@@ -1,53 +1,22 @@
-"""Per-point teamed classifiers: select the nearest models, weight them by
-performance and proximity, and aggregate their probabilities.
+"""Teamed classifiers: select the nearest models, weight them by performance
+and proximity, and aggregate their probabilities.
 
-The team is rebuilt for every data point from an immutable pool snapshot, so
-the prediction path can run in parallel with pool maintenance.
+Every point gets its own team, but the teams of a window are formed together
+from one immutable pool snapshot: one distance column and one probability
+column per model, then a stable sort of each row. Reading a frozen snapshot
+keeps the prediction path independent of pool maintenance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import DataPoint
-from .pool import ModelRecord, k_nearest, predict_raw
+from .core import centroid_cosine_distances
+from .pool import ModelRecord, sigmoid
 
 DEFAULT_K = 5
-
-
-@dataclass(frozen=True)
-class TeamMember:
-    model_id: str
-    distance: float
-    raw_weight: float
-    weight: float
-
-
-@dataclass(frozen=True)
-class TeamSelection:
-    """The models chosen for one point, sorted by ascending distance."""
-
-    point_id: str
-    members: tuple[TeamMember, ...]
-
-    def record(self, probability: float | None, label: int | None) -> dict:
-        """JSONL row for the per-point decision log."""
-        return {
-            "point_id": self.point_id,
-            "team": [
-                {"model": m.model_id, "d": m.distance, "w": m.weight} for m in self.members
-            ],
-            "p": probability,
-            "label": label,
-        }
-
-
-def select_models(models: Sequence[ModelRecord], point: DataPoint, k: int = DEFAULT_K) -> list[str]:
-    """Ids of the k models whose memory centroids are nearest to the point."""
-    return [m.id for _, m in k_nearest(list(models), point.vec, k)]
 
 
 def team_weights(members: Sequence[tuple[float, float]]) -> np.ndarray:
@@ -63,39 +32,46 @@ def team_weights(members: Sequence[tuple[float, float]]) -> np.ndarray:
 
 
 def _softmax(raw: np.ndarray) -> np.ndarray:
-    shifted = np.exp(raw - raw.max())
-    return shifted / shifted.sum()
+    """Softmax along the last axis, shifted by its maximum."""
+    shifted = np.exp(raw - raw.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def form_team(
-    models: Sequence[ModelRecord], point: DataPoint, k: int = DEFAULT_K,
-) -> TeamSelection | None:
-    """Build the weighted team for a point; None when the pool is empty."""
-    chosen = k_nearest(list(models), point.vec, k)
-    if not chosen:
-        return None
-    raw = np.array([m.omega * (1.0 - d) for d, m in chosen])
-    members = tuple(
-        TeamMember(model_id=m.id, distance=d, raw_weight=float(r), weight=float(w))
-        for (d, m), r, w in zip(chosen, raw, _softmax(raw))
-    )
-    return TeamSelection(point_id=point.id, members=members)
+def predict_window(
+    models: Sequence[ModelRecord], X: np.ndarray, k: int = DEFAULT_K,
+) -> list[dict]:
+    """One decision per row of ``X``: ``{"team", "p", "label"}``.
 
-
-def team_predict(
-    team: TeamSelection | None,
-    models_by_id: dict[str, ModelRecord],
-    point: DataPoint,
-) -> tuple[float, int] | None:
-    """Weighted mean probability and its thresholded label (1 iff p >= 0.5).
-
-    An empty team yields None: the point stays unclassified rather than
-    erroring out.
+    The team holds the k models whose memory centroids are nearest to the
+    row, sorted by distance with ties toward older created_at, then smaller
+    id, each as ``{"model", "d", "w"}`` with softmax weight w over
+    omega * (1 - d). p is the weighted mean of the members' probabilities and
+    the label is 1 iff p >= 0.5. An empty pool leaves every row unclassified
+    (empty team, p and label None).
     """
-    if team is None or not team.members:
-        return None
-    probability = 0.0
-    for member in team.members:
-        probability += member.weight * predict_raw(models_by_id[member.model_id], point)
-    probability = float(min(max(probability, 0.0), 1.0))
-    return probability, int(probability >= 0.5)
+    if not models:
+        return [{"team": [], "p": None, "label": None} for _ in range(len(X))]
+    ordered = sorted(models, key=lambda m: (m.created_at, m.id))
+    # one column per model, so that bit-equal centroids give bit-equal columns
+    # (a single X @ C.T may round one column differently and break the tie)
+    dist = np.column_stack([centroid_cosine_distances(X, m.centroid) for m in ordered])
+    logits = np.column_stack([X @ m.weights[:-1] + m.weights[-1] for m in ordered])
+    probs = np.clip(sigmoid(logits), 1e-15, 1.0 - 1e-15)
+    team = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    d = np.take_along_axis(dist, team, axis=1)
+    omega = np.array([m.omega for m in ordered])
+    w = _softmax(omega[team] * (1.0 - d))
+    # members are added in team order, as a point-by-point loop would add them
+    p = np.zeros(len(X))
+    for column in (w * np.take_along_axis(probs, team, axis=1)).T:
+        p += column
+    np.clip(p, 0.0, 1.0, out=p)
+    ids = [m.id for m in ordered]
+    return [
+        {
+            "team": [{"model": ids[j], "d": dj, "w": wj} for j, dj, wj in zip(tr, dr, wr)],
+            "p": pr,
+            "label": int(pr >= 0.5),
+        }
+        for tr, dr, wr, pr in zip(team.tolist(), d.tolist(), w.tolist(), p.tolist())
+    ]

@@ -1,11 +1,12 @@
 """End-to-end orchestration: stream replay, maintenance, and reporting.
 
-Replay runs two paths. The per-point prediction path forms a teamed
-classifier from an immutable pool snapshot and logs a decision; the
-maintenance path fires at window boundaries: retroactive corroborative
-labeling, model evaluation, per-model drift verdicts, then retraining and
-generation. Predictions for a window always use the snapshot taken at the
-previous boundary, so the bootstrap window emits no predictions at all.
+Replay runs two paths. The prediction path gives every point its own teamed
+classifier, formed for a whole window at once from an immutable pool
+snapshot, and logs one decision per point; the maintenance path fires at
+window boundaries: retroactive corroborative labeling, model evaluation,
+per-model drift verdicts, then retraining and generation. Predictions for a
+window always use the snapshot taken at the previous boundary, so the
+bootstrap window emits no predictions at all.
 
 Everything is deterministic given the input files and the seed; two replays
 of the same inputs produce byte-identical artifacts.
@@ -20,6 +21,8 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .core import (
     ConfigError,
     DataPoint,
@@ -30,7 +33,7 @@ from .core import (
 )
 from .corroborate import assign_labels, load_events
 from .drift import DEFAULT_KL_THRESHOLD, DEFAULT_BINS, detect_drift
-from .ensemble import form_team, team_predict
+from .ensemble import predict_window
 from .pool import (
     Pool,
     PoolConfig,
@@ -162,14 +165,16 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
             continue
         try:
             d = json.loads(line)
+            if type(d["ts"]) is not int:
+                raise ValueError(f"ts {d['ts']!r} is not an integer")
             point = DataPoint(
-                id=d["id"], ts=int(d["ts"]), text=d.get("text", ""),
+                id=d["id"], ts=d["ts"], text=d.get("text", ""),
                 lat=d.get("lat"), lon=d.get("lon"),
                 vec=embedder.embed(d.get("text", "")),
             )
             if d.get("label") is not None:
-                truth[point.id] = int(d["label"])
-        except (KeyError, ValueError, TypeError) as exc:
+                truth[point.id] = _truth_label(d["label"])
+        except (KeyError, ValueError, TypeError, InputError) as exc:
             raise InputError(f"{path}:{lineno}: malformed stream line: {exc}") from exc
         if last_ts is not None and point.ts < last_ts:
             raise InputError(f"{path}:{lineno}: stream not sorted by ts")
@@ -179,6 +184,13 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
         last_ts = point.ts
         points.append(point)
     return points, truth
+
+
+def _truth_label(value) -> int:
+    """A ground-truth label must be the integer 0 or 1; booleans are refused."""
+    if type(value) is not int or value not in (0, 1):
+        raise ValueError(f"label {value!r} is not 0 or 1")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -346,22 +358,19 @@ class ReplayResult:
     report_rows: list[WindowReport]
 
 
-def _predict_window(snapshot, by_id, window_points, cfg: PipelineConfig):
-    """Team predictions for one window against a fixed snapshot."""
+def _predict_window(snapshot, window_points, X, cfg: PipelineConfig):
+    """Team predictions for one window (vector matrix ``X``) against a fixed snapshot."""
     rows = []
     predictions: dict[str, int] = {}
     positives = []
-    for point in window_points:
-        team = form_team(snapshot, point, k=cfg.k)
-        outcome = team_predict(team, by_id, point)
-        if outcome is None:
-            rows.append({"point_id": point.id, "team": [], "p": None, "label": None})
+    for point, decision in zip(window_points, predict_window(snapshot, X, cfg.k)):
+        rows.append({"point_id": point.id, **decision})
+        label = decision["label"]
+        if label is None:
             continue
-        probability, label = outcome
-        rows.append(team.record(probability, label))
         predictions[point.id] = label
         if label == 1:
-            positives.append((point, probability))
+            positives.append((point, decision["p"]))
     return rows, predictions, positives
 
 
@@ -391,9 +400,7 @@ def replay(
     pool = Pool(general_capacity=cfg.window_size)
     pool_cfg = cfg.pool_config()
     snapshot = []
-    by_id = {}
     static_snapshot = None
-    static_by_id = {}
 
     decision_rows: list[dict] = []
     baseline_rows: list[dict] = []
@@ -414,11 +421,12 @@ def replay(
             # predictions for this window use the snapshot from the previous
             # boundary; the bootstrap window has none and emits nothing
             if window_index > 0:
-                rows, preds, pos = _predict_window(snapshot, by_id, window_points, cfg)
+                X = np.vstack([p.vec for p in window_points])
+                rows, preds, pos = _predict_window(snapshot, window_points, X, cfg)
                 decision_rows.extend(rows)
                 adaptive_pred.update(preds)
                 positives.extend(pos)
-                srows, spreds, _ = _predict_window(static_snapshot, static_by_id, window_points, cfg)
+                srows, spreds, _ = _predict_window(static_snapshot, window_points, X, cfg)
                 baseline_rows.extend(srows)
                 static_pred.update(spreds)
 
@@ -448,10 +456,8 @@ def replay(
 
             if window_index == 0:
                 static_snapshot = pool.snapshot()
-                static_by_id = {m.id: m for m in static_snapshot}
                 save_pool(pool, static_pool_path)
             snapshot = pool.snapshot()
-            by_id = {m.id: m for m in snapshot}
 
             window_stats.append({
                 "window": window_index,
@@ -513,7 +519,7 @@ def evaluate_windows(run_dir: str | Path, truth_path: str | Path) -> list[Window
         try:
             d = json.loads(line)
             if d.get("label") is not None:
-                truth[d["id"]] = int(d["label"])
+                truth[d["id"]] = _truth_label(d["label"])
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"{truth_path}:{lineno}: malformed truth line: {exc}") from exc
     reports = build_reports(window_stats, adaptive_pred, static_pred, truth)

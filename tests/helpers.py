@@ -1,5 +1,6 @@
 """Shared fixtures-by-hand for the test suite: geometry builders, the
-independent routing oracle and the pair-by-pair labeling reference."""
+independent routing oracle, the pair-by-pair labeling reference and the
+point-by-point team prediction reference."""
 
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 
 from driftstream.core import DataPoint, SOURCE_CORROBORATIVE
 from driftstream.corroborate import LabelAssignment, _time_offset, haversine_km
-from driftstream.pool import ModelRecord
+from driftstream.pool import ModelRecord, k_nearest, predict_raw
 from driftstream.windows import DataWindow, DeltaBand
 
 
@@ -123,3 +124,24 @@ def reference_assign_labels(points, events, pad_seconds):
                 )
             )
     return out
+
+
+def reference_predict(models, x, k):
+    """The teamed prediction for one point, built model by model with the
+    scalar distance and the scalar classifier; each row of predict_window must
+    agree with it."""
+    chosen = k_nearest(list(models), x.vec, k)
+    if not chosen:
+        return {"team": [], "p": None, "label": None}
+    raw = np.array([m.omega * (1.0 - d) for d, m in chosen])
+    shifted = np.exp(raw - raw.max())
+    weights = shifted / shifted.sum()
+    probability = 0.0
+    for (_, m), w in zip(chosen, weights):
+        probability += w * predict_raw(m, x)
+    probability = float(min(max(probability, 0.0), 1.0))
+    return {
+        "team": [{"model": m.id, "d": d, "w": float(w)} for (d, m), w in zip(chosen, weights)],
+        "p": probability,
+        "label": int(probability >= 0.5),
+    }

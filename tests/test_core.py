@@ -29,6 +29,11 @@ class TestDataPoint:
         with pytest.raises(InputError):
             DataPoint(id="a", ts=0, text="", vec=np.zeros(3), lat=91.0, lon=0.0)
 
+    @pytest.mark.parametrize("lat,lon", [(True, False), (1.0, True), (False, 0.0)])
+    def test_boolean_coordinates_rejected(self, lat, lon):
+        with pytest.raises(InputError):
+            DataPoint(id="a", ts=0, text="", vec=np.zeros(3), lat=lat, lon=lon)
+
     def test_label_requires_source(self):
         with pytest.raises(InputError):
             DataPoint(id="a", ts=0, text="", vec=np.zeros(3), label=1)

@@ -1,20 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from helpers import make_model
+from helpers import make_model, reference_predict
 
-from driftstream.core import DataPoint
-from driftstream.ensemble import (
-    TeamMember,
-    TeamSelection,
-    form_team,
-    select_models,
-    team_predict,
-    team_weights,
-)
+from driftstream.core import DataPoint, cosine_distance
+from driftstream.ensemble import predict_window, team_weights
 from driftstream.windows import DeltaBand
 
 
@@ -44,33 +38,42 @@ def angled(deg, dim=3):
     return v
 
 
+def predict_one(models, x, k=5):
+    """The decision for one point: predict_window over a one-row window."""
+    return predict_window(models, x.vec[None, :], k)[0]
+
+
+def team_ids(decision):
+    return [m["model"] for m in decision["team"]]
+
+
 class TestSelectModels:
     def test_single_model_always_selected(self):
         models = [view("m1", angled(170.0))]
-        assert select_models(models, point("x", angled(0.0)), k=5) == ["m1"]
+        assert team_ids(predict_one(models, point("x", angled(0.0)), k=5)) == ["m1"]
 
     def test_orders_by_distance(self):
         # distances from e1: (1 - cos(angle)) / 2
         models = [view("far", angled(67.0)), view("near", angled(37.0)),
                   view("mid", angled(53.0))]
-        got = select_models(models, point("x", angled(0.0)), k=2)
+        got = team_ids(predict_one(models, point("x", angled(0.0)), k=2))
         assert got == ["near", "mid"]
 
     def test_tie_breaks_on_created_at_then_id(self):
         models = [view("young", angled(45.0), created_at=5),
                   view("old", angled(45.0), created_at=1),
                   view("elder", angled(45.0), created_at=1)]
-        got = select_models(models, point("x", angled(0.0)), k=3)
+        got = team_ids(predict_one(models, point("x", angled(0.0)), k=3))
         assert got == ["elder", "old", "young"]
 
     def test_empty_pool_gives_empty_selection(self):
-        assert select_models([], point("x", angled(0.0)), k=5) == []
+        assert predict_one([], point("x", angled(0.0)), k=5)["team"] == []
 
     def test_invariant_under_positive_rescaling(self):
         models = [view("a", angled(20.0)), view("b", angled(50.0)), view("c", angled(80.0))]
         x1 = point("x", angled(10.0))
         x2 = point("x", 37.5 * angled(10.0))
-        assert select_models(models, x1, k=2) == select_models(models, x2, k=2)
+        assert team_ids(predict_one(models, x1, k=2)) == team_ids(predict_one(models, x2, k=2))
 
 
 class TestTeamWeights:
@@ -108,57 +111,46 @@ class TestTeamWeights:
 
 class TestTeamPredict:
     def test_all_members_half_gives_half_and_label_one(self):
-        models = {f"m{i}": view_with_output(f"m{i}", angled(10.0 * i), 0.5) for i in range(3)}
-        team = TeamSelection(point_id="x", members=tuple(
-            TeamMember(f"m{i}", 0.1 * i, 0.5, 1.0 / 3.0) for i in range(3)
-        ))
-        prob, label = team_predict(team, models, point("x", [1.0, 0.0, 0.0]))
-        assert prob == pytest.approx(0.5, abs=1e-12)
-        assert label == 1  # threshold is inclusive
+        # equal centroids give equal weights, so the blend is exactly 0.5
+        models = [view_with_output(f"m{i}", angled(10.0), 0.5) for i in range(4)]
+        decision = predict_one(models, point("x", [1.0, 0.0, 0.0]))
+        assert decision["p"] == 0.5
+        assert decision["label"] == 1  # threshold is inclusive
 
     def test_singleton_passthrough(self):
-        models = {"m": view_with_output("m", angled(30.0), 0.9)}
-        team = TeamSelection(point_id="x", members=(TeamMember("m", 0.2, 0.7, 1.0),))
-        prob, label = team_predict(team, models, point("x", [1.0, 0.0, 0.0]))
-        assert prob == pytest.approx(0.9, abs=1e-9)
-        assert label == 1
+        models = [view_with_output("m", angled(30.0), 0.9)]
+        decision = predict_one(models, point("x", [1.0, 0.0, 0.0]))
+        assert decision["p"] == pytest.approx(0.9, abs=1e-9)
+        assert decision["label"] == 1
+        assert decision["team"][0]["w"] == 1.0
 
     def test_weighted_mean(self):
-        models = {
-            "a": view_with_output("a", angled(10.0), 0.8),
-            "b": view_with_output("b", angled(70.0), 0.3),
-        }
-        team = TeamSelection(point_id="x", members=(
-            TeamMember("a", 0.1, 0.7, 0.6), TeamMember("b", 0.4, 0.3, 0.4),
-        ))
-        prob, label = team_predict(team, models, point("x", [1.0, 0.0, 0.0]))
-        assert prob == pytest.approx(0.6 * 0.8 + 0.4 * 0.3, abs=1e-9)
-        assert label == 1
+        models = [view_with_output("a", angled(10.0), 0.8, omega=0.7),
+                  view_with_output("b", angled(70.0), 0.3, omega=0.9)]
+        decision = predict_one(models, point("x", [1.0, 0.0, 0.0]))
+        a, b = decision["team"]
+        assert (a["model"], b["model"]) == ("a", "b")
+        np.testing.assert_allclose([a["w"], b["w"]],
+                                   team_weights([(0.7, a["d"]), (0.9, b["d"])]), atol=1e-15)
+        assert decision["p"] == pytest.approx(a["w"] * 0.8 + b["w"] * 0.3, abs=1e-9)
+        assert decision["label"] == 1
 
     def test_empty_team_unclassified(self):
-        assert team_predict(None, {}, point("x", [1.0, 0.0])) is None
-        empty = TeamSelection(point_id="x", members=())
-        assert team_predict(empty, {}, point("x", [1.0, 0.0])) is None
+        decisions = predict_window([], np.eye(3), 5)
+        assert decisions == [{"team": [], "p": None, "label": None}] * 3
 
     def test_monotone_in_member_output(self):
         rng = np.random.default_rng(21)
+        x = np.array([[1.0, 0.0, 0.0]])
         for _ in range(50):
             k = int(rng.integers(1, 6))
             outputs = rng.uniform(0.05, 0.95, k)
-            weights = rng.random(k)
-            weights = weights / weights.sum()
-            models = {f"m{i}": view_with_output(f"m{i}", angled(5.0 + i), outputs[i])
-                      for i in range(k)}
-            team = TeamSelection(point_id="x", members=tuple(
-                TeamMember(f"m{i}", 0.1, 0.5, float(weights[i])) for i in range(k)
-            ))
-            x = point("x", [1.0, 0.0, 0.0])
-            base, _ = team_predict(team, models, x)
+            models = [view_with_output(f"m{i}", angled(5.0 + i), outputs[i]) for i in range(k)]
+            base = predict_window(models, x, k)[0]["p"]
             j = int(rng.integers(0, k))
-            bumped = dict(models)
-            bumped[f"m{j}"] = view_with_output(f"m{j}", angled(5.0 + j),
-                                               min(0.99, outputs[j] + 0.05))
-            raised, _ = team_predict(team, bumped, x)
+            bumped = list(models)
+            bumped[j] = view_with_output(f"m{j}", angled(5.0 + j), min(0.99, outputs[j] + 0.05))
+            raised = predict_window(bumped, x, k)[0]["p"]
             assert raised >= base - 1e-12
 
 
@@ -166,24 +158,117 @@ class TestFormTeam:
     def test_members_sorted_ascending_by_distance(self):
         models = [view("far", angled(80.0)), view("near", angled(20.0)),
                   view("mid", angled(50.0))]
-        team = form_team(models, point("x", angled(0.0)), k=3)
-        ids = [m.model_id for m in team.members]
-        assert ids == ["near", "mid", "far"]
-        dists = [m.distance for m in team.members]
+        decision = predict_one(models, point("x", angled(0.0)), k=3)
+        assert team_ids(decision) == ["near", "mid", "far"]
+        dists = [m["d"] for m in decision["team"]]
         assert dists == sorted(dists)
 
     def test_weights_sum_to_one(self):
         models = [view(f"m{i}", angled(15.0 * i), omega=0.5 + 0.1 * i) for i in range(4)]
-        team = form_team(models, point("x", angled(0.0)), k=4)
-        assert sum(m.weight for m in team.members) == pytest.approx(1.0, abs=1e-9)
+        decision = predict_one(models, point("x", angled(0.0)), k=4)
+        assert sum(m["w"] for m in decision["team"]) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_pool_gives_none(self):
-        assert form_team([], point("x", angled(0.0)), k=3) is None
+        decision = predict_one([], point("x", angled(0.0)), k=3)
+        assert decision["p"] is None and decision["label"] is None
 
     def test_record_schema(self):
         models = [view("m1", angled(30.0))]
-        team = form_team(models, point("x", angled(0.0)), k=1)
-        row = team.record(0.75, 1)
-        assert row["point_id"] == "x" and row["p"] == 0.75 and row["label"] == 1
-        assert row["team"][0]["model"] == "m1"
-        assert set(row["team"][0]) == {"model", "d", "w"}
+        decision = predict_one(models, point("x", angled(0.0)), k=1)
+        assert list(decision) == ["team", "p", "label"]
+        assert isinstance(decision["p"], float) and type(decision["label"]) is int
+        assert decision["team"][0]["model"] == "m1"
+        assert list(decision["team"][0]) == ["model", "d", "w"]
+
+
+# components include exact small integers (distance ties), general floats and
+# subnormal or tiny values, whose norms need rescaling
+component = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-2.0, 2.0),
+    st.sampled_from([5e-324, -2.5e-310, 3e-170, -1e-160]),
+)
+
+
+@st.composite
+def prediction_inputs(draw):
+    """(models, X, k) with M from 0 to 8 against k from 1 to 6, duplicated
+    centroids under permuted ids and created_at, and zero-vector rows."""
+    dim = draw(st.integers(1, 5))
+    vec = st.lists(component, min_size=dim, max_size=dim)
+    n_models = draw(st.integers(0, 8))
+    centroids = []
+    for _ in range(n_models):
+        if centroids and draw(st.booleans()):
+            centroids.append(draw(st.sampled_from(centroids)))
+        else:
+            centroids.append(draw(vec))
+    ids = draw(st.permutations([f"m{j}" for j in range(n_models)]))
+    models = [
+        make_model(mid, np.array(c), DeltaBand(0.6, 0.0, 1.0),
+                   weights=draw(st.lists(st.floats(-5.0, 5.0), min_size=dim + 1,
+                                         max_size=dim + 1)),
+                   omega=draw(st.floats(0.0, 1.0)), created_at=draw(st.integers(0, 2)))
+        for mid, c in zip(ids, centroids)
+    ]
+    rows = draw(st.lists(st.one_of(vec, st.just([0.0] * dim)), min_size=1, max_size=6))
+    return models, np.array(rows, dtype=float), draw(st.integers(1, 6))
+
+
+def _tied_case():
+    """Three equal centroids (ids and created_at out of order), a fourth
+    model, and a zero row and a subnormal row, with k below M."""
+    c = np.array([1.0, 2.0, 0.0])
+    models = [
+        make_model("m2", c, DeltaBand(0.6, 0.0, 1.0), created_at=1, weights=[1.0, 0, 0, 0]),
+        make_model("m0", c, DeltaBand(0.6, 0.0, 1.0), created_at=1, weights=[0, 1.0, 0, 0]),
+        make_model("m1", c, DeltaBand(0.6, 0.0, 1.0), created_at=0, weights=[0, 0, 1.0, 0]),
+        make_model("m3", np.array([0.0, 0.0, 1.0]), DeltaBand(0.6, 0.0, 1.0), created_at=0),
+    ]
+    X = np.array([[0.0, 0.0, 0.0], [5e-324, 1e-310, 0.0], [2.0, 1.0, 1.0]])
+    return models, X, 2
+
+
+def _near_ties_only_between_equal_centroids(models, X):
+    """Whether every pair of models within 1e-9 in distance to a nonzero row
+    has bit-equal centroids. Two different centroids at (nearly) the same
+    distance, such as parallel ones, have no defined order: it rests on the
+    last bit of each path's rounding."""
+    for row in X:
+        if not row.any():
+            continue  # the zero-vector rule puts every model at exactly 0.5
+        dist = [cosine_distance(row, m.centroid) for m in models]
+        for i, j in itertools.combinations(range(len(models)), 2):
+            if (abs(dist[i] - dist[j]) <= 1e-9
+                    and not np.array_equal(models[i].centroid, models[j].centroid)):
+                return False
+    return True
+
+
+class TestPredictWindowDifferential:
+    @given(prediction_inputs())
+    @example(_tied_case())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_point_by_point_reference(self, case):
+        models, X, k = case
+        assume(_near_ties_only_between_equal_centroids(models, X))
+        decisions = predict_window(models, X, k)
+        assert len(decisions) == len(X)
+        for i, decision in enumerate(decisions):
+            want = reference_predict(models, point(f"x{i}", X[i]), k)
+            assert team_ids(decision) == team_ids(want)
+            assert decision["label"] == want["label"]
+            if want["p"] is None:
+                assert decision["p"] is None
+            else:
+                assert abs(decision["p"] - want["p"]) <= 1e-12
+            for got, ref in zip(decision["team"], want["team"]):
+                assert abs(got["d"] - ref["d"]) <= 1e-12
+                assert abs(got["w"] - ref["w"]) <= 1e-12
+
+    def test_ties_go_to_older_created_at_then_smaller_id(self):
+        models, X, k = _tied_case()
+        # the zero row is at distance 0.5 from every model: the order is
+        # created_at, then id, over all four
+        assert team_ids(predict_window(models, X, 4)[0]) == ["m1", "m3", "m0", "m2"]
+        assert team_ids(predict_window(models, X, k)[2]) == ["m1", "m0"]

@@ -94,6 +94,27 @@ class TestLoadStream:
         assert all(p.label is None for p in points)
         assert truth == {"p0": 1, "p1": 0}
 
+    @pytest.mark.parametrize("ts", [1.9, True, "7", None])
+    def test_non_integer_ts_rejected(self, tmp_path, ts):
+        path = tmp_path / "s.jsonl"
+        write_stream(path, [stream_row(0, 1), stream_row(1, ts)])
+        with pytest.raises(InputError, match=r"s\.jsonl:2: .*ts"):
+            load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+
+    @pytest.mark.parametrize("label", [2, -1, True, False, 1.0, "1"])
+    def test_truth_label_outside_zero_one_rejected(self, tmp_path, label):
+        path = tmp_path / "s.jsonl"
+        write_stream(path, [stream_row(0, 1, label=0), stream_row(1, 2, label=label)])
+        with pytest.raises(InputError, match=r"s\.jsonl:2: .*label"):
+            load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+
+    @pytest.mark.parametrize("lat,lon", [(True, False), (10.0, True), (False, 20.0)])
+    def test_boolean_coordinates_rejected(self, tmp_path, lat, lon):
+        path = tmp_path / "s.jsonl"
+        write_stream(path, [stream_row(0, 1, lat=lat, lon=lon)])
+        with pytest.raises(InputError, match=r"s\.jsonl:1: .*(lat|lon)"):
+            load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+
     def test_geo_less_points_accepted(self, tmp_path):
         path = tmp_path / "s.jsonl"
         write_stream(path, [{"id": "p0", "ts": 1, "text": "hello"}])
@@ -328,6 +349,31 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "empirical band" in printed and "hypersphere" in printed
 
+    def test_replay_reads_paths_from_config(self, tmp_path):
+        out = tmp_path / "data"
+        assert cli_main(["gen", "--windows", "2", "--seed", "4", "--out", str(out),
+                         "--window-size", "200", "--dim", "8"]) == 0
+        config = str(out / "config.txt")
+        by_config, by_flags = tmp_path / "by_config", tmp_path / "by_flags"
+        assert cli_main(["replay", "--config", config, "--out", str(by_config)]) == 0
+        assert cli_main(["replay", "--stream", str(out / "stream.jsonl"),
+                         "--corroborative", str(out / "corroborative.jsonl"),
+                         "--config", config, "--out", str(by_flags)]) == 0
+        for name in ("decisions.jsonl", "reports.csv", "final_pool.json"):
+            assert (by_config / name).read_bytes() == (by_flags / name).read_bytes()
+
+    def test_replay_without_stream_or_feed_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(serialize_config(PipelineConfig(dim=8, window_size=10)))
+        stream = tmp_path / "s.jsonl"
+        write_stream(stream, [stream_row(0, 1)])
+        out = str(tmp_path / "r")
+        assert cli_main(["replay", "--config", str(cfg_path), "--out", out]) == 2
+        assert "no stream path" in capsys.readouterr().err
+        assert cli_main(["replay", "--stream", str(stream), "--config", str(cfg_path),
+                         "--out", out]) == 2
+        assert "no corroborative path" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("nonsense_key=1\n")
@@ -357,3 +403,27 @@ class TestCli:
                         '"polarity":"relevant"}\n')  # quoted timestamps
         assert cli_main(["replay", "--stream", str(stream), "--corroborative",
                          str(feed), "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 1
+
+    @pytest.mark.parametrize("row", [
+        {"ts": 1.9}, {"ts": True}, {"ts": "7"}, {"label": 2}, {"label": True},
+        {"lat": True, "lon": False},
+    ])
+    def test_malformed_stream_value_exit_code(self, tmp_path, row, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(serialize_config(PipelineConfig(dim=8, window_size=10)))
+        stream = tmp_path / "s.jsonl"
+        write_stream(stream, [stream_row(0, 1), {**stream_row(1, 2), **row}])
+        feed = tmp_path / "c.jsonl"
+        feed.write_text("")
+        assert cli_main(["replay", "--stream", str(stream), "--corroborative",
+                         str(feed), "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 1
+        assert "s.jsonl:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", [2, True, 0.0])
+    def test_eval_rejects_bad_truth_label(self, small_run, tmp_path, label, capsys):
+        truth = tmp_path / "truth.jsonl"
+        write_stream(truth, [{"id": "p000000", "ts": 1, "label": 1},
+                             {"id": "p000001", "ts": 2, "label": label}])
+        run_dir = small_run[2].knowledgebase.parent
+        assert cli_main(["eval", "--run", str(run_dir), "--truth", str(truth)]) == 1
+        assert "truth.jsonl:2:" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from helpers import make_model, oracle_route, point, random_routing_fixture, vec
 from driftstream import core
 from driftstream.core import SOURCE_CORROBORATIVE
 from driftstream.drift import DriftVerdict
-from driftstream.ensemble import form_team, team_predict
+from driftstream.ensemble import predict_window
 from driftstream.pool import (
     GeneralMemory,
     Pool,
@@ -267,8 +267,9 @@ class TestDistanceReuse:
         process_point(pool, x, PoolConfig(k=5))
         assert len(distance_calls) == n_models
         distance_calls.clear()
-        form_team(pool.snapshot(), x, k=5)
-        assert len(distance_calls) == n_models
+        # prediction takes one distance column per model, never a scalar pair
+        predict_window(pool.snapshot(), np.vstack([x.vec, -x.vec]), 5)
+        assert distance_calls == []
 
 
 class TestSnapshot:
@@ -280,16 +281,15 @@ class TestSnapshot:
         pool.models.append(train_classifier(two_cluster_points(rng, n=100, sep=0.5), cfg,
                                             model_id="m2", created_at=1))
         snapshot = pool.snapshot()
-        by_id = {m.id: m for m in snapshot}
         for live, snap in zip(pool.models, snapshot):
             assert snap.memory is not live.memory
             np.testing.assert_array_equal(snap.centroid, live.centroid)
         probes = [point(f"q{i}", rng.standard_normal(6)) for i in range(20)]
 
         def frozen_state():
-            return [(m.centroid.copy(), m.weights.copy()) for m in snapshot], [
-                team_predict(form_team(snapshot, q), by_id, q) for q in probes
-            ]
+            return [(m.centroid.copy(), m.weights.copy()) for m in snapshot], predict_window(
+                snapshot, np.vstack([q.vec for q in probes]), 5
+            )
 
         members, predictions = frozen_state()
         live_centroid = pool.models[0].centroid.copy()
