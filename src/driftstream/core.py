@@ -113,21 +113,32 @@ def _token_bucket_sign(token: str, dim: int, seed: int) -> tuple[int, float]:
 
 
 def load_embedding_table(path: str | Path, dim: int) -> dict[str, np.ndarray]:
-    """Read a token-to-vector table: one token plus ``dim`` floats per line."""
+    """Read a token-to-vector table: one token plus ``dim`` finite floats per line."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read embedding table {path}: {exc}") from exc
+    lines = raw.splitlines()
+    # row i holds line i + 1 (blank lines stay zero), so one finiteness check
+    # at the end still names the offending line
+    vecs = np.zeros((len(lines), dim))
     table: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for i, line in enumerate(lines):
         if not line.strip():
             continue
         parts = line.split()
         if len(parts) != dim + 1:
             raise ConfigError(
-                f"{path}:{lineno}: expected token + {dim} floats, got {len(parts) - 1}"
+                f"{path}:{i + 1}: expected token + {dim} floats, got {len(parts) - 1}"
             )
-        table[parts[0]] = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        try:
+            vecs[i] = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{i + 1}: {exc}") from exc
+        table[parts[0]] = vecs[i]
+    bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{path}:{bad[0] + 1}: non-finite value")
     return table
 
 

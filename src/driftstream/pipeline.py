@@ -173,7 +173,7 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
                 vec=embedder.embed(d.get("text", "")),
             )
             if d.get("label") is not None:
-                truth[point.id] = _truth_label(d["label"])
+                truth[point.id] = _binary_label(d["label"])
         except (KeyError, ValueError, TypeError, InputError) as exc:
             raise InputError(f"{path}:{lineno}: malformed stream line: {exc}") from exc
         if last_ts is not None and point.ts < last_ts:
@@ -186,8 +186,8 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
     return points, truth
 
 
-def _truth_label(value) -> int:
-    """A ground-truth label must be the integer 0 or 1; booleans are refused."""
+def _binary_label(value) -> int:
+    """A label (truth or decision) must be the integer 0 or 1; booleans are refused."""
     if type(value) is not int or value not in (0, 1):
         raise ValueError(f"label {value!r} is not 0 or 1")
     return value
@@ -508,36 +508,62 @@ def evaluate_windows(run_dir: str | Path, truth_path: str | Path) -> list[Window
 
     The truth file is a stream JSONL whose points carry labels (the synthetic
     generator's output qualifies). Writes reports.csv into the run directory
-    and returns the rows.
+    and returns the rows. A line of any of these files that is not JSON, lacks
+    a needed key or holds a bad value fails with the file and line.
     """
     run = Path(run_dir)
-    window_stats = [json.loads(line) for line in _read_lines(run / "window_stats.jsonl")]
-    adaptive_pred = _predictions_from(run / "decisions.jsonl")
-    static_pred = _predictions_from(run / "baseline_decisions.jsonl")
-    truth: dict[str, int] = {}
-    for lineno, line in enumerate(_read_lines(Path(truth_path)), 1):
-        try:
-            d = json.loads(line)
-            if d.get("label") is not None:
-                truth[d["id"]] = _truth_label(d["label"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise InputError(f"{truth_path}:{lineno}: malformed truth line: {exc}") from exc
+    window_stats = _read_jsonl(run / "window_stats.jsonl", "window stats", _stats_row)
+    adaptive_pred = _labels_from(run / "decisions.jsonl", "decision", _decision_row)
+    static_pred = _labels_from(run / "baseline_decisions.jsonl", "decision", _decision_row)
+    truth = _labels_from(Path(truth_path), "truth", _truth_row)
     reports = build_reports(window_stats, adaptive_pred, static_pred, truth)
     write_reports_csv(reports, run / "reports.csv")
     return reports
 
 
-def _read_lines(path: Path) -> list[str]:
+def _read_jsonl(path: Path, what: str, parse) -> list:
+    """``parse`` applied to the JSON of each non-blank line of ``path``."""
     try:
-        return [l for l in path.read_text(encoding="utf-8").splitlines() if l.strip()]
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rows.append(parse(json.loads(line)))
+        except (KeyError, ValueError, TypeError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise InputError(f"{path}:{lineno}: malformed {what} line: {detail}") from exc
+    return rows
 
 
-def _predictions_from(path: Path) -> dict[str, int]:
-    preds = {}
-    for line in _read_lines(path):
-        d = json.loads(line)
-        if d.get("label") is not None:
-            preds[d["point_id"]] = int(d["label"])
-    return preds
+def _stats_row(d: dict) -> dict:
+    for key in ("window", "corroborative", "unlabeled"):
+        if type(d[key]) is not int:
+            raise ValueError(f"{key} {d[key]!r} is not an integer")
+    if type(d["point_ids"]) is not list:
+        raise ValueError("point_ids is not a list")
+    return d
+
+
+def _truth_row(d: dict) -> tuple[str, int | None]:
+    return d["id"], None if d.get("label") is None else _binary_label(d["label"])
+
+
+def _decision_row(d: dict) -> tuple[str, int | None]:
+    return d["point_id"], None if d["label"] is None else _binary_label(d["label"])
+
+
+def _labels_from(path: Path, what: str, row) -> dict[str, int]:
+    """Id-to-label map of the rows of ``path`` whose label is not null."""
+    labels: dict[str, int] = {}
+
+    def add(d: dict) -> None:
+        pid, label = row(d)
+        if label is not None:
+            labels[pid] = label  # inside _read_jsonl, so an unhashable id names its line
+
+    _read_jsonl(path, what, add)
+    return labels

@@ -8,8 +8,10 @@ drift verdicts trigger retraining and new-model generation.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -376,50 +378,81 @@ def evaluate_models(pool: Pool, labeled: list[DataPoint], window_index: int | No
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing: JSON round-trip that restores behavior bit-exactly.
+# Checkpointing: one JSON document. Point metadata, bands, omega, ids and
+# counters are plain JSON; every float64 array (a window's vectors stacked
+# row-major into one n x d matrix, its running sum, model weights) is one
+# block {"shape": [...], "f8": base64 of its little-endian bytes}, so vectors
+# come back bit-exact without a decimal round trip. An empty window stores a
+# [0, 0] block.
 # ---------------------------------------------------------------------------
 
-def _point_to_json(p: DataPoint) -> dict:
-    return {
-        "id": p.id, "ts": p.ts, "lat": p.lat, "lon": p.lon, "text": p.text,
-        "label": p.label, "label_source": p.label_source, "vec": p.vec.tolist(),
-    }
+def _encode_f8(a: np.ndarray) -> dict:
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _point_from_json(d: dict) -> DataPoint:
-    return DataPoint(
-        id=d["id"], ts=d["ts"], lat=d["lat"], lon=d["lon"], text=d["text"],
-        label=d["label"], label_source=d["label_source"],
-        vec=np.array(d["vec"], dtype=np.float64),
-    )
+def _decode_f8(block: dict) -> np.ndarray:
+    """An owned, writable native float64 copy of an :func:`_encode_f8` block."""
+    shape = tuple(block["shape"])
+    raw = base64.b64decode(block["f8"], validate=True)
+    if any(type(n) is not int or n < 0 for n in shape) or len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"block of {len(raw)} bytes does not hold shape {list(shape)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def _points_to_json(points: list[DataPoint]) -> tuple[list[dict], dict]:
+    meta = [
+        {"id": p.id, "ts": p.ts, "lat": p.lat, "lon": p.lon, "text": p.text,
+         "label": p.label, "label_source": p.label_source}
+        for p in points
+    ]
+    vecs = np.stack([p.vec for p in points]) if points else np.empty((0, 0))
+    return meta, _encode_f8(vecs)
+
+
+def _points_from_json(meta: list[dict], vecs_block: dict) -> list[DataPoint]:
+    vecs = _decode_f8(vecs_block)
+    if len(vecs) != len(meta) or (meta and vecs.ndim != 2):
+        raise ValueError(f"{len(meta)} points but vector block of shape {list(vecs.shape)}")
+    return [
+        DataPoint(
+            id=d["id"], ts=d["ts"], lat=d["lat"], lon=d["lon"], text=d["text"],
+            label=d["label"], label_source=d["label_source"], vec=v,
+        )
+        for d, v in zip(meta, vecs)
+    ]
 
 
 def _window_to_json(w: DataWindow) -> dict:
+    meta, vecs = _points_to_json(w.points)
     return {
         "capacity": w.capacity, "role": w.role, "id": w.id,
-        "vec_sum": None if w._vec_sum is None else w._vec_sum.tolist(),
-        "points": [_point_to_json(p) for p in w.points],
+        "vec_sum": None if w._vec_sum is None else _encode_f8(w._vec_sum),
+        "points": meta, "vecs": vecs,
     }
 
 
 def _window_from_json(d: dict) -> DataWindow:
     return DataWindow.restore(
-        [_point_from_json(p) for p in d["points"]], d["vec_sum"],
+        _points_from_json(d["points"], d["vecs"]),
+        None if d["vec_sum"] is None else _decode_f8(d["vec_sum"]),
         capacity=d["capacity"], role=d["role"], window_id=d["id"],
     )
 
 
 def save_pool(pool: Pool, path: str | Path) -> None:
+    general_meta, general_vecs = _points_to_json(pool.general.points)
     doc = {
         "next_model": pool._next_model,
         "general": {
             "capacity": pool.general.capacity,
-            "points": [_point_to_json(p) for p in pool.general.points],
+            "points": general_meta,
+            "vecs": general_vecs,
         },
         "models": [
             {
                 "id": m.id,
-                "weights": m.weights.tolist(),
+                "weights": _encode_f8(m.weights),
                 "omega": m.omega,
                 "created_at": m.created_at,
                 "last_evaluated": m.last_evaluated,
@@ -436,21 +469,26 @@ def save_pool(pool: Pool, path: str | Path) -> None:
 
 
 def load_pool(path: str | Path) -> Pool:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    pool = Pool(general_capacity=doc["general"]["capacity"])
-    pool._next_model = doc["next_model"]
-    pool.general.points = [_point_from_json(p) for p in doc["general"]["points"]]
-    for md in doc["models"]:
-        band = DeltaBand(
-            delta=md["band"]["delta"], lo=md["band"]["lo"], hi=md["band"]["hi"],
-            estimate_kind=md["band"]["kind"],
-        )
-        pool.models.append(
-            ModelRecord(
-                id=md["id"], weights=np.array(md["weights"], dtype=np.float64),
-                memory=_window_from_json(md["memory"]), band=band,
-                omega=md["omega"], created_at=md["created_at"],
-                last_evaluated=md["last_evaluated"],
+    """Read a checkpoint written by :func:`save_pool`; anything else, including
+    checkpoints whose vectors are float lists, is an :class:`InputError`."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        pool = Pool(general_capacity=doc["general"]["capacity"])
+        pool._next_model = doc["next_model"]
+        pool.general.points = _points_from_json(doc["general"]["points"], doc["general"]["vecs"])
+        for md in doc["models"]:
+            band = DeltaBand(
+                delta=md["band"]["delta"], lo=md["band"]["lo"], hi=md["band"]["hi"],
+                estimate_kind=md["band"]["kind"],
             )
-        )
+            pool.models.append(
+                ModelRecord(
+                    id=md["id"], weights=_decode_f8(md["weights"]),
+                    memory=_window_from_json(md["memory"]), band=band,
+                    omega=md["omega"], created_at=md["created_at"],
+                    last_evaluated=md["last_evaluated"],
+                )
+            )
+    except (OSError, KeyError, ValueError, TypeError, InputError) as exc:
+        raise InputError(f"{path}: unreadable checkpoint: {type(exc).__name__}: {exc}") from exc
     return pool

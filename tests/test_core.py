@@ -98,6 +98,13 @@ class TestEmbed:
         with pytest.raises(ConfigError):
             Embedder(EmbedderConfig(dim=2, mode="table", table_path=str(table)))
 
+    @pytest.mark.parametrize("value", ["x", "1,5", "nan", "inf", "-Infinity", "1e999"])
+    def test_table_bad_value_is_config_error_with_line(self, tmp_path, value):
+        table = tmp_path / "emb.tsv"
+        table.write_text(f"rain 0.0 1.0\n\nflood 1.0 {value}\n")
+        with pytest.raises(ConfigError, match=r"emb\.tsv:3: "):
+            Embedder(EmbedderConfig(dim=2, mode="table", table_path=str(table)))
+
     @given(st.text(max_size=60))
     @settings(max_examples=50, deadline=None)
     def test_pure_function_of_text(self, text):

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -28,6 +29,13 @@ def stream_row(i, ts, text="flood", lat=10.0, lon=20.0, label=None):
     if label is not None:
         row["label"] = label
     return row
+
+
+ARTIFACTS = (
+    "knowledgebase.jsonl", "reports.csv", "decisions.jsonl", "baseline_decisions.jsonl",
+    "verdicts.jsonl", "window_stats.jsonl", "events_histogram.json",
+    "static_pool.json", "final_pool.json",
+)
 
 
 @pytest.fixture(scope="module")
@@ -222,12 +230,16 @@ class TestReplay:
         assert doc["models"][0]["created_at"] == 0
 
     def test_byte_identical_reruns(self, small_run, tmp_path):
-        gen, cfg, result = small_run
-        again = replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=tmp_path / "rerun")
-        assert result.knowledgebase.read_bytes() == again.knowledgebase.read_bytes()
-        assert result.reports.read_bytes() == again.reports.read_bytes()
-        assert result.decisions.read_bytes() == again.decisions.read_bytes()
-        assert result.verdicts.read_bytes() == again.verdicts.read_bytes()
+        # all nine artifacts, checkpoints included, from two fresh replays
+        gen, cfg, _ = small_run
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run in runs:
+            replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=run)
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert names == sorted(ARTIFACTS)
+        assert sorted(p.name for p in runs[1].iterdir()) == names
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
     def test_evaluate_windows_round_trip(self, small_run, tmp_path):
         gen, _, result = small_run
@@ -427,3 +439,47 @@ class TestCli:
         run_dir = small_run[2].knowledgebase.parent
         assert cli_main(["eval", "--run", str(run_dir), "--truth", str(truth)]) == 1
         assert "truth.jsonl:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,lineno,edit", [
+        ("decisions.jsonl", 2, lambda d: {**d, "label": True}),
+        ("decisions.jsonl", 3, lambda d: {**d, "label": 2}),
+        ("baseline_decisions.jsonl", 2, lambda d: {**d, "label": 1.0}),
+        ("decisions.jsonl", 2, lambda d: {k: v for k, v in d.items() if k != "point_id"}),
+        ("decisions.jsonl", 2, lambda d: {**d, "point_id": ["x"], "label": 1}),
+        ("baseline_decisions.jsonl", 1, lambda d: {k: v for k, v in d.items() if k != "label"}),
+        ("window_stats.jsonl", 2, lambda d: {k: v for k, v in d.items() if k != "point_ids"}),
+        ("window_stats.jsonl", 1, lambda d: {**d, "unlabeled": "3"}),
+        ("decisions.jsonl", 2, None),
+        ("window_stats.jsonl", 3, None),
+    ])
+    def test_eval_rejects_malformed_run_artifact(self, small_run, tmp_path, name, lineno,
+                                                 edit, capsys):
+        gen, _, result = small_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(result.knowledgebase.parent, run_dir)
+        path = run_dir / name
+        lines = path.read_text().splitlines()
+        d = json.loads(lines[lineno - 1])
+        lines[lineno - 1] = "{not json" if edit is None else json.dumps(edit(d))
+        path.write_text("\n".join(lines) + "\n")
+        assert cli_main(["eval", "--run", str(run_dir), "--truth", str(gen.stream_path)]) == 1
+        assert f"{name}:{lineno}: malformed" in capsys.readouterr().err
+
+    def test_eval_line_numbers_count_blank_lines(self, small_run, tmp_path, capsys):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text('{"id":"p000000","ts":1,"label":1}\n\n{"id":"p000001","ts":2,"label":5}\n')
+        run_dir = small_run[2].knowledgebase.parent
+        assert cli_main(["eval", "--run", str(run_dir), "--truth", str(truth)]) == 1
+        assert "truth.jsonl:3:" in capsys.readouterr().err
+
+    def test_bad_embedding_table_value_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert cli_main(["gen", "--windows", "2", "--seed", "4", "--out", str(out),
+                         "--window-size", "50", "--dim", "4"]) == 0
+        table = out / "embeddings.tsv"
+        lines = table.read_text().splitlines()
+        lines[1] = lines[1].rsplit(" ", 1)[0] + " x"
+        table.write_text("\n".join(lines) + "\n")
+        assert cli_main(["replay", "--config", str(out / "config.txt"),
+                         "--out", str(tmp_path / "run")]) == 2
+        assert "embeddings.tsv:2: " in capsys.readouterr().err

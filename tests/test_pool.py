@@ -1,4 +1,6 @@
+import base64
 import copy
+import json
 import math
 import sys
 
@@ -7,11 +9,12 @@ import pytest
 from helpers import make_model, oracle_route, point, random_routing_fixture, vec_at_distance
 
 from driftstream import core
-from driftstream.core import SOURCE_CORROBORATIVE
+from driftstream.core import SOURCE_CORROBORATIVE, DataPoint, InputError
 from driftstream.drift import DriftVerdict
 from driftstream.ensemble import predict_window
 from driftstream.pool import (
     GeneralMemory,
+    ModelRecord,
     Pool,
     PoolConfig,
     PoolError,
@@ -26,7 +29,7 @@ from driftstream.pool import (
     save_pool,
     train_classifier,
 )
-from driftstream.windows import DeltaBand, centroid_distances, empirical_delta_band
+from driftstream.windows import DataWindow, DeltaBand, centroid_distances, empirical_delta_band
 
 
 def two_cluster_points(rng, n=120, dim=6, sep=1.0):
@@ -450,3 +453,172 @@ class TestCheckpoint:
         a = process_point(copy.deepcopy(pool), x, cfg)
         b = process_point(restored, x, cfg)
         assert a == b
+
+    # -- the checkpoint format: JSON metadata plus base64 little-endian float64 blocks --
+
+    D = 300
+    SPECIAL = (-0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e308, -1e308)
+
+    def _special_pool(self, rng):
+        """Two d=300 models and a general memory whose vectors, running sums and
+        weights hold -0.0, subnormal and +-1e308 components; memories have
+        evicted points, so their sums need not equal a re-summation."""
+        pool = Pool(general_capacity=30)
+        pool._next_model = 7
+        for j, mid in enumerate(("m0003", "m0007")):
+            memory = DataWindow(capacity=40, role="classifier_window", window_id=mid)
+            for i in range(55):
+                v = self._special_vec(rng, i)
+                label = None if i % 3 else i % 2
+                memory.append(DataPoint(
+                    id=f"{mid}-p{i}", ts=1_700_000_000 + i, text=f"Überschwemmung ☔ {i}",
+                    vec=v, lat=None if i % 4 else -33.5, lon=None if i % 4 else 151.25,
+                    label=label, label_source=None if label is None else SOURCE_CORROBORATIVE,
+                ))
+            weights = rng.standard_normal(self.D + 1)
+            weights[: len(self.SPECIAL)] = self.SPECIAL
+            pool.models.append(ModelRecord(
+                id=mid, weights=weights, memory=memory,
+                band=DeltaBand(delta=0.6, lo=0.1 * j, hi=0.4, estimate_kind="empirical"),
+                omega=0.75, created_at=j, last_evaluated=j + 1,
+            ))
+        for i in range(45):
+            pool.general.append(point(f"g{i}", self._special_vec(rng, i), ts=i))
+        return pool
+
+    def _special_vec(self, rng, i):
+        v = rng.standard_normal(self.D)
+        v[:3] = self.SPECIAL[:3]
+        # alternating signs keep every running sum finite
+        v[3:5] = self.SPECIAL[3:] if i % 2 else self.SPECIAL[:2:-1]
+        return v
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+    def _assert_windows_bit_equal(self, a, b):
+        assert [(p.id, p.ts, p.lat, p.lon, p.text, p.label, p.label_source) for p in a.points] \
+            == [(p.id, p.ts, p.lat, p.lon, p.text, p.label, p.label_source) for p in b.points]
+        for p, q in zip(a.points, b.points):
+            np.testing.assert_array_equal(self._bits(p.vec), self._bits(q.vec))
+
+    def _assert_pools_bit_equal(self, pool, restored):
+        assert restored._next_model == pool._next_model
+        assert restored.general.capacity == pool.general.capacity
+        self._assert_windows_bit_equal(pool.general, restored.general)
+        assert [m.id for m in restored.models] == [m.id for m in pool.models]
+        for m, r in zip(pool.models, restored.models):
+            np.testing.assert_array_equal(self._bits(r.weights), self._bits(m.weights))
+            np.testing.assert_array_equal(self._bits(r.memory._vec_sum),
+                                          self._bits(m.memory._vec_sum))
+            self._assert_windows_bit_equal(m.memory, r.memory)
+            assert (r.band, r.omega, r.created_at, r.last_evaluated) == \
+                (m.band, m.omega, m.created_at, m.last_evaluated)
+            assert (r.memory.capacity, r.memory.role, r.memory.id) == \
+                (m.memory.capacity, m.memory.role, m.memory.id)
+
+    @pytest.mark.parametrize("empty_general", [False, True])
+    def test_d300_round_trip_bit_exact_for_special_values(self, tmp_path, empty_general):
+        pool = self._special_pool(np.random.default_rng(21))
+        if empty_general:
+            pool.general.clear()
+        save_pool(pool, tmp_path / "a.json")
+        restored = load_pool(tmp_path / "a.json")
+        self._assert_pools_bit_equal(pool, restored)
+        assert len(restored.general) == (0 if empty_general else 30)
+        save_pool(restored, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_layout_metadata_json_vectors_one_block_per_window(self, tmp_path):
+        pool = self._special_pool(np.random.default_rng(22))
+        save_pool(pool, tmp_path / "a.json")
+        doc = json.loads((tmp_path / "a.json").read_text())
+        memory = doc["models"][0]["memory"]
+        assert list(memory["points"][0]) == ["id", "ts", "lat", "lon", "text", "label",
+                                             "label_source"]
+        assert memory["vecs"]["shape"] == [40, self.D]
+        assert memory["vec_sum"]["shape"] == [self.D]
+        assert doc["models"][0]["weights"]["shape"] == [self.D + 1]
+        assert doc["general"]["vecs"]["shape"] == [30, self.D]
+        raw = base64.b64decode(memory["vecs"]["f8"])
+        first = np.frombuffer(raw[: 8 * self.D], dtype="<f8")
+        np.testing.assert_array_equal(self._bits(first),
+                                      self._bits(pool.models[0].memory.points[0].vec))
+
+    def test_empty_window_encoding(self, tmp_path):
+        pool = Pool()
+        save_pool(pool, tmp_path / "a.json")
+        doc = json.loads((tmp_path / "a.json").read_text())
+        assert doc["general"] == {"capacity": pool.general.capacity, "points": [],
+                                  "vecs": {"shape": [0, 0], "f8": ""}}
+        restored = load_pool(tmp_path / "a.json")
+        assert restored.general.points == [] and restored.models == []
+
+    def test_vec_sum_with_own_last_bits_restored_unchanged(self, tmp_path):
+        pool = self._special_pool(np.random.default_rng(23))
+        memory = pool.models[1].memory
+        resummed = np.sum(memory.vectors(), axis=0)
+        # premise: eviction left a running sum that re-summation does not give
+        assert not np.array_equal(self._bits(resummed), self._bits(memory._vec_sum))
+        save_pool(pool, tmp_path / "a.json")
+        restored = load_pool(tmp_path / "a.json").models[1].memory
+        np.testing.assert_array_equal(self._bits(restored._vec_sum), self._bits(memory._vec_sum))
+        np.testing.assert_array_equal(self._bits(restored.centroid), self._bits(memory.centroid))
+
+    def test_restored_arrays_writable_and_appends_match(self, tmp_path):
+        rng = np.random.default_rng(24)
+        pool = self._special_pool(rng)
+        save_pool(pool, tmp_path / "a.json")
+        restored = load_pool(tmp_path / "a.json")
+        for m in restored.models:
+            assert m.memory._vec_sum.flags.writeable and m.memory._vec_sum.flags.owndata
+            assert m.weights.flags.writeable and m.weights.flags.owndata
+        original, copy_ = pool.models[0].memory, restored.models[0].memory
+        for i in range(60):  # more than the capacity, so restored points get evicted
+            p = point(f"new{i}", rng.standard_normal(self.D), ts=i)
+            assert original.append(p) is not None and copy_.append(p) is not None
+        self._assert_windows_bit_equal(original, copy_)
+        np.testing.assert_array_equal(self._bits(copy_._vec_sum), self._bits(original._vec_sum))
+
+    def test_pre_change_checkpoint_is_input_error_naming_file(self, tmp_path):
+        pool = self._special_pool(np.random.default_rng(25))
+        save_pool(pool, tmp_path / "new.json")
+        doc = json.loads((tmp_path / "new.json").read_text())
+
+        def floats(block):
+            return np.frombuffer(base64.b64decode(block["f8"]), dtype="<f8").reshape(
+                block["shape"])
+
+        def old_window(w):  # float lists per point, as earlier commits wrote them
+            for p, v in zip(w["points"], floats(w.pop("vecs"))):
+                p["vec"] = v.tolist()
+
+        old_window(doc["general"])
+        for m in doc["models"]:
+            old_window(m["memory"])
+            m["memory"]["vec_sum"] = floats(m["memory"]["vec_sum"]).tolist()
+            m["weights"] = floats(m["weights"]).tolist()
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+        with pytest.raises(InputError, match=r"old\.json: unreadable checkpoint"):
+            load_pool(path)
+
+    @pytest.mark.parametrize("cut", [1, 3, 4, 8])
+    def test_truncated_block_is_input_error_naming_file(self, tmp_path, cut):
+        pool = self._special_pool(np.random.default_rng(26))
+        save_pool(pool, tmp_path / "a.json")
+        doc = json.loads((tmp_path / "a.json").read_text())
+        block = doc["models"][1]["memory"]["vecs"]
+        block["f8"] = block["f8"][:-cut]
+        (tmp_path / "cut.json").write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=r"cut\.json: unreadable checkpoint"):
+            load_pool(tmp_path / "cut.json")
+
+    def test_truncated_file_is_input_error_naming_file(self, tmp_path):
+        pool = self._special_pool(np.random.default_rng(27))
+        save_pool(pool, tmp_path / "a.json")
+        raw = (tmp_path / "a.json").read_bytes()
+        (tmp_path / "cut.json").write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(InputError, match=r"cut\.json: unreadable checkpoint"):
+            load_pool(tmp_path / "cut.json")
