@@ -34,7 +34,6 @@ from .pipeline import (
     replay,
 )
 from .pool import (
-    GeneralMemory,
     ModelRecord,
     Pool,
     PoolConfig,

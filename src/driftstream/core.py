@@ -28,6 +28,12 @@ SOURCE_CORROBORATIVE = "corroborative"
 SOURCE_PREDICTED = "predicted"
 LABEL_SOURCES = (SOURCE_GROUND_TRUTH, SOURCE_CORROBORATIVE, SOURCE_PREDICTED)
 
+# Stream and feed timestamps are integer Unix seconds within UTC years 1-9999:
+# detected events are grouped by UTC date, and the labeler's float64 prefilter
+# is exact on integers this small.
+MIN_TS = -62135596800
+MAX_TS = 253402300799
+
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
@@ -93,7 +99,7 @@ class EmbedderConfig:
         if self.dim < 1:
             raise ConfigError(f"embedding dim must be positive, got {self.dim}")
         if self.mode not in ("feature_hash", "table"):
-            raise ConfigError(f"unknown embedder mode {self.mode!r}")
+            raise ConfigError(f"unknown embed_mode {self.mode!r}")
         if self.mode == "table" and not self.table_path:
             raise ConfigError("table mode requires table_path")
 
@@ -116,7 +122,7 @@ def load_embedding_table(path: str | Path, dim: int) -> dict[str, np.ndarray]:
     """Read a token-to-vector table: one token plus ``dim`` finite floats per line."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read embedding table {path}: {exc}") from exc
     lines = raw.splitlines()
     # row i holds line i + 1 (blank lines stay zero), so one finiteness check

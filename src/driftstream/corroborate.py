@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DataPoint, InputError
+from .core import MAX_TS, MIN_TS, DataPoint, InputError
 
 EARTH_RADIUS_KM = 6371.0088
 DEFAULT_PAD_SECONDS = 86400.0
@@ -45,9 +45,13 @@ class CorroborativeEvent:
     source: str = ""
 
     def __post_init__(self):
+        if type(self.id) is not str:
+            raise InputError(f"event id {self.id!r} is not a string")
         for name, value in (("ts_start", self.ts_start), ("ts_end", self.ts_end)):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InputError(f"event {self.id}: {name} {value!r} is not an integer")
+            if not MIN_TS <= value <= MAX_TS:
+                raise InputError(f"event {self.id}: {name} {value} outside years 1-9999")
         if self.ts_start > self.ts_end:
             raise InputError(f"event {self.id}: ts_start after ts_end")
         if not (0.0 < self.radius_km <= MAX_RADIUS_KM):
@@ -188,8 +192,12 @@ def label_fraction(points: Sequence, assignments: Sequence[LabelAssignment]) -> 
 
 def load_events(path: str | Path) -> list[CorroborativeEvent]:
     """Read a corroborative feed: one JSON event per line."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read corroborative feed {path}: {exc}") from exc
     events = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:

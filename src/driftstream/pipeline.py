@@ -24,6 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    MAX_TS,
+    MIN_TS,
     ConfigError,
     DataPoint,
     Embedder,
@@ -43,12 +45,31 @@ from .pool import (
     process_point,
     save_pool,
 )
-from .windows import DataWindow, DEFAULT_DELTA, DEFAULT_WINDOW_SIZE, ROLE_STREAM
+from .windows import DataWindow, DEFAULT_DELTA, DEFAULT_WINDOW_SIZE
+
+
+# What each numeric setting must satisfy, as (test, rule); NaN fails every test.
+_RANGES = {
+    "window_size": (lambda v: v >= 1, ">= 1"),
+    "k": (lambda v: v >= 1, ">= 1"),
+    "delta": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "bins": (lambda v: v >= 2, ">= 2"),
+    "epochs": (lambda v: v >= 0, ">= 0"),
+    "min_train": (lambda v: v >= 1, ">= 1"),
+    "learn_rate": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "kl_threshold": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "pad_seconds": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "lam": (lambda v: v is None or 0.0 <= v <= 1.0, "auto or in [0, 1]"),
+}
 
 
 @dataclass
 class PipelineConfig:
-    """Flat run configuration; round-trips through the key=value file format."""
+    """Flat run configuration; round-trips through the key=value file format.
+
+    Numeric settings outside the ranges the pipeline works in are a
+    :class:`ConfigError` at construction.
+    """
 
     window_size: int = DEFAULT_WINDOW_SIZE
     delta: float = DEFAULT_DELTA
@@ -70,6 +91,14 @@ class PipelineConfig:
     knowledgebase: str | None = None
     reports: str | None = None
 
+    def __post_init__(self):
+        for key, (ok, rule) in _RANGES.items():
+            value = getattr(self, key)
+            if not ok(value):
+                name = "lambda" if key == "lam" else key
+                raise ConfigError(f"{name}={value} out of range: must be {rule}")
+        self.embedder_config()  # refuses a bad dim or embed_mode here, not at replay
+
     def embedder_config(self) -> EmbedderConfig:
         return EmbedderConfig(
             dim=self.dim, mode=self.embed_mode,
@@ -87,6 +116,7 @@ _CONFIG_KEY_ALIASES = {"lambda": "lam"}
 _NONE_TOKEN = "auto"
 _INT_KEYS = {"window_size", "k", "dim", "hash_seed", "seed", "min_train", "epochs", "bins"}
 _FLOAT_KEYS = {"delta", "kl_threshold", "lam", "pad_seconds", "learn_rate"}
+_OPTIONAL_KEYS = {f.name for f in fields(PipelineConfig) if f.default is None}
 
 
 def serialize_config(cfg: PipelineConfig) -> str:
@@ -118,6 +148,8 @@ def parse_config(text: str) -> PipelineConfig:
 
 def _parse_value(key: str, raw: str, lineno: int):
     if raw == _NONE_TOKEN or raw == "":
+        if key not in _OPTIONAL_KEYS:
+            raise ConfigError(f"config line {lineno}: {key} needs a value, got {raw!r}")
         return None
     try:
         if key in _INT_KEYS:
@@ -132,9 +164,12 @@ def _parse_value(key: str, raw: str, lineno: int):
 def load_config(path: str | Path) -> PipelineConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def save_config(cfg: PipelineConfig, path: str | Path) -> None:
@@ -150,7 +185,8 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
 
     Truth labels never enter the pipeline's points; they come back as a
     separate id-to-label map used only for evaluation. The stream must be
-    sorted by timestamp, and point ids must be unique.
+    sorted by timestamp, point ids must be unique strings, and a text, when
+    present, must be a string.
     """
     points: list[DataPoint] = []
     truth: dict[str, int] = {}
@@ -158,7 +194,7 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
     last_ts = None
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read stream {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -167,10 +203,15 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
             d = json.loads(line)
             if type(d["ts"]) is not int:
                 raise ValueError(f"ts {d['ts']!r} is not an integer")
+            if not MIN_TS <= d["ts"] <= MAX_TS:
+                raise ValueError(f"ts {d['ts']} outside years 1-9999")
+            post_text = d.get("text", "")
+            for key, value in (("id", d["id"]), ("text", post_text)):
+                if type(value) is not str:
+                    raise ValueError(f"{key} {value!r} is not a string")
             point = DataPoint(
-                id=d["id"], ts=d["ts"], text=d.get("text", ""),
-                lat=d.get("lat"), lon=d.get("lon"),
-                vec=embedder.embed(d.get("text", "")),
+                id=d["id"], ts=d["ts"], text=post_text, lat=d.get("lat"), lon=d.get("lon"),
+                vec=embedder.embed(post_text),
             )
             if d.get("label") is not None:
                 truth[point.id] = _binary_label(d["label"])
@@ -439,10 +480,8 @@ def replay(
             if pool.models and labeled:
                 evaluate_models(pool, labeled, window_index)
 
-            live = DataWindow(
-                window_points, capacity=cfg.window_size,
-                role=ROLE_STREAM, window_id=f"w{window_index:04d}",
-            )
+            live = DataWindow(window_points, capacity=cfg.window_size,
+                              window_id=f"w{window_index:04d}")
             verdicts = {}
             for model in pool.models:
                 verdict = detect_drift(
@@ -525,7 +564,7 @@ def _read_jsonl(path: Path, what: str, parse) -> list:
     """``parse`` applied to the JSON of each non-blank line of ``path``."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     rows = []
     for lineno, line in enumerate(text.splitlines(), 1):

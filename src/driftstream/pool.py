@@ -2,8 +2,11 @@
 
 Each model couples a logistic classifier with the window of points it was
 built from, the dense distance band of that window, and a performance score
-omega. Incoming points are routed into model memories or the general memory;
-drift verdicts trigger retraining and new-model generation.
+omega. Every memory, a model's or the general memory of points that fit no
+model, is a :class:`DataWindow`. Routing only files points into memories and
+never changes weights. Learning happens at window boundaries, after the
+corroborative labels of the window have arrived: drift verdicts refit
+drifted models, and the labeled general memory seeds new models.
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataPoint, InputError, SOURCE_CORROBORATIVE, cosine_distance
+from .core import DataPoint, InputError, cosine_distance
 from .windows import (
-    GENERALIZATION,
     INSIDE,
+    OUTSIDE,
     DataWindow,
     DeltaBand,
-    ROLE_CLASSIFIER,
     band_membership,
     centroid_distances,
     empirical_delta_band,
@@ -32,6 +34,7 @@ from .windows import (
 log = logging.getLogger(__name__)
 
 DEFAULT_GENERAL_CAPACITY = 3000
+GENERAL_ID = "general"  # window id of the general memory
 LAMBDA_MARGIN = 0.05  # generalization band width beyond the delta band
 
 
@@ -78,39 +81,13 @@ class ModelRecord:
         return self.memory.centroid
 
 
-class GeneralMemory:
-    """Buffer of points that fit no model's region; seeds new classifiers."""
-
-    def __init__(self, capacity: int = DEFAULT_GENERAL_CAPACITY):
-        self.capacity = capacity
-        self.points: list[DataPoint] = []
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def append(self, point: DataPoint) -> None:
-        self.points.append(point)
-        if len(self.points) > self.capacity:
-            del self.points[: len(self.points) - self.capacity]
-
-    def labeled(self) -> list[DataPoint]:
-        return [p for p in self.points if p.label is not None]
-
-    def clear(self) -> None:
-        self.points = []
-
-
 class Pool:
     """Mutable pool of model records plus the general memory. Single writer."""
 
     def __init__(self, general_capacity: int = DEFAULT_GENERAL_CAPACITY):
         self.models: list[ModelRecord] = []
-        self.general = GeneralMemory(general_capacity)
-        self._next_model = 0
-
-    def next_model_id(self) -> str:
-        self._next_model += 1
-        return f"m{self._next_model:04d}"
+        self.general = DataWindow(capacity=general_capacity, window_id=GENERAL_ID)
+        self._next_model = 0  # count of generated models, which numbers their ids
 
     def by_id(self, model_id: str) -> ModelRecord:
         for m in self.models:
@@ -119,22 +96,16 @@ class Pool:
         raise KeyError(model_id)
 
     def apply_labels(self, labels: dict[str, tuple[int, str]]) -> None:
-        """Swap labeled copies of points into memories and the general memory.
+        """Swap labeled copies of points into the model memories and the
+        general memory.
 
         Points are immutable, so delayed labels propagate by replacement; the
-        vectors are unchanged, which leaves centroids intact.
+        vectors are unchanged, which leaves running sums and centroids intact.
         """
-        windows = [m.memory for m in self.models]
-        for w in windows:
+        for w in [m.memory for m in self.models] + [self.general]:
             for i, p in enumerate(w.points):
                 if p.id in labels and p.label is None:
-                    lab, src = labels[p.id]
-                    w.replace_point(i, p.with_label(lab, src))
-        gm = self.general
-        for i, p in enumerate(gm.points):
-            if p.id in labels and p.label is None:
-                lab, src = labels[p.id]
-                gm.points[i] = p.with_label(lab, src)
+                    w.points[i] = p.with_label(*labels[p.id])
 
     def snapshot(self) -> list[ModelRecord]:
         """Copies of the models, with their own weights and memory windows, that
@@ -145,7 +116,6 @@ class Pool:
 @dataclass(frozen=True)
 class RoutingOutcome:
     models_appended: tuple[str, ...]
-    updated: tuple[str, ...]
     general_memory_hit: bool
 
 
@@ -228,7 +198,6 @@ def train_classifier(
     cfg: PoolConfig,
     model_id: str = "m0001",
     created_at: int = 0,
-    init_weights: np.ndarray | None = None,
     memory_capacity: int = DEFAULT_GENERAL_CAPACITY,
 ) -> ModelRecord:
     """Fit a logistic model by full-batch gradient descent.
@@ -246,29 +215,15 @@ def train_classifier(
     if classes != {0, 1}:
         raise PoolError("single-class training data; defer generation")
     x, y = _design_matrix(labeled)
-    weights = _fit_logistic(x, y, cfg, init_weights)
-    memory = DataWindow(
-        data, capacity=max(memory_capacity, len(data)),
-        role=ROLE_CLASSIFIER, window_id=model_id,
-    )
+    weights = _fit_logistic(x, y, cfg, None)
+    memory = DataWindow(data, capacity=max(memory_capacity, len(data)), window_id=model_id)
     band = empirical_delta_band(centroid_distances(memory), cfg.delta)
-    preds = (predict_raw_batch_weights(weights, x) >= 0.5).astype(int)
+    preds = (sigmoid(x @ weights) >= 0.5).astype(int)
     omega = f_score(y.astype(int), preds)
     return ModelRecord(
         id=model_id, weights=weights, memory=memory, band=band,
         omega=omega, created_at=created_at, last_evaluated=created_at,
     )
-
-
-def predict_raw_batch_weights(weights: np.ndarray, x_with_bias: np.ndarray) -> np.ndarray:
-    return np.clip(sigmoid(x_with_bias @ weights), 1e-15, 1.0 - 1e-15)
-
-
-def fine_tune_step(model: ModelRecord, point: DataPoint, cfg: PoolConfig) -> None:
-    """One gradient step at a tenth of the learning rate on a single point."""
-    x = np.concatenate([point.vec, [1.0]])
-    p = sigmoid(np.float64(x @ model.weights))
-    model.weights = model.weights - (cfg.learn_rate / 10.0) * (float(p) - point.label) * x
 
 
 def k_nearest(
@@ -288,37 +243,33 @@ def process_point(pool: Pool, point: DataPoint, cfg: PoolConfig) -> RoutingOutco
     """Route one point through the k selected models.
 
     A point landing strictly inside a model's band joins that memory and marks
-    the point as owned; a corroboratively labeled hit also fine-tunes the
-    model. A point in the generalization margin joins the memory without
-    claiming ownership. Unowned points fall through to the general memory.
+    the point as owned. A point in the generalization margin joins the memory
+    without claiming ownership. Unowned points fall through to the general
+    memory. Routing never changes a model's weights, whether or not the point
+    is labeled: in a replay, labels arrive at the window boundary, after every
+    point of the window has been routed.
     """
     appended: list[str] = []
-    updated: list[str] = []
     owned = False
     for d, model in k_nearest(pool.models, point.vec, cfg.k):
         membership = band_membership(model.band, d, cfg.effective_lambda(model.band))
-        if membership == INSIDE:
+        if membership != OUTSIDE:
             model.memory.append(point)
             appended.append(model.id)
-            owned = True
-            if point.label is not None and point.label_source == SOURCE_CORROBORATIVE:
-                fine_tune_step(model, point, cfg)
-                updated.append(model.id)
-        elif membership == GENERALIZATION:
-            model.memory.append(point)
-            appended.append(model.id)
+            owned |= membership == INSIDE
     if not owned:
         pool.general.append(point)
-    return RoutingOutcome(tuple(appended), tuple(updated), general_memory_hit=not owned)
+    return RoutingOutcome(tuple(appended), general_memory_hit=not owned)
 
 
 def on_drift(pool: Pool, verdicts: dict, cfg: PoolConfig, window_index: int = 0) -> PoolDelta:
     """React to drift verdicts: retrain drifted models, generate from general memory.
 
     Drifted models are refit (warm start) on their memory's labeled subset when
-    both classes are present, and their bands are rebuilt either way. If the
-    general memory holds enough labeled points of both classes, one new model
-    is generated from it and the consumed points are cleared.
+    both classes are present, and their bands are rebuilt either way. Then
+    one new model is trained on the general memory; when that succeeds the
+    general memory is emptied, and when :func:`train_classifier` finds too few
+    labels, or one class only, generation waits for a later boundary.
     """
     retrained: list[str] = []
     generated: list[str] = []
@@ -335,20 +286,19 @@ def on_drift(pool: Pool, verdicts: dict, cfg: PoolConfig, window_index: int = 0)
         model.band = empirical_delta_band(centroid_distances(model.memory), cfg.delta)
         retrained.append(model.id)
 
-    gm_labeled = pool.general.labeled()
-    if len(gm_labeled) >= cfg.min_train and {p.label for p in gm_labeled} == {0, 1}:
-        model_id = pool.next_model_id()
+    model_id = f"m{pool._next_model + 1:04d}"
+    try:
         record = train_classifier(
-            list(pool.general.points), cfg, model_id=model_id,
+            pool.general.points, cfg, model_id=model_id,
             created_at=window_index, memory_capacity=pool.general.capacity,
         )
+    except PoolError as exc:
+        log.info("general memory: %s", exc)
+    else:
+        pool._next_model += 1
         pool.models.append(record)
-        pool.general.clear()
+        pool.general = DataWindow(capacity=pool.general.capacity, window_id=GENERAL_ID)
         generated.append(model_id)
-    elif gm_labeled:
-        log.info(
-            "general memory: %d labeled points, generation deferred", len(gm_labeled)
-        )
     return PoolDelta(tuple(retrained), tuple(generated))
 
 
@@ -426,7 +376,7 @@ def _points_from_json(meta: list[dict], vecs_block: dict) -> list[DataPoint]:
 def _window_to_json(w: DataWindow) -> dict:
     meta, vecs = _points_to_json(w.points)
     return {
-        "capacity": w.capacity, "role": w.role, "id": w.id,
+        "capacity": w.capacity, "id": w.id,
         "vec_sum": None if w._vec_sum is None else _encode_f8(w._vec_sum),
         "points": meta, "vecs": vecs,
     }
@@ -436,19 +386,14 @@ def _window_from_json(d: dict) -> DataWindow:
     return DataWindow.restore(
         _points_from_json(d["points"], d["vecs"]),
         None if d["vec_sum"] is None else _decode_f8(d["vec_sum"]),
-        capacity=d["capacity"], role=d["role"], window_id=d["id"],
+        capacity=d["capacity"], window_id=d["id"],
     )
 
 
 def save_pool(pool: Pool, path: str | Path) -> None:
-    general_meta, general_vecs = _points_to_json(pool.general.points)
     doc = {
         "next_model": pool._next_model,
-        "general": {
-            "capacity": pool.general.capacity,
-            "points": general_meta,
-            "vecs": general_vecs,
-        },
+        "general": _window_to_json(pool.general),
         "models": [
             {
                 "id": m.id,
@@ -470,12 +415,13 @@ def save_pool(pool: Pool, path: str | Path) -> None:
 
 def load_pool(path: str | Path) -> Pool:
     """Read a checkpoint written by :func:`save_pool`; anything else, including
-    checkpoints whose vectors are float lists, is an :class:`InputError`."""
+    checkpoints whose vectors are float lists or whose general memory is not a
+    window record, is an :class:`InputError`."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        pool = Pool(general_capacity=doc["general"]["capacity"])
+        pool = Pool()
         pool._next_model = doc["next_model"]
-        pool.general.points = _points_from_json(doc["general"]["points"], doc["general"]["vecs"])
+        pool.general = _window_from_json(doc["general"])
         for md in doc["models"]:
             band = DeltaBand(
                 delta=md["band"]["delta"], lo=md["band"]["lo"], hi=md["band"]["hi"],

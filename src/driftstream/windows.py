@@ -19,9 +19,6 @@ from .core import ConfigError, DataPoint, InputError, centroid_cosine_distances
 DEFAULT_WINDOW_SIZE = 3000
 DEFAULT_DELTA = 0.6
 
-ROLE_CLASSIFIER = "classifier_window"
-ROLE_STREAM = "stream_window"
-
 INSIDE = "inside"
 GENERALIZATION = "generalization"
 OUTSIDE = "outside"
@@ -35,12 +32,10 @@ class DataWindow:
     evicts the oldest point.
     """
 
-    def __init__(self, points=(), capacity: int = DEFAULT_WINDOW_SIZE,
-                 role: str = ROLE_STREAM, window_id: str = ""):
+    def __init__(self, points=(), capacity: int = DEFAULT_WINDOW_SIZE, window_id: str = ""):
         if capacity < 1:
             raise InputError(f"window capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.role = role
         self.id = window_id
         self.points: list[DataPoint] = []
         self._vec_sum: np.ndarray | None = None
@@ -48,16 +43,16 @@ class DataWindow:
             self.append(p)
 
     @classmethod
-    def restore(cls, points, vec_sum, capacity: int, role: str, window_id: str) -> "DataWindow":
+    def restore(cls, points, vec_sum, capacity: int, window_id: str) -> "DataWindow":
         """A window of ``points`` whose running sum is a copy of ``vec_sum``, not
         rebuilt by re-appending (which can change its last bits)."""
-        w = cls(capacity=capacity, role=role, window_id=window_id)
+        w = cls(capacity=capacity, window_id=window_id)
         w.points = list(points)
         w._vec_sum = None if vec_sum is None else np.array(vec_sum, dtype=np.float64)
         return w
 
     def copy(self) -> "DataWindow":
-        return self.restore(self.points, self._vec_sum, self.capacity, self.role, self.id)
+        return self.restore(self.points, self._vec_sum, self.capacity, self.id)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -82,12 +77,6 @@ class DataWindow:
 
     def vectors(self) -> np.ndarray:
         return np.stack([p.vec for p in self.points])
-
-    def replace_point(self, index: int, point: DataPoint) -> None:
-        """Swap a point in place (used when labels arrive retroactively)."""
-        old = self.points[index]
-        self._vec_sum += point.vec - old.vec
-        self.points[index] = point
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ def oracle_route(models_state, x, lam_value):
 
     models_state rows: (model_id, centroid, band_lo, band_hi).
     """
-    appended, updated, owned = set(), set(), False
+    appended, owned = set(), False
     for mid, centroid, lo, hi in models_state:
         nx, nc = np.linalg.norm(x.vec), np.linalg.norm(centroid)
         if nx == 0.0 or nc == 0.0:
@@ -51,11 +51,9 @@ def oracle_route(models_state, x, lam_value):
         if inside:
             appended.add(mid)
             owned = True
-            if x.label is not None and x.label_source == SOURCE_CORROBORATIVE:
-                updated.add(mid)
         elif hi <= d < lam:
             appended.add(mid)
-    return appended, updated, not owned
+    return appended, not owned
 
 
 def random_routing_fixture(rng):

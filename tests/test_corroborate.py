@@ -69,6 +69,18 @@ class TestEventValidation:
             CorroborativeEvent(id="e", ts_start=ts_start, ts_end=ts_end, lat=0, lon=0,
                                radius_km=10, polarity="relevant")
 
+    @pytest.mark.parametrize("ts_start, ts_end", [(-10**11, 0), (0, 10**12), (0, 10**400)])
+    def test_timestamps_outside_years_1_to_9999_rejected(self, ts_start, ts_end):
+        with pytest.raises(InputError, match="outside years 1-9999"):
+            CorroborativeEvent(id="e", ts_start=ts_start, ts_end=ts_end, lat=0, lon=0,
+                               radius_km=10, polarity="relevant")
+
+    @pytest.mark.parametrize("eid", [5, None, ["e"]])
+    def test_non_string_id_rejected(self, eid):
+        with pytest.raises(InputError, match="not a string"):
+            CorroborativeEvent(id=eid, ts_start=0, ts_end=1, lat=0, lon=0,
+                               radius_km=10, polarity="relevant")
+
     def test_numpy_integer_timestamps_accepted(self):
         assert event("e", 0, 0, ts_start=np.int64(5), ts_end=np.int64(9)).ts_end == 9
 

@@ -10,6 +10,7 @@ from driftstream.pipeline import (
     PipelineConfig,
     aggregate_events,
     evaluate_windows,
+    load_config,
     load_stream,
     parse_config,
     replay,
@@ -74,6 +75,26 @@ class TestConfig:
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# a comment\n\nwindow_size=77\n")
         assert cfg.window_size == 77
+
+    @pytest.mark.parametrize("line", [
+        "window_size=0", "window_size=auto", "k=0", "delta=0", "delta=2", "delta=nan",
+        "bins=1", "epochs=-1", "min_train=0", "learn_rate=0", "learn_rate=inf",
+        "kl_threshold=-1", "kl_threshold=nan", "pad_seconds=-1", "pad_seconds=inf",
+        "lambda=-0.5", "lambda=1.5", "dim=0", "embed_mode=words",
+    ])
+    def test_out_of_range_value_is_config_error_naming_file_key_and_value(self, tmp_path, line):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"window_size=10\n{line}\n")
+        key, _, value = line.partition("=")
+        with pytest.raises(ConfigError, match=rf"cfg\.txt: .*{key}") as info:
+            load_config(path)
+        assert value in str(info.value)
+
+    def test_range_edges_accepted(self):
+        cfg = parse_config("window_size=1\nk=1\ndelta=1\nbins=2\nepochs=0\nmin_train=1\n"
+                           "kl_threshold=0\npad_seconds=0\nlambda=0\nlearn_rate=1e-9\n")
+        assert (cfg.window_size, cfg.delta, cfg.lam, cfg.epochs) == (1, 1.0, 0.0, 0)
+        assert parse_config("lambda=1\n").lam == 1.0
 
 
 class TestLoadStream:
@@ -417,8 +438,8 @@ class TestCli:
                          str(feed), "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 1
 
     @pytest.mark.parametrize("row", [
-        {"ts": 1.9}, {"ts": True}, {"ts": "7"}, {"label": 2}, {"label": True},
-        {"lat": True, "lon": False},
+        {"ts": 1.9}, {"ts": True}, {"ts": "7"}, {"ts": 10**20}, {"label": 2}, {"label": True},
+        {"lat": True, "lon": False}, {"id": ["a"]}, {"id": 5}, {"text": 5}, {"text": None},
     ])
     def test_malformed_stream_value_exit_code(self, tmp_path, row, capsys):
         cfg_path = tmp_path / "cfg.txt"

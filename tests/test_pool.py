@@ -13,14 +13,12 @@ from driftstream.core import SOURCE_CORROBORATIVE, DataPoint, InputError
 from driftstream.drift import DriftVerdict
 from driftstream.ensemble import predict_window
 from driftstream.pool import (
-    GeneralMemory,
     ModelRecord,
     Pool,
     PoolConfig,
     PoolError,
     evaluate_models,
     f_score,
-    fine_tune_step,
     load_pool,
     logistic_loss_and_grad,
     on_drift,
@@ -169,19 +167,6 @@ class TestPredictRaw:
         assert 0.0 < p_lo < p_hi < 1.0
 
 
-class TestFineTune:
-    def test_single_gradient_step_at_tenth_rate(self):
-        cfg = PoolConfig(learn_rate=0.2)
-        model = make_model("m", np.array([1.0, 0.0]), DeltaBand(0.6, 0.0, 1.0),
-                           weights=np.array([0.5, -0.5, 0.1]))
-        x = point("x", [0.8, 0.6], label=1, source=SOURCE_CORROBORATIVE)
-        xb = np.array([0.8, 0.6, 1.0])
-        p = 1.0 / (1.0 + math.exp(-float(xb @ model.weights)))
-        expected = model.weights - 0.02 * (p - 1.0) * xb
-        fine_tune_step(model, x, cfg)
-        np.testing.assert_allclose(model.weights, expected, atol=1e-12)
-
-
 class TestProcessPoint:
     def test_inside_band_appends_and_owns(self):
         pool = Pool()
@@ -192,21 +177,31 @@ class TestProcessPoint:
         assert len(pool.general) == 0
         assert pool.models[0].memory.points[-1].id == "x"
 
-    def test_corroborative_label_triggers_update(self):
+    @pytest.mark.parametrize("label, source", [
+        (None, None), (1, SOURCE_CORROBORATIVE), (0, SOURCE_CORROBORATIVE),
+    ])
+    def test_routing_leaves_weights_bit_identical(self, label, source):
         pool = Pool()
-        pool.models.append(make_model("m1", np.array([1.0, 0.0]), DeltaBand(0.6, 0.4, 0.6)))
-        x = point("x", vec_at_distance(0.5), label=1, source=SOURCE_CORROBORATIVE)
-        outcome = process_point(pool, x, PoolConfig())
-        assert outcome.updated == ("m1",)
-        assert np.any(pool.models[0].weights != 0.0)
+        e1 = np.array([1.0, 0.0])
+        pool.models.append(make_model("m1", e1, DeltaBand(0.6, 0.4, 0.6),
+                                      weights=np.array([0.5, -0.5, 0.1])))
+        pool.models.append(make_model("m2", e1, DeltaBand(0.6, 0.2, 0.45),
+                                      weights=np.array([-0.3, 0.2, 0.7]), created_at=1))
+        before = [m.weights.copy() for m in pool.models]
+        x = point("x", vec_at_distance(0.5), label=label, source=source)
+        outcome = process_point(pool, x, PoolConfig(lam=0.7))
+        # inside m1's band and in m2's generalization margin: both memories grow
+        assert outcome.models_appended == ("m1", "m2")
+        for model, weights in zip(pool.models, before):
+            np.testing.assert_array_equal(model.weights.view(np.uint64), weights.view(np.uint64))
 
     def test_ground_truth_label_does_not_update(self):
         pool = Pool()
         pool.models.append(make_model("m1", np.array([1.0, 0.0]), DeltaBand(0.6, 0.4, 0.6)))
         x = point("x", vec_at_distance(0.5), label=1, source="ground_truth")
-        outcome = process_point(pool, x, PoolConfig())
-        assert outcome.updated == ()
-        assert np.all(pool.models[0].weights == 0.0)
+        assert process_point(pool, x, PoolConfig()).models_appended == ("m1",)
+        np.testing.assert_array_equal(pool.models[0].weights.view(np.uint64),
+                                      np.zeros(3).view(np.uint64))
 
     def test_generalization_band_appends_without_owning(self):
         pool = Pool()
@@ -237,9 +232,8 @@ class TestRoutingOracle:
         for trial in range(300):
             pool, state, x, cfg = random_routing_fixture(rng)
             outcome = process_point(pool, x, cfg)
-            exp_app, exp_upd, exp_gm = oracle_route(state, x, cfg.lam)
+            exp_app, exp_gm = oracle_route(state, x, cfg.lam)
             assert set(outcome.models_appended) == exp_app, f"trial {trial}"
-            assert set(outcome.updated) == exp_upd, f"trial {trial}"
             assert outcome.general_memory_hit == exp_gm, f"trial {trial}"
 
 
@@ -314,17 +308,50 @@ class TestSnapshot:
 
 
 class TestGeneralMemory:
+    def test_is_a_window_named_general(self):
+        pool = Pool(general_capacity=3)
+        assert isinstance(pool.general, DataWindow)
+        assert (pool.general.id, pool.general.capacity, len(pool.general)) == ("general", 3, 0)
+
     def test_eviction_oldest_first(self):
-        gm = GeneralMemory(capacity=3)
+        pool = Pool(general_capacity=3)
         for i in range(5):
-            gm.append(point(f"p{i}", [float(i)]))
-        assert [p.id for p in gm.points] == ["p2", "p3", "p4"]
+            pool.general.append(point(f"p{i}", [float(i)]))
+        assert [p.id for p in pool.general.points] == ["p2", "p3", "p4"]
+        np.testing.assert_array_equal(pool.general.centroid, [3.0])
 
     def test_labeled_subset(self):
-        gm = GeneralMemory()
-        gm.append(point("a", [1.0]))
-        gm.append(point("b", [1.0], label=1, source="corroborative"))
-        assert [p.id for p in gm.labeled()] == ["b"]
+        pool = Pool()
+        pool.general.append(point("a", [1.0]))
+        pool.general.append(point("b", [1.0]))
+        pool.apply_labels({"b": (1, SOURCE_CORROBORATIVE)})
+        assert [p.id for p in pool.general.points if p.label is not None] == ["b"]
+
+
+class TestApplyLabels:
+    def test_relabels_every_memory_and_keeps_running_sums(self):
+        rng = np.random.default_rng(15)
+        pool = Pool()
+        for j in range(2):
+            pool.models.append(make_model(f"m{j}", rng.standard_normal(3),
+                                          DeltaBand(0.6, 0.0, 1.0), created_at=j))
+        shared = point("x", rng.standard_normal(3))
+        windows = [m.memory for m in pool.models] + [pool.general]
+        for i, w in enumerate(windows):
+            w.append(point(f"u{i}", rng.standard_normal(3)))
+            w.append(shared)
+            w.append(point(f"y{i}", rng.standard_normal(3), label=0, source=SOURCE_CORROBORATIVE))
+        sums = [w._vec_sum.copy() for w in windows]
+        labels = {"x": (1, SOURCE_CORROBORATIVE)}
+        labels.update({f"y{i}": (1, SOURCE_CORROBORATIVE) for i in range(len(windows))})
+        pool.apply_labels(labels)
+        for i, (w, vec_sum) in enumerate(zip(windows, sums)):
+            np.testing.assert_array_equal(w._vec_sum.view(np.uint64), vec_sum.view(np.uint64))
+            got = {p.id: (p.label, p.label_source) for p in w.points[-3:]}
+            # a label already held is kept; unlabeled points without one stay so
+            assert got == {f"u{i}": (None, None), "x": (1, SOURCE_CORROBORATIVE),
+                           f"y{i}": (0, SOURCE_CORROBORATIVE)}
+            np.testing.assert_array_equal(w.points[-2].vec, shared.vec)
 
 
 class TestOnDrift:
@@ -374,7 +401,7 @@ class TestOnDrift:
         new = pool.by_id(delta.generated[0])
         assert {p.id for p in new.memory.points} == {p.id for p in pts}
         assert new.created_at == 3
-        assert len(pool.general) == 0
+        assert (len(pool.general), pool.general.id) == (0, "general")
 
     def test_generation_deferred_below_min_train(self):
         rng = np.random.default_rng(11)
@@ -384,6 +411,10 @@ class TestOnDrift:
         delta = on_drift(pool, {}, PoolConfig(min_train=50))
         assert delta.generated == ()
         assert len(pool.general) == 20
+        # a deferred generation takes no model id
+        for p in two_cluster_points(rng, n=100):
+            pool.general.append(p)
+        assert on_drift(pool, {}, PoolConfig(min_train=50)).generated == ("m0001",)
 
 
 class TestEvaluateModels:
@@ -466,7 +497,7 @@ class TestCheckpoint:
         pool = Pool(general_capacity=30)
         pool._next_model = 7
         for j, mid in enumerate(("m0003", "m0007")):
-            memory = DataWindow(capacity=40, role="classifier_window", window_id=mid)
+            memory = DataWindow(capacity=40, window_id=mid)
             for i in range(55):
                 v = self._special_vec(rng, i)
                 label = None if i % 3 else i % 2
@@ -498,31 +529,31 @@ class TestCheckpoint:
         return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
     def _assert_windows_bit_equal(self, a, b):
+        assert (a.capacity, a.id) == (b.capacity, b.id)
         assert [(p.id, p.ts, p.lat, p.lon, p.text, p.label, p.label_source) for p in a.points] \
             == [(p.id, p.ts, p.lat, p.lon, p.text, p.label, p.label_source) for p in b.points]
         for p, q in zip(a.points, b.points):
             np.testing.assert_array_equal(self._bits(p.vec), self._bits(q.vec))
+        if a._vec_sum is None or b._vec_sum is None:
+            assert a._vec_sum is None and b._vec_sum is None
+        else:
+            np.testing.assert_array_equal(self._bits(a._vec_sum), self._bits(b._vec_sum))
 
     def _assert_pools_bit_equal(self, pool, restored):
         assert restored._next_model == pool._next_model
-        assert restored.general.capacity == pool.general.capacity
         self._assert_windows_bit_equal(pool.general, restored.general)
         assert [m.id for m in restored.models] == [m.id for m in pool.models]
         for m, r in zip(pool.models, restored.models):
             np.testing.assert_array_equal(self._bits(r.weights), self._bits(m.weights))
-            np.testing.assert_array_equal(self._bits(r.memory._vec_sum),
-                                          self._bits(m.memory._vec_sum))
             self._assert_windows_bit_equal(m.memory, r.memory)
             assert (r.band, r.omega, r.created_at, r.last_evaluated) == \
                 (m.band, m.omega, m.created_at, m.last_evaluated)
-            assert (r.memory.capacity, r.memory.role, r.memory.id) == \
-                (m.memory.capacity, m.memory.role, m.memory.id)
 
     @pytest.mark.parametrize("empty_general", [False, True])
     def test_d300_round_trip_bit_exact_for_special_values(self, tmp_path, empty_general):
         pool = self._special_pool(np.random.default_rng(21))
         if empty_general:
-            pool.general.clear()
+            pool.general = DataWindow(capacity=30, window_id="general")
         save_pool(pool, tmp_path / "a.json")
         restored = load_pool(tmp_path / "a.json")
         self._assert_pools_bit_equal(pool, restored)
@@ -540,7 +571,11 @@ class TestCheckpoint:
         assert memory["vecs"]["shape"] == [40, self.D]
         assert memory["vec_sum"]["shape"] == [self.D]
         assert doc["models"][0]["weights"]["shape"] == [self.D + 1]
+        assert "role" not in memory
+        # the general memory is the same window record as a model memory
+        assert list(doc["general"]) == list(memory)
         assert doc["general"]["vecs"]["shape"] == [30, self.D]
+        assert doc["general"]["vec_sum"]["shape"] == [self.D]
         raw = base64.b64decode(memory["vecs"]["f8"])
         first = np.frombuffer(raw[: 8 * self.D], dtype="<f8")
         np.testing.assert_array_equal(self._bits(first),
@@ -550,7 +585,8 @@ class TestCheckpoint:
         pool = Pool()
         save_pool(pool, tmp_path / "a.json")
         doc = json.loads((tmp_path / "a.json").read_text())
-        assert doc["general"] == {"capacity": pool.general.capacity, "points": [],
+        assert doc["general"] == {"capacity": pool.general.capacity, "id": "general",
+                                  "vec_sum": None, "points": [],
                                   "vecs": {"shape": [0, 0], "f8": ""}}
         restored = load_pool(tmp_path / "a.json")
         assert restored.general.points == [] and restored.models == []
@@ -584,7 +620,6 @@ class TestCheckpoint:
     def test_pre_change_checkpoint_is_input_error_naming_file(self, tmp_path):
         pool = self._special_pool(np.random.default_rng(25))
         save_pool(pool, tmp_path / "new.json")
-        doc = json.loads((tmp_path / "new.json").read_text())
 
         def floats(block):
             return np.frombuffer(base64.b64decode(block["f8"]), dtype="<f8").reshape(
@@ -594,15 +629,22 @@ class TestCheckpoint:
             for p, v in zip(w["points"], floats(w.pop("vecs"))):
                 p["vec"] = v.tolist()
 
-        old_window(doc["general"])
-        for m in doc["models"]:
-            old_window(m["memory"])
-            m["memory"]["vec_sum"] = floats(m["memory"]["vec_sum"]).tolist()
-            m["weights"] = floats(m["weights"]).tolist()
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
-        with pytest.raises(InputError, match=r"old\.json: unreadable checkpoint"):
-            load_pool(path)
+        for old_format in ("float_lists", "general_points_only"):
+            doc = json.loads((tmp_path / "new.json").read_text())
+            if old_format == "float_lists":
+                old_window(doc["general"])
+                for m in doc["models"]:
+                    old_window(m["memory"])
+                    m["memory"]["vec_sum"] = floats(m["memory"]["vec_sum"]).tolist()
+                    m["weights"] = floats(m["weights"]).tolist()
+            else:  # float64 blocks, but a general section with no id or running sum
+                doc["general"] = {k: doc["general"][k] for k in ("capacity", "points", "vecs")}
+                for m in doc["models"]:
+                    m["memory"]["role"] = "classifier_window"
+            path = tmp_path / f"old-{old_format}.json"
+            path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+            with pytest.raises(InputError, match=rf"old-{old_format}\.json: unreadable checkpoint"):
+                load_pool(path)
 
     @pytest.mark.parametrize("cut", [1, 3, 4, 8])
     def test_truncated_block_is_input_error_naming_file(self, tmp_path, cut):

@@ -59,13 +59,6 @@ class TestDataWindow:
             batch = np.mean([p.vec for p in w.points], axis=0)
             np.testing.assert_allclose(w.centroid, batch, atol=1e-9)
 
-    def test_replace_point_keeps_centroid(self):
-        w = make_window([[1.0, 0.0], [0.0, 1.0]])
-        before = w.centroid.copy()
-        w.replace_point(0, w.points[0].with_label(1, "corroborative"))
-        np.testing.assert_allclose(w.centroid, before)
-        assert w.points[0].label == 1
-
 
 class TestCentroidDistances:
     def test_single_point_distance_zero(self):
