@@ -93,17 +93,14 @@ def _cmd_replay(args) -> int:
                     cfg, out_dir=args.out)
     print(f"knowledgebase: {result.knowledgebase}")
     print(f"reports: {result.reports}")
-    for row in result.report_rows:
-        print(
-            f"window {row.window}: static={row.static_f1:.4f} "
-            f"adaptive={row.adaptive_f1:.4f} labeled={row.pct_labeled:.2f}% "
-            f"improvement={row.improvement_pct:.1f}%"
-        )
-    return 0
+    return _print_reports(result.report_rows)
 
 
 def _cmd_eval(args) -> int:
-    reports = evaluate_windows(args.run, args.truth)
+    return _print_reports(evaluate_windows(args.run, args.truth))
+
+
+def _print_reports(reports) -> int:
     for row in reports:
         print(
             f"window {row.window}: static={row.static_f1:.4f} "

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import numbers
 import re
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -45,6 +48,60 @@ class InputError(Exception):
     """Malformed or contract-violating input data."""
 
 
+def read_lines(path: str | Path, error: type[Exception], what: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each non-blank line of a UTF-8 file, read lazily.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, never at U+2028, U+0085 or
+    other Unicode separators; an unreadable file raises ``error`` naming it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.strip():
+                    yield lineno, line
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+# Field rules of the data types and file readers: each raises an InputError naming
+# the field (with any caller prefix) and the value. A bool is never a number,
+# timestamp or label; exact int and float skip the slow numbers-ABC isinstance test.
+
+def check_ts(value, name: str = "ts") -> int:
+    """An integer Unix timestamp within UTC years 1-9999."""
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        raise InputError(f"{name} {value!r} is not an integer")
+    if not MIN_TS <= value <= MAX_TS:
+        raise InputError(f"{name} {value} outside years 1-9999")
+    return value
+
+
+def check_string(value, name: str) -> str:
+    if type(value) is not str:
+        raise InputError(f"{name} {value!r} is not a string")
+    return value
+
+
+def is_number(value) -> bool:
+    return type(value) in (int, float) or (isinstance(value, numbers.Real)
+                                           and not isinstance(value, bool))
+
+
+def check_coordinates(lat, lon, where: str = "") -> None:
+    """Degrees within ±90 and ±180; the range test also refuses NaN and infinities."""
+    for name, value, limit in (("lat", lat, 90.0), ("lon", lon, 180.0)):
+        if not is_number(value) or not -limit <= value <= limit:
+            raise InputError(f"{where}{name} {value!r} out of range")
+
+
+def check_label(value, name: str = "label") -> int:
+    """A label (truth, decision or point) is the integer 0 or 1."""
+    if type(value) is not int or value not in (LABEL_RELEVANT, LABEL_IRRELEVANT):
+        raise InputError(f"{name} {value!r} is not 0 or 1")
+    return value
+
+
 @dataclass(frozen=True)
 class DataPoint:
     """One stream item. Immutable; relabeling produces a new instance."""
@@ -67,12 +124,10 @@ class DataPoint:
             raise InputError(f"point {self.id}: vec has non-finite components")
         if (self.lat is None) != (self.lon is None):
             raise InputError(f"point {self.id}: lat and lon must be given together")
-        for name, value, limit in (("lat", self.lat, 90.0), ("lon", self.lon, 180.0)):
-            if value is not None and (isinstance(value, bool) or not -limit <= value <= limit):
-                raise InputError(f"point {self.id}: {name} {value!r} out of range")
+        if self.lat is not None:
+            check_coordinates(self.lat, self.lon, f"point {self.id}: ")
         if self.label is not None:
-            if self.label not in (LABEL_RELEVANT, LABEL_IRRELEVANT):
-                raise InputError(f"point {self.id}: label must be 0 or 1")
+            check_label(self.label, f"point {self.id}: label")
             if self.label_source not in LABEL_SOURCES:
                 raise InputError(f"point {self.id}: labeled point needs a label_source")
 
@@ -119,33 +174,29 @@ def _token_bucket_sign(token: str, dim: int, seed: int) -> tuple[int, float]:
 
 
 def load_embedding_table(path: str | Path, dim: int) -> dict[str, np.ndarray]:
-    """Read a token-to-vector table: one token plus ``dim`` finite floats per line."""
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read embedding table {path}: {exc}") from exc
-    lines = raw.splitlines()
-    # row i holds line i + 1 (blank lines stay zero), so one finiteness check
-    # at the end still names the offending line
-    vecs = np.zeros((len(lines), dim))
-    table: dict[str, np.ndarray] = {}
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
+    """Read a token-to-vector table: a unique token plus ``dim`` finite floats per line."""
+    flat = array("d")
+    first_line: dict[str, int] = {}  # in row order
+    for lineno, line in read_lines(path, ConfigError, "embedding table"):
         parts = line.split()
         if len(parts) != dim + 1:
             raise ConfigError(
-                f"{path}:{i + 1}: expected token + {dim} floats, got {len(parts) - 1}"
+                f"{path}:{lineno}: expected token + {dim} floats, got {len(parts) - 1}"
             )
         try:
-            vecs[i] = [float(v) for v in parts[1:]]
+            flat.extend(map(float, parts[1:]))
         except ValueError as exc:
-            raise ConfigError(f"{path}:{i + 1}: {exc}") from exc
-        table[parts[0]] = vecs[i]
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        first = first_line.setdefault(parts[0], lineno)
+        if first != lineno:
+            raise ConfigError(
+                f"{path}:{lineno}: duplicate token {parts[0]!r}, first on line {first}"
+            )
+    vecs = np.frombuffer(flat).reshape(-1, dim)
     bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
     if bad.size:
-        raise ConfigError(f"{path}:{bad[0] + 1}: non-finite value")
-    return table
+        raise ConfigError(f"{path}:{list(first_line.values())[bad[0]]}: non-finite value")
+    return dict(zip(first_line, vecs))
 
 
 class Embedder:

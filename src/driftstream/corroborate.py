@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_TS, MIN_TS, DataPoint, InputError
+from .core import (
+    DataPoint, InputError, check_coordinates, check_string, check_ts, is_number, read_lines
+)
 
 EARTH_RADIUS_KM = 6371.0088
 DEFAULT_PAD_SECONDS = 86400.0
@@ -45,22 +46,14 @@ class CorroborativeEvent:
     source: str = ""
 
     def __post_init__(self):
-        if type(self.id) is not str:
-            raise InputError(f"event id {self.id!r} is not a string")
-        for name, value in (("ts_start", self.ts_start), ("ts_end", self.ts_end)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InputError(f"event {self.id}: {name} {value!r} is not an integer")
-            if not MIN_TS <= value <= MAX_TS:
-                raise InputError(f"event {self.id}: {name} {value} outside years 1-9999")
+        check_string(self.id, "event id")
+        check_ts(self.ts_start, f"event {self.id}: ts_start")
+        check_ts(self.ts_end, f"event {self.id}: ts_end")
         if self.ts_start > self.ts_end:
             raise InputError(f"event {self.id}: ts_start after ts_end")
-        if not (0.0 < self.radius_km <= MAX_RADIUS_KM):
+        if not is_number(self.radius_km) or not 0.0 < self.radius_km <= MAX_RADIUS_KM:
             raise InputError(f"event {self.id}: radius {self.radius_km} out of range")
-        for name, value, limit in (("lat", self.lat, 90.0), ("lon", self.lon, 180.0)):
-            # the range test also rejects NaN and infinities
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not -limit <= value <= limit):
-                raise InputError(f"event {self.id}: {name} {value!r} out of range")
+        check_coordinates(self.lat, self.lon, f"event {self.id}: ")
         if self.polarity not in (POLARITY_RELEVANT, POLARITY_IRRELEVANT):
             raise InputError(f"event {self.id}: unknown polarity {self.polarity!r}")
 
@@ -192,14 +185,8 @@ def label_fraction(points: Sequence, assignments: Sequence[LabelAssignment]) -> 
 
 def load_events(path: str | Path) -> list[CorroborativeEvent]:
     """Read a corroborative feed: one JSON event per line."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read corroborative feed {path}: {exc}") from exc
     events = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path, InputError, "corroborative feed"):
         try:
             d = json.loads(line)
             events.append(
@@ -218,8 +205,4 @@ def load_events(path: str | Path) -> list[CorroborativeEvent]:
 def save_events(events: Iterable[CorroborativeEvent], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for e in events:
-            fh.write(json.dumps({
-                "id": e.id, "ts_start": e.ts_start, "ts_end": e.ts_end,
-                "lat": e.lat, "lon": e.lon, "radius_km": e.radius_km,
-                "polarity": e.polarity, "source": e.source,
-            }, separators=(",", ":")) + "\n")
+            fh.write(json.dumps(asdict(e), separators=(",", ":")) + "\n")

@@ -15,8 +15,10 @@ of the same inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,14 +26,16 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    MAX_TS,
-    MIN_TS,
     ConfigError,
     DataPoint,
     Embedder,
     EmbedderConfig,
     InputError,
     SOURCE_CORROBORATIVE,
+    check_label,
+    check_string,
+    check_ts,
+    read_lines,
 )
 from .corroborate import assign_labels, load_events
 from .drift import DEFAULT_KL_THRESHOLD, DEFAULT_BINS, detect_drift
@@ -129,21 +133,33 @@ def serialize_config(cfg: PipelineConfig) -> str:
 
 
 def parse_config(text: str) -> PipelineConfig:
-    """Parse the flat key=value format; unknown keys are configuration errors."""
+    """Parse the flat key=value format; unknown and repeated keys are configuration errors."""
+    # universal newlines end lines where read_lines does
+    return _config_from(enumerate(io.StringIO(text, newline=None), 1))
+
+
+def _config_from(lines) -> PipelineConfig:
     known = {f.name for f in fields(PipelineConfig)}
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    values, repeats = {}, []
+    for lineno, line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, _, raw = line.partition("=")
-        key = _CONFIG_KEY_ALIASES.get(key.strip(), key.strip())
+        name, _, raw = line.partition("=")
+        key = _CONFIG_KEY_ALIASES.get(name.strip(), name.strip())
         if key not in known:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, raw.strip(), lineno)
-    return PipelineConfig(**values)
+        if key in values:
+            repeats.append(f"config line {lineno}: duplicate key {name.strip()!r}, "
+                           f"first on line {values[key][0]}")
+        values[key] = (lineno, _parse_value(key, raw.strip(), lineno))
+    # a value out of range is named before a repeated key
+    cfg = PipelineConfig(**{key: value for key, (_, value) in values.items()})
+    if repeats:
+        raise ConfigError(repeats[0])
+    return cfg
 
 
 def _parse_value(key: str, raw: str, lineno: int):
@@ -162,12 +178,9 @@ def _parse_value(key: str, raw: str, lineno: int):
 
 
 def load_config(path: str | Path) -> PipelineConfig:
+    lines = list(read_lines(path, ConfigError, "config"))
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        return parse_config(text)
+        return _config_from(lines)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -192,29 +205,17 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
     truth: dict[str, int] = {}
     first_line: dict[str, int] = {}
     last_ts = None
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read stream {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path, InputError, "stream"):
         try:
             d = json.loads(line)
-            if type(d["ts"]) is not int:
-                raise ValueError(f"ts {d['ts']!r} is not an integer")
-            if not MIN_TS <= d["ts"] <= MAX_TS:
-                raise ValueError(f"ts {d['ts']} outside years 1-9999")
-            post_text = d.get("text", "")
-            for key, value in (("id", d["id"]), ("text", post_text)):
-                if type(value) is not str:
-                    raise ValueError(f"{key} {value!r} is not a string")
+            ts, point_id = check_ts(d["ts"]), check_string(d["id"], "id")
+            post_text = check_string(d.get("text", ""), "text")
             point = DataPoint(
-                id=d["id"], ts=d["ts"], text=post_text, lat=d.get("lat"), lon=d.get("lon"),
+                id=point_id, ts=ts, text=post_text, lat=d.get("lat"), lon=d.get("lon"),
                 vec=embedder.embed(post_text),
             )
             if d.get("label") is not None:
-                truth[point.id] = _binary_label(d["label"])
+                truth[point.id] = check_label(d["label"])
         except (KeyError, ValueError, TypeError, InputError) as exc:
             raise InputError(f"{path}:{lineno}: malformed stream line: {exc}") from exc
         if last_ts is not None and point.ts < last_ts:
@@ -225,13 +226,6 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
         last_ts = point.ts
         points.append(point)
     return points, truth
-
-
-def _binary_label(value) -> int:
-    """A label (truth or decision) must be the integer 0 or 1; booleans are refused."""
-    if type(value) is not int or value not in (0, 1):
-        raise ValueError(f"label {value!r} is not 0 or 1")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +288,7 @@ def aggregate_events(positives: list[tuple[DataPoint, float]]) -> tuple[list[Det
                 centroid_geo=centroid,
             )
         )
-    histogram: dict[int, int] = {}
-    for e in events:
-        histogram[len(e.point_ids)] = histogram.get(len(e.point_ids), 0) + 1
-    return events, histogram
+    return events, dict(Counter(len(e.point_ids) for e in events))
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +313,7 @@ class WindowReport:
         ]
 
     def csv_row(self) -> list[str]:
-        return [
-            str(self.window), repr(self.static_f1), repr(self.adaptive_f1),
-            str(self.unlabeled_count), str(self.corroborative_count),
-            repr(self.pct_labeled), repr(self.improvement_pct),
-        ]
+        return [repr(getattr(self, f.name)) for f in fields(self)]
 
 
 def _window_f1(point_ids: list[str], predictions: dict[str, int], truth: dict[str, int]) -> float:
@@ -562,17 +549,11 @@ def evaluate_windows(run_dir: str | Path, truth_path: str | Path) -> list[Window
 
 def _read_jsonl(path: Path, what: str, parse) -> list:
     """``parse`` applied to the JSON of each non-blank line of ``path``."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
     rows = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path, InputError, f"{what} file"):
         try:
             rows.append(parse(json.loads(line)))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, InputError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise InputError(f"{path}:{lineno}: malformed {what} line: {detail}") from exc
     return rows
@@ -588,21 +569,14 @@ def _stats_row(d: dict) -> dict:
 
 
 def _truth_row(d: dict) -> tuple[str, int | None]:
-    return d["id"], None if d.get("label") is None else _binary_label(d["label"])
+    return check_string(d["id"], "id"), None if d.get("label") is None else check_label(d["label"])
 
 
 def _decision_row(d: dict) -> tuple[str, int | None]:
-    return d["point_id"], None if d["label"] is None else _binary_label(d["label"])
+    label = d["label"]
+    return check_string(d["point_id"], "point_id"), None if label is None else check_label(label)
 
 
 def _labels_from(path: Path, what: str, row) -> dict[str, int]:
     """Id-to-label map of the rows of ``path`` whose label is not null."""
-    labels: dict[str, int] = {}
-
-    def add(d: dict) -> None:
-        pid, label = row(d)
-        if label is not None:
-            labels[pid] = label  # inside _read_jsonl, so an unhashable id names its line
-
-    _read_jsonl(path, what, add)
-    return labels
+    return {pid: label for pid, label in _read_jsonl(path, what, row) if label is not None}

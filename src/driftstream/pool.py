@@ -89,12 +89,6 @@ class Pool:
         self.general = DataWindow(capacity=general_capacity, window_id=GENERAL_ID)
         self._next_model = 0  # count of generated models, which numbers their ids
 
-    def by_id(self, model_id: str) -> ModelRecord:
-        for m in self.models:
-            if m.id == model_id:
-                return m
-        raise KeyError(model_id)
-
     def apply_labels(self, labels: dict[str, tuple[int, str]]) -> None:
         """Swap labeled copies of points into the model memories and the
         general memory.

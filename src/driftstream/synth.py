@@ -14,7 +14,7 @@ to its designed vector, which keeps the cluster geometry exact end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

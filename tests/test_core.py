@@ -38,6 +38,12 @@ class TestDataPoint:
         with pytest.raises(InputError):
             DataPoint(id="a", ts=0, text="", vec=np.zeros(3), label=1)
 
+    @pytest.mark.parametrize("label", [True, False, 2, -1, 1.0, "1"])
+    def test_label_other_than_zero_or_one_rejected(self, label):
+        with pytest.raises(InputError, match="point a: label"):
+            DataPoint(id="a", ts=0, text="", vec=np.zeros(3), label=label,
+                      label_source="corroborative")
+
     def test_nonfinite_vec_rejected(self):
         with pytest.raises(InputError):
             DataPoint(id="a", ts=0, text="", vec=np.array([1.0, np.nan]))
@@ -104,6 +110,27 @@ class TestEmbed:
         table.write_text(f"rain 0.0 1.0\n\nflood 1.0 {value}\n")
         with pytest.raises(ConfigError, match=r"emb\.tsv:3: "):
             Embedder(EmbedderConfig(dim=2, mode="table", table_path=str(table)))
+
+    def test_table_duplicate_token_is_config_error_naming_both_lines(self, tmp_path):
+        table = tmp_path / "emb.tsv"
+        table.write_text("flood 1 0\nrain 0 1\n\nflood 0 1\n")
+        with pytest.raises(ConfigError, match=r"emb\.tsv:4: duplicate token 'flood', "
+                                              r"first on line 1"):
+            Embedder(EmbedderConfig(dim=2, mode="table", table_path=str(table)))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_table_lines_end_only_at_newlines(self, tmp_path, newline):
+        # a trailing U+2028 or U+0085 is whitespace in its row, not a line end,
+        # so line numbers count newlines only
+        table = tmp_path / "emb.tsv"
+        rows = ["flood 1.0 0.0\u2028", "rain 0.0 1.0\x85", "", "wind 1.0 nan"]
+        table.write_bytes(newline.join(rows).encode("utf-8"))
+        with pytest.raises(ConfigError, match=r"emb\.tsv:4: non-finite value"):
+            Embedder(EmbedderConfig(dim=2, mode="table", table_path=str(table)))
+        table.write_bytes(newline.join(rows[:3]).encode("utf-8"))
+        embedder = Embedder(EmbedderConfig(dim=2, mode="table", table_path=str(table)))
+        np.testing.assert_array_equal(embedder.embed("flood"), [1.0, 0.0])
+        np.testing.assert_array_equal(embedder.embed("rain"), [0.0, 1.0])
 
     @given(st.text(max_size=60))
     @settings(max_examples=50, deadline=None)

@@ -324,7 +324,7 @@ class TestFeedIO:
                         '"radius_km":null,"polarity":"relevant"}\n')
         assert load_events(path)[0].radius_km == 50.0
 
-    @pytest.mark.parametrize("radius", ["0", "0.0", "-5"])
+    @pytest.mark.parametrize("radius", ["0", "0.0", "-5", "true", "false", '"5"'])
     def test_explicit_nonpositive_radius_rejected(self, tmp_path, radius):
         path = tmp_path / "feed.jsonl"
         path.write_text('{"id":"e","ts_start":0,"ts_end":1,"lat":0.0,"lon":0.0,'

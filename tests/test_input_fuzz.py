@@ -4,7 +4,9 @@ A small valid replay (stream, corroborative feed, embedding table, config) is
 written afresh for each example, then one line of one file is replaced or
 added: a record with one key set to any JSON value (wrong types, NaN,
 infinities, huge integers) or dropped, any JSON value as the whole line, or
-raw bytes that need not be UTF-8. The replay must either succeed or exit with
+raw bytes that need not be UTF-8. Part of the JSON lines are written with
+``ensure_ascii=False``, so raw U+2028, U+0085 and other Unicode separators
+reach the parsers inside strings. The replay must either succeed or exit with
 the code for that file (1 for stream and feed, 2 for table and config) and a
 one-line ``input error:``/``config error:`` naming the file; no other
 exception may escape ``main``.
@@ -65,7 +67,7 @@ def json_lines(draw, records):
         del record[draw(st.sampled_from(sorted(record)))]
     else:
         record = draw(JSON)
-    return json.dumps(record).encode("utf-8")
+    return json.dumps(record, ensure_ascii=draw(st.booleans())).encode("utf-8")
 
 
 def table_lines():
@@ -137,6 +139,7 @@ def replay_with(kind: str, index: int, line: bytes) -> None:
 @example(0, b'{"id": "p00", "ts": 1735689600, "text": null}')
 @example(11, b'{"id": "p11", "ts": 1' + b"0" * 400 + b', "lat": 1.0, "lon": 1.0}')
 @example(3, b'{"id": "p03", "ts": 1735689780, "text": "\xff"}')
+@example(2, '{"id": "p02", "ts": 1735689720, "text": "flood\u2028water\x85"}'.encode())
 def test_stream_lines(index, line):
     replay_with("stream", index, line)
 
@@ -144,6 +147,8 @@ def test_stream_lines(index, line):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, len(FEED)), corrupted(json_lines(FEED)))
 @example(0, b"\xfe\xff")
+@example(1, '{"id": "e", "ts_start": 0, "ts_end": 1, "lat": 0.0, "lon": 0.0, '
+            '"polarity": "relevant", "source": "a\u2029b"}'.encode())
 @example(0, b'{"id": "e", "ts_start": 1' + b"0" * 400 + b', "ts_end": 1' + b"0" * 401
             + b', "lat": 10.0, "lon": 10.0, "polarity": "relevant"}')
 def test_feed_lines(index, line):
@@ -154,6 +159,7 @@ def test_feed_lines(index, line):
 @given(st.integers(0, len(TOKENS)), corrupted(table_lines()))
 @example(0, b"flood \xff 0.1")
 @example(1, b"water nan 0.2")
+@example(0, "flood 1.0 0.1\u2028".encode())
 def test_table_lines(index, line):
     replay_with("table", index, line)
 
@@ -168,5 +174,6 @@ def test_table_lines(index, line):
 @example(6, b"window_size=auto")
 @example(6, b"embed_mode=words")
 @example(6, b"dim=\xff")
+@example(6, "seed=1\x85".encode())
 def test_config_lines(index, line):
     replay_with("config", index, line)

@@ -90,6 +90,18 @@ class TestConfig:
             load_config(path)
         assert value in str(info.value)
 
+    @pytest.mark.parametrize("text,line,first", [
+        ("k=3\nk=7\n", 2, 1),
+        ("lambda=0.5\n\n# lam is the same key\nlam=0.6\n", 4, 1),
+        ("stream=a.jsonl\r\nk=2\r\nstream=b.jsonl\r\n", 3, 1),
+    ])
+    def test_repeated_key_is_config_error_naming_both_lines(self, tmp_path, text, line, first):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(ConfigError, match=rf"cfg\.txt: config line {line}: duplicate key "
+                                              rf"'\w+', first on line {first}$"):
+            load_config(path)
+
     def test_range_edges_accepted(self):
         cfg = parse_config("window_size=1\nk=1\ndelta=1\nbins=2\nepochs=0\nmin_train=1\n"
                            "kl_threshold=0\npad_seconds=0\nlambda=0\nlearn_rate=1e-9\n")
@@ -467,6 +479,7 @@ class TestCli:
         ("baseline_decisions.jsonl", 2, lambda d: {**d, "label": 1.0}),
         ("decisions.jsonl", 2, lambda d: {k: v for k, v in d.items() if k != "point_id"}),
         ("decisions.jsonl", 2, lambda d: {**d, "point_id": ["x"], "label": 1}),
+        ("baseline_decisions.jsonl", 3, lambda d: {**d, "point_id": 5}),
         ("baseline_decisions.jsonl", 1, lambda d: {k: v for k, v in d.items() if k != "label"}),
         ("window_stats.jsonl", 2, lambda d: {k: v for k, v in d.items() if k != "point_ids"}),
         ("window_stats.jsonl", 1, lambda d: {**d, "unlabeled": "3"}),
@@ -493,6 +506,19 @@ class TestCli:
         assert cli_main(["eval", "--run", str(run_dir), "--truth", str(truth)]) == 1
         assert "truth.jsonl:3:" in capsys.readouterr().err
 
+    def test_duplicate_embedding_table_token_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert cli_main(["gen", "--windows", "2", "--seed", "4", "--out", str(out),
+                         "--window-size", "50", "--dim", "4"]) == 0
+        table = out / "embeddings.tsv"
+        lines = table.read_text().splitlines()
+        lines.append(lines[2].split(" ", 1)[0] + " 1.0 0.0 0.0 0.0")
+        table.write_text("\n".join(lines) + "\n")
+        assert cli_main(["replay", "--config", str(out / "config.txt"),
+                         "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"embeddings.tsv:{len(lines)}: duplicate token 'tok000002', first on line 3" in err
+
     def test_bad_embedding_table_value_exit_code(self, tmp_path, capsys):
         out = tmp_path / "data"
         assert cli_main(["gen", "--windows", "2", "--seed", "4", "--out", str(out),
@@ -504,3 +530,61 @@ class TestCli:
         assert cli_main(["replay", "--config", str(out / "config.txt"),
                          "--out", str(tmp_path / "run")]) == 2
         assert "embeddings.tsv:2: " in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def line_end_inputs(tmp_path_factory):
+    """Stream rows, feed rows and table lines of a small synthetic run."""
+    gen = generate_synthetic(SynthConfig(n_windows=3, window_size=200, dim=8, seed=3,
+                                         corroborative_fraction=0.08),
+                             tmp_path_factory.mktemp("line_ends"))
+    return ([json.loads(l) for l in gen.stream_path.read_text().splitlines()],
+            [json.loads(l) for l in gen.corroborative_path.read_text().splitlines()],
+            gen.table_path.read_text().splitlines())
+
+
+def replay_and_eval(d, stream, feed, table, ensure_ascii=True, newline="\n"):
+    """Write every input file with the given JSON escaping and line end, replay
+    and evaluate through the CLI, and return the run files and eval's report."""
+    d.mkdir()
+
+    def write(name, lines):
+        (d / name).write_bytes("".join(line + newline for line in lines).encode("utf-8"))
+        return str(d / name)
+
+    stream_path = write("stream.jsonl", [json.dumps(r, ensure_ascii=ensure_ascii) for r in stream])
+    feed_path = write("feed.jsonl", [json.dumps(e, ensure_ascii=ensure_ascii) for e in feed])
+    cfg = PipelineConfig(window_size=200, dim=8, embed_mode="table", seed=3, min_train=12,
+                         table_path=write("table.tsv", table), stream=stream_path,
+                         corroborative=feed_path)
+    config = write("config.txt", serialize_config(cfg).split("\n")[:-1])
+    run = d / "run"
+    assert cli_main(["replay", "--config", config, "--out", str(run)]) == 0
+    replayed = {p.name: p.read_bytes() for p in sorted(run.iterdir())}
+    for name in ("decisions.jsonl", "baseline_decisions.jsonl", "window_stats.jsonl"):
+        write(f"run/{name}", (run / name).read_text().split("\n")[:-1])
+    assert cli_main(["eval", "--run", str(run), "--truth", stream_path]) == 0
+    return replayed, (run / "reports.csv").read_bytes()
+
+
+class TestLineEnds:
+    """Lines end at \\n, \\r\\n or \\r only, in every input file."""
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])
+    def test_raw_unicode_separator_replays_like_its_escape(self, line_end_inputs, tmp_path,
+                                                           capsys, sep):
+        stream, feed, table = line_end_inputs
+        # the separator is not a word character, so every text embeds as before
+        stream = [{**r, "text": f"{sep}{r['text']}{sep}"} for r in stream]
+        feed = [{**e, "source": f"agency{sep}feed"} for e in feed]
+        escaped = replay_and_eval(tmp_path / "escaped", stream, feed, table)
+        raw = replay_and_eval(tmp_path / "raw", stream, feed, table, ensure_ascii=False)
+        assert sep.encode() in (tmp_path / "raw" / "stream.jsonl").read_bytes()
+        assert list(raw[0]) == sorted(ARTIFACTS)
+        assert raw == escaped
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_copies_replay_byte_identically(self, line_end_inputs, tmp_path,
+                                                        capsys, newline):
+        lf = replay_and_eval(tmp_path / "lf", *line_end_inputs)
+        assert replay_and_eval(tmp_path / "copy", *line_end_inputs, newline=newline) == lf

@@ -398,7 +398,7 @@ class TestOnDrift:
             pool.general.append(p)
         delta = on_drift(pool, {}, cfg, window_index=3)
         assert len(delta.generated) == 1
-        new = pool.by_id(delta.generated[0])
+        [new] = [m for m in pool.models if m.id == delta.generated[0]]
         assert {p.id for p in new.memory.points} == {p.id for p in pts}
         assert new.created_at == 3
         assert (len(pool.general), pool.general.id) == (0, "general")
