@@ -14,7 +14,7 @@ import re
 from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -95,6 +95,14 @@ def check_coordinates(lat, lon, where: str = "") -> None:
             raise InputError(f"{where}{name} {value!r} out of range")
 
 
+def check_geo(lat, lon, where: str = "") -> None:
+    """No coordinates, or both within range."""
+    if (lat is None) != (lon is None):
+        raise InputError(f"{where}lat and lon must be given together")
+    if lat is not None:
+        check_coordinates(lat, lon, where)
+
+
 def check_label(value, name: str = "label") -> int:
     """A label (truth, decision or point) is the integer 0 or 1."""
     if type(value) is not int or value not in (LABEL_RELEVANT, LABEL_IRRELEVANT):
@@ -122,10 +130,7 @@ class DataPoint:
             raise InputError(f"point {self.id}: vec must be 1-d, got shape {vec.shape}")
         if not np.all(np.isfinite(vec)):
             raise InputError(f"point {self.id}: vec has non-finite components")
-        if (self.lat is None) != (self.lon is None):
-            raise InputError(f"point {self.id}: lat and lon must be given together")
-        if self.lat is not None:
-            check_coordinates(self.lat, self.lon, f"point {self.id}: ")
+        check_geo(self.lat, self.lon, f"point {self.id}: ")
         if self.label is not None:
             check_label(self.label, f"point {self.id}: label")
             if self.label_source not in LABEL_SOURCES:
@@ -173,8 +178,58 @@ def _token_bucket_sign(token: str, dim: int, seed: int) -> tuple[int, float]:
     return bucket, sign
 
 
+# The block reader hands numpy's C text reader about this many bytes of lines at a time.
+_TABLE_CHUNK_BYTES = 1 << 20
+
+
 def load_embedding_table(path: str | Path, dim: int) -> dict[str, np.ndarray]:
-    """Read a token-to-vector table: a unique token plus ``dim`` finite floats per line."""
+    """Read a token-to-vector table: a unique token plus ``dim`` finite floats per line.
+
+    numpy's C text reader parses the file in blocks of lines. A table it does
+    not take whole goes through :func:`_read_table_lines`, which alone refuses
+    a table and names its line, and which also takes the spellings ``float``
+    accepts beyond the C reader (``1_0``, non-ASCII digits). Both round
+    decimals correctly, so either gives bit-equal vectors.
+    """
+    table = _read_table_blocks(path, dim)
+    return _read_table_lines(path, dim) if table is None else table
+
+
+def _read_table_blocks(path: str | Path, dim: int) -> dict[str, np.ndarray] | None:
+    """The table parsed by ``np.loadtxt`` in chunks of lines, or None unless
+    every chunk parses into rows of exactly ``dim`` finite values and every
+    token is one unique ``str.split`` field."""
+    flat = array("d")
+    tokens: list[str] = []
+
+    def token(field: str) -> float:
+        tokens.append(field)
+        return 0.0
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while chunk := fh.readlines(_TABLE_CHUNK_BYTES):
+                rows = [line for line in chunk if line.strip()]
+                if not rows:
+                    continue  # loadtxt warns on a chunk without data
+                # an explicit encoding hands converters str, not bytes, before numpy 2
+                block = np.loadtxt(rows, comments=None, converters={0: token}, ndmin=2,
+                                   encoding="utf-8")
+                if block.shape[1] != dim + 1:
+                    return None
+                flat.frombytes(block[:, 1:].tobytes())
+    except (OSError, ValueError):
+        return None
+    vecs = np.frombuffer(flat).reshape(-1, dim)
+    if (len(vecs) != len(tokens) or len(set(tokens)) != len(tokens)
+            or not np.isfinite(vecs).all() or any(t.split() != [t] for t in tokens)):
+        return None
+    return dict(zip(tokens, vecs))
+
+
+def _read_table_lines(path: str | Path, dim: int) -> dict[str, np.ndarray]:
+    """The table parsed line by line with ``float``; a bad line is a
+    :class:`ConfigError` naming it."""
     flat = array("d")
     first_line: dict[str, int] = {}  # in row order
     for lineno, line in read_lines(path, ConfigError, "embedding table"):
@@ -209,20 +264,38 @@ class Embedder:
             self._table = load_embedding_table(cfg.table_path, cfg.dim)
 
     def embed(self, text: str) -> np.ndarray:
-        tokens = tokenize(text)
-        vec = np.zeros(self.cfg.dim, dtype=np.float64)
+        return self.embed_all([text])[0]
+
+    def embed_all(self, texts: Sequence[str]) -> np.ndarray:
+        """One ``(len(texts), dim)`` block: row i is the unit-length embedding of
+        ``texts[i]``, or zeros when no token has a vector.
+
+        A table row is the mean of the token vectors found; a hashed row sums
+        +-1 per token in its bucket. A mean that overflows gives a non-finite
+        row, which the caller refuses.
+        """
+        dim = self.cfg.dim
+        out = np.zeros((len(texts), dim))
         if self._table is not None:
-            hits = [self._table[t] for t in tokens if t in self._table]
-            if hits:
-                vec = np.mean(hits, axis=0)
+            table = self._table
+            for i, text in enumerate(texts):
+                hits = [table[t] for t in tokenize(text) if t in table]
+                if len(hits) == 1:
+                    out[i] += hits[0]  # np.mean of one vector: 0.0 + v, so -0.0 becomes 0.0
+                elif hits:
+                    out[i] = np.mean(hits, axis=0)
         else:
-            for token in tokens:
-                bucket, sign = _token_bucket_sign(token, self.cfg.dim, self.cfg.hash_seed)
-                vec[bucket] += sign
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec = vec / norm
-        return vec
+            buckets: dict[str, tuple[int, float]] = {}
+            for i, text in enumerate(texts):
+                for token in tokenize(text):
+                    if token not in buckets:
+                        buckets[token] = _token_bucket_sign(token, dim, self.cfg.hash_seed)
+                    bucket, sign = buckets[token]
+                    out[i, bucket] += sign  # integer sums: exact in any order
+        # a 1-d norm per row: norm(axis=1) would sum the squares in another order
+        norms = np.array([np.linalg.norm(row) for row in out]).reshape(-1, 1)
+        np.divide(out, norms, out=out, where=norms > 0.0)
+        return out
 
 
 def embed(text: str, cfg: EmbedderConfig) -> np.ndarray:
@@ -246,18 +319,23 @@ def _rescaled(v: np.ndarray, norm: float) -> tuple[np.ndarray, float]:
     return v, float(np.linalg.norm(v))
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
+def cosine_distance(a: np.ndarray, b: np.ndarray,
+                    na: float | None = None, nb: float | None = None) -> float:
     """Distance in [0, 1]: 0 identical direction, 0.5 orthogonal, 1 antiparallel.
 
     Maps cosine similarity s in [-1, 1] to (1 - s) / 2. A zero vector on either
     side yields 0.5 (maximal uncertainty) and is flagged in the debug log.
+    ``na`` and ``nb``, when given, must be ``float(np.linalg.norm(...))`` of
+    ``a`` and ``b``; a caller that holds them saves recomputing them.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise InputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    if na is None:
+        na = float(np.linalg.norm(a))
+    if nb is None:
+        nb = float(np.linalg.norm(b))
     if na < _TINY_NORM or nb < _TINY_NORM:
         a, na = _rescaled(a, na)
         b, nb = _rescaled(b, nb)

@@ -32,6 +32,7 @@ from .core import (
     EmbedderConfig,
     InputError,
     SOURCE_CORROBORATIVE,
+    check_geo,
     check_label,
     check_string,
     check_ts,
@@ -199,33 +200,57 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
     Truth labels never enter the pipeline's points; they come back as a
     separate id-to-label map used only for evaluation. The stream must be
     sorted by timestamp, point ids must be unique strings, and a text, when
-    present, must be a string.
+    present, must be a string. Every line is checked first; then all texts
+    are embedded at once, and each point's ``vec`` is a read-only row of that
+    one block. The first bad line is the one reported.
     """
-    points: list[DataPoint] = []
+    rows: list[tuple[int, str, int, object, object]] = []  # lineno, id, ts, lat, lon
+    texts: list[str] = []
     truth: dict[str, int] = {}
     first_line: dict[str, int] = {}
     last_ts = None
-    for lineno, line in read_lines(path, InputError, "stream"):
-        try:
-            d = json.loads(line)
-            ts, point_id = check_ts(d["ts"]), check_string(d["id"], "id")
-            post_text = check_string(d.get("text", ""), "text")
-            point = DataPoint(
-                id=point_id, ts=ts, text=post_text, lat=d.get("lat"), lon=d.get("lon"),
-                vec=embedder.embed(post_text),
-            )
-            if d.get("label") is not None:
-                truth[point.id] = check_label(d["label"])
-        except (KeyError, ValueError, TypeError, InputError) as exc:
-            raise InputError(f"{path}:{lineno}: malformed stream line: {exc}") from exc
-        if last_ts is not None and point.ts < last_ts:
-            raise InputError(f"{path}:{lineno}: stream not sorted by ts")
-        first = first_line.setdefault(point.id, lineno)
-        if first != lineno:
-            raise InputError(f"{path}:{lineno}: duplicate id {point.id!r}, first on line {first}")
-        last_ts = point.ts
-        points.append(point)
+    try:
+        for lineno, line in read_lines(path, InputError, "stream"):
+            try:
+                d = json.loads(line)
+                ts, point_id = check_ts(d["ts"]), check_string(d["id"], "id")
+                texts.append(check_string(d.get("text", ""), "text"))
+                lat, lon = d.get("lat"), d.get("lon")
+                # a non-finite embedding of this line comes before its other faults
+                rows.append((lineno, point_id, ts, lat, lon))
+                check_geo(lat, lon, f"point {point_id}: ")
+                if d.get("label") is not None:
+                    truth[point_id] = check_label(d["label"])
+            except (KeyError, ValueError, TypeError, InputError) as exc:
+                raise InputError(f"{path}:{lineno}: malformed stream line: {exc}") from exc
+            if last_ts is not None and ts < last_ts:
+                raise InputError(f"{path}:{lineno}: stream not sorted by ts")
+            first = first_line.setdefault(point_id, lineno)
+            if first != lineno:
+                raise InputError(f"{path}:{lineno}: duplicate id {point_id!r}, first on line {first}")
+            last_ts = ts
+    except InputError:
+        _embed_rows(path, rows, texts, embedder)  # raises for an earlier bad line
+        raise
+    vecs = _embed_rows(path, rows, texts, embedder)
+    points = [
+        DataPoint(id=point_id, ts=ts, text=text, vec=vec, lat=lat, lon=lon)
+        for (_, point_id, ts, lat, lon), text, vec in zip(rows, texts, vecs)
+    ]
     return points, truth
+
+
+def _embed_rows(path, rows, texts, embedder: Embedder) -> np.ndarray:
+    """The read-only embedding block of ``texts``; a non-finite row is an
+    :class:`InputError` naming its stream line."""
+    vecs = embedder.embed_all(texts)
+    vecs.flags.writeable = False
+    bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
+    if bad.size:
+        lineno, point_id = rows[bad[0]][:2]
+        raise InputError(f"{path}:{lineno}: malformed stream line: "
+                         f"point {point_id}: vec has non-finite components")
+    return vecs
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +563,8 @@ def evaluate_windows(run_dir: str | Path, truth_path: str | Path) -> list[Window
     a needed key or holds a bad value fails with the file and line.
     """
     run = Path(run_dir)
-    window_stats = _read_jsonl(run / "window_stats.jsonl", "window stats", _stats_row)
+    window_stats = [row for _, row in _read_jsonl(run / "window_stats.jsonl", "window stats",
+                                                  _stats_row)]
     adaptive_pred = _labels_from(run / "decisions.jsonl", "decision", _decision_row)
     static_pred = _labels_from(run / "baseline_decisions.jsonl", "decision", _decision_row)
     truth = _labels_from(Path(truth_path), "truth", _truth_row)
@@ -547,16 +573,14 @@ def evaluate_windows(run_dir: str | Path, truth_path: str | Path) -> list[Window
     return reports
 
 
-def _read_jsonl(path: Path, what: str, parse) -> list:
-    """``parse`` applied to the JSON of each non-blank line of ``path``."""
-    rows = []
+def _read_jsonl(path: Path, what: str, parse):
+    """(line number, ``parse`` applied to its JSON) for each non-blank line of ``path``."""
     for lineno, line in read_lines(path, InputError, f"{what} file"):
         try:
-            rows.append(parse(json.loads(line)))
+            yield lineno, parse(json.loads(line))
         except (KeyError, ValueError, TypeError, InputError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise InputError(f"{path}:{lineno}: malformed {what} line: {detail}") from exc
-    return rows
 
 
 def _stats_row(d: dict) -> dict:
@@ -578,5 +602,14 @@ def _decision_row(d: dict) -> tuple[str, int | None]:
 
 
 def _labels_from(path: Path, what: str, row) -> dict[str, int]:
-    """Id-to-label map of the rows of ``path`` whose label is not null."""
-    return {pid: label for pid, label in _read_jsonl(path, what, row) if label is not None}
+    """Id-to-label map of the rows of ``path`` whose label is not null; an id
+    on two lines is an :class:`InputError` naming both."""
+    labels: dict[str, int] = {}
+    first_line: dict[str, int] = {}
+    for lineno, (pid, label) in _read_jsonl(path, what, row):
+        first = first_line.setdefault(pid, lineno)
+        if first != lineno:
+            raise InputError(f"{path}:{lineno}: duplicate id {pid!r}, first on line {first}")
+        if label is not None:
+            labels[pid] = label
+    return labels

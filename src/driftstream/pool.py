@@ -226,8 +226,9 @@ def k_nearest(
     """(distance, model) pairs for the k models with memory centroids closest
     to ``vec``. Ties break toward older created_at, then lexicographic id.
     """
+    norm = float(np.linalg.norm(vec))
     ranked = sorted(
-        ((cosine_distance(vec, m.centroid), m) for m in models),
+        ((cosine_distance(vec, m.centroid, norm, m.memory.centroid_norm), m) for m in models),
         key=lambda dm: (dm[0], dm[1].created_at, dm[1].id),
     )
     return ranked[:k]
@@ -304,11 +305,13 @@ def evaluate_models(pool: Pool, labeled: list[DataPoint], window_index: int | No
     if not labeled:
         raise InputError("need at least one labeled point")
     omegas: dict[str, float] = {}
+    norms = [float(np.linalg.norm(p.vec)) for p in labeled]
     for model in pool.models:
+        centroid, centroid_norm = model.memory.centroid, model.memory.centroid_norm
         # inside/outside does not depend on lambda, so the minimal one is fine
         in_band = []
-        for p in labeled:
-            d = cosine_distance(p.vec, model.memory.centroid)
+        for p, norm in zip(labeled, norms):
+            d = cosine_distance(p.vec, centroid, norm, centroid_norm)
             if band_membership(model.band, d, model.band.hi) == INSIDE:
                 in_band.append(p)
         if in_band:

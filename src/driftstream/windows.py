@@ -29,7 +29,8 @@ class DataWindow:
 
     Single writer; the centroid is maintained incrementally from a running
     vector sum and stays within 1e-9 of the batch mean. When full, appending
-    evicts the oldest point.
+    evicts the oldest point. The centroid and its norm are computed once per
+    change of the window.
     """
 
     def __init__(self, points=(), capacity: int = DEFAULT_WINDOW_SIZE, window_id: str = ""):
@@ -39,6 +40,7 @@ class DataWindow:
         self.id = window_id
         self.points: list[DataPoint] = []
         self._vec_sum: np.ndarray | None = None
+        self._centroid: tuple[np.ndarray, float] | None = None
         for p in points:
             self.append(p)
 
@@ -67,13 +69,27 @@ class DataWindow:
             self._vec_sum -= evicted.vec
         self.points.append(point)
         self._vec_sum += point.vec
+        self._centroid = None
         return evicted
 
     @property
     def centroid(self) -> np.ndarray:
-        if not self.points:
-            raise InputError("empty window has no centroid")
-        return self._vec_sum / len(self.points)
+        """The mean vector, read-only."""
+        return self._centroid_and_norm()[0]
+
+    @property
+    def centroid_norm(self) -> float:
+        """``float(np.linalg.norm(self.centroid))``."""
+        return self._centroid_and_norm()[1]
+
+    def _centroid_and_norm(self) -> tuple[np.ndarray, float]:
+        if self._centroid is None:
+            if not self.points:
+                raise InputError("empty window has no centroid")
+            centroid = self._vec_sum / len(self.points)
+            centroid.flags.writeable = False
+            self._centroid = (centroid, float(np.linalg.norm(centroid)))
+        return self._centroid
 
     def vectors(self) -> np.ndarray:
         return np.stack([p.vec for p in self.points])

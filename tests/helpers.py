@@ -1,12 +1,13 @@
 """Shared fixtures-by-hand for the test suite: geometry builders, the
-independent routing oracle, the pair-by-pair labeling reference and the
-point-by-point team prediction reference."""
+independent routing oracle, the pair-by-pair labeling reference, the
+point-by-point team prediction reference and the text-by-text embedding
+reference."""
 
 import math
 
 import numpy as np
 
-from driftstream.core import DataPoint, SOURCE_CORROBORATIVE
+from driftstream.core import DataPoint, SOURCE_CORROBORATIVE, _token_bucket_sign, tokenize
 from driftstream.corroborate import LabelAssignment, _time_offset, haversine_km
 from driftstream.pool import ModelRecord, k_nearest, predict_raw
 from driftstream.windows import DataWindow, DeltaBand
@@ -143,3 +144,23 @@ def reference_predict(models, x, k):
         "p": probability,
         "label": int(probability >= 0.5),
     }
+
+
+def reference_embed(embedder, text):
+    """One text embedded on its own, token by token: the table mean of the
+    tokens found or the hashed +-1 bucket sums, divided by its norm when that
+    is positive. Each row of ``embedder.embed_all`` must equal it bit for bit."""
+    tokens = tokenize(text)
+    vec = np.zeros(embedder.cfg.dim, dtype=np.float64)
+    if embedder._table is not None:
+        hits = [embedder._table[t] for t in tokens if t in embedder._table]
+        if hits:
+            vec = np.mean(hits, axis=0)
+    else:
+        for token in tokens:
+            bucket, sign = _token_bucket_sign(token, embedder.cfg.dim, embedder.cfg.hash_seed)
+            vec[bucket] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec = vec / norm
+    return vec

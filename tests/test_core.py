@@ -1,19 +1,26 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from driftstream import core
 from driftstream.core import (
     ConfigError,
     DataPoint,
     Embedder,
     EmbedderConfig,
     InputError,
+    _read_table_blocks,
+    _read_table_lines,
     centroid_cosine_distances,
     cosine_distance,
     embed,
+    load_embedding_table,
     tokenize,
 )
+from helpers import reference_embed
 
 
 class TestDataPoint:
@@ -137,6 +144,142 @@ class TestEmbed:
     def test_pure_function_of_text(self, text):
         cfg = EmbedderConfig(dim=16)
         assert np.array_equal(embed(text, cfg), embed(text, cfg))
+
+
+# Table values whose means round, cancel, hold a negative zero, or overflow.
+EMBED_TABLE = {
+    "flood": [0.1, -0.0, 3.0],
+    "rain": [0.2, -0.0, -3.0],
+    "wind": [1e-300, 2.5e-310, 0.7],
+    "fire": [-0.1, 1e308, 1.0 / 3.0],
+    "heat": [0.3, 1e308, -2.0 / 3.0],
+    "zero": [0.0, 0.0, 0.0],
+}
+
+
+@pytest.fixture(scope="module")
+def embedders(tmp_path_factory):
+    table = tmp_path_factory.mktemp("embed") / "emb.tsv"
+    table.write_text("".join(f"{t} {' '.join(map(repr, v))}\n" for t, v in EMBED_TABLE.items()))
+    return [
+        Embedder(EmbedderConfig(dim=3, mode="table", table_path=str(table))),
+        Embedder(EmbedderConfig(dim=3, hash_seed=7)),  # few buckets: tokens collide and cancel
+        Embedder(EmbedderConfig(dim=64)),
+    ]
+
+
+class TestEmbedAll:
+    texts = st.lists(
+        st.lists(st.sampled_from([*EMBED_TABLE, "unknown", "Flood", "rain,", "_", "ñandú"]),
+                 max_size=6).map(" ".join)
+        | st.text(max_size=20),
+        max_size=12,
+    )
+
+    @given(texts=texts)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_bit_equal_to_text_by_text(self, embedders, texts):
+        for embedder in embedders:
+            with np.errstate(over="ignore", invalid="ignore"):  # the 1e308 rows overflow
+                block = embedder.embed_all(texts)
+                assert block.shape == (len(texts), embedder.cfg.dim)
+                for text, row in zip(texts, block):
+                    assert row.tobytes() == reference_embed(embedder, text).tobytes()
+                    assert embedder.embed(text).tobytes() == row.tobytes()
+
+    def test_overflowing_mean_gives_non_finite_row(self, embedders):
+        with pytest.warns(RuntimeWarning):  # overflow in the mean, then inf / inf
+            block = embedders[0].embed_all(["flood", "fire heat", ""])
+        assert np.isfinite(block[0]).all() and not np.isfinite(block[1]).all()
+        assert block[2].tobytes() == np.zeros(3).tobytes()
+
+
+def write_table(path, data: str, newline: str) -> None:
+    path.write_bytes(data.replace("\n", newline).encode("utf-8"))
+
+
+def table_result(read, path, dim):
+    """The table as {token: vector bytes}, or the ConfigError text."""
+    try:
+        return {t: v.tobytes() for t, v in read(path, dim).items()}
+    except ConfigError as exc:
+        return str(exc)
+
+
+VALID_VALUES = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+                | st.integers(-10**20, 10**20).map(str)
+                | st.sampled_from(["-0.0", "+1.5", ".5", "5.", "1E5", "1e-400", "007"]))
+# float() takes these and numpy's C reader does not
+FLOAT_ONLY_VALUES = st.sampled_from(["1_0", "-2_5.0", "\u0661\u0662", "\uff11.5", "\u0969e2"])
+BAD_VALUES = st.sampled_from(["#", "#1", "0x10", "1e", "nan", "-inf", "1e400", "1,5", '"1"',
+                              "Infinity", "1\x00", "1__0", "_1"])
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\xa0", "\u2028", "\x85",
+                              "\x1c", " \t"])
+TOKENS = st.sampled_from(["flood", "rain", "wind", '"quoted"', '"a', 'b"', "1.5", "#", "x\x00"])
+
+
+@st.composite
+def table_texts(draw):
+    """(file text with \\n line ends, dim) of a table mixing plain rows with
+    rows of odd separators, number spellings, tokens and widths, duplicate
+    tokens and blank lines."""
+    dim = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["plain", "plain", "spelled", "spaced", "odd", "blank"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\u2028", "\u2028\u2028", "\x85"])))
+            continue
+        token, values, sep = draw(TOKENS), VALID_VALUES, " "
+        if kind == "spelled":
+            values = VALID_VALUES | FLOAT_ONLY_VALUES
+        elif kind == "spaced":
+            sep = draw(SEPARATORS)
+        width = dim
+        if kind == "odd":
+            token = draw(TOKENS | st.text(st.characters(codec="utf-8"), min_size=1, max_size=3))
+            values = VALID_VALUES | FLOAT_ONLY_VALUES | BAD_VALUES
+            sep = draw(SEPARATORS)
+            width = draw(st.integers(0, dim + 1))
+        fields = [token, *draw(st.lists(values, min_size=width, max_size=width))]
+        lines.append(draw(st.sampled_from(["", " ", "\u2028"])) + sep.join(fields))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "\n".join(lines) + draw(st.sampled_from(["", "\n"])), dim
+
+
+class TestTableReader:
+    @given(table=table_texts(), newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           chunk=st.sampled_from([1, 40, 1 << 20]))
+    @settings(max_examples=400, deadline=None)
+    def test_block_reader_agrees_with_line_reader(self, tmp_path_factory, table, newline, chunk):
+        text, dim = table
+        path = tmp_path_factory.getbasetemp() / "differential.tsv"
+        write_table(path, text, newline)
+        with mock.patch.object(core, "_TABLE_CHUNK_BYTES", chunk):
+            got = table_result(load_embedding_table, path, dim)
+            taken = _read_table_blocks(path, dim)
+        assert got == table_result(_read_table_lines, path, dim)
+        if taken is not None:  # what the block reader takes, the line reader takes alike
+            assert {t: v.tobytes() for t, v in taken.items()} == got
+
+    @pytest.mark.parametrize("chunk", [1, 100, 1 << 20])
+    def test_block_reader_takes_a_plain_table(self, tmp_path, chunk):
+        rng = np.random.default_rng(0)
+        vectors = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 1))
+        text = "".join(f"t{i}\t{' '.join(map(repr, v.tolist()))}\n\n"
+                       for i, v in enumerate(vectors))
+        path = tmp_path / "emb.tsv"
+        write_table(path, text, "\r\n")
+        with mock.patch.object(core, "_TABLE_CHUNK_BYTES", chunk):
+            table = _read_table_blocks(path, 4)
+        assert table is not None and list(table) == [f"t{i}" for i in range(50)]
+        assert np.stack(list(table.values())).tobytes() == vectors.tobytes()
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \u2028\n"])
+    def test_table_without_rows_is_empty(self, tmp_path, text):
+        path = tmp_path / "emb.tsv"
+        write_table(path, text, "\n")
+        assert _read_table_blocks(path, 2) == {} and load_embedding_table(path, 2) == {}
 
 
 class TestCosineDistance:

@@ -162,6 +162,50 @@ class TestLoadStream:
         points, _ = load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
         assert points[0].geo is None
 
+    @pytest.mark.parametrize("line5", ["{not json", '{"id":"p4","ts":1}', '{"id":"p0","ts":9}'])
+    def test_non_finite_embedding_reported_before_a_later_bad_line(self, tmp_path, line5):
+        table = tmp_path / "emb.tsv"
+        table.write_text("big 1e308 1e308\nhuge 1.7e308 1e308\nflood 1 0\n")
+        embedder = Embedder(PipelineConfig(dim=2, embed_mode="table",
+                                           table_path=str(table)).embedder_config())
+        path = tmp_path / "s.jsonl"
+        rows = [stream_row(0, 1), stream_row(1, 2, text="big huge"), stream_row(2, 3),
+                stream_row(3, 4)]
+        write_stream(path, rows)
+        with path.open("a") as fh:
+            fh.write(line5 + "\n")
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                InputError, match=r"s\.jsonl:2: malformed stream line: point p1: "
+                                  r"vec has non-finite components"):
+            load_stream(path, embedder)
+        write_stream(path, rows[:1] + rows[2:])
+        with path.open("a") as fh:
+            fh.write(line5 + "\n")
+        with pytest.raises(InputError, match=r"s\.jsonl:4: "):
+            load_stream(path, embedder)
+
+    def test_non_finite_embedding_reported_before_other_faults_of_its_line(self, tmp_path):
+        table = tmp_path / "emb.tsv"
+        table.write_text("big 1e308 1e308\nhuge 1.7e308 1e308\n")
+        embedder = Embedder(PipelineConfig(dim=2, embed_mode="table",
+                                           table_path=str(table)).embedder_config())
+        path = tmp_path / "s.jsonl"
+        write_stream(path, [stream_row(0, 5), stream_row(1, 2, text="big huge", lat=100.0,
+                                                         label=2)])
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                InputError, match=r":2: malformed stream line: point p1: vec has non-finite"):
+            load_stream(path, embedder)
+
+    def test_point_vectors_are_read_only_rows_of_one_block(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_stream(path, [stream_row(0, 1, text="flood rain"), stream_row(1, 2, text="")])
+        points, _ = load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+        assert points[0].vec.base is points[1].vec.base is not None
+        with pytest.raises(ValueError, match="read-only"):
+            points[0].vec[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            points[1].vec += 1.0
+
 
 class TestAggregateEvents:
     def _pt(self, pid, ts, lat, lon):
@@ -498,6 +542,26 @@ class TestCli:
         path.write_text("\n".join(lines) + "\n")
         assert cli_main(["eval", "--run", str(run_dir), "--truth", str(gen.stream_path)]) == 1
         assert f"{name}:{lineno}: malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["truth", "decisions.jsonl", "baseline_decisions.jsonl"])
+    def test_eval_rejects_repeated_id(self, small_run, tmp_path, name, capsys):
+        # the repeat carries the other label: keeping either copy would be a guess
+        gen, _, result = small_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(result.knowledgebase.parent, run_dir)
+        path = gen.stream_path if name == "truth" else run_dir / name
+        key = "id" if name == "truth" else "point_id"
+        lines = path.read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
+        first = next(i for i, d in enumerate(rows) if d.get("label") is not None)
+        repeat = {**rows[first], "label": 1 - rows[first]["label"]}
+        if name == "truth":
+            path = tmp_path / "truth.jsonl"
+        path.write_text("\n".join(lines + ["", json.dumps(repeat)]) + "\n")
+        truth = path if name == "truth" else gen.stream_path
+        assert cli_main(["eval", "--run", str(run_dir), "--truth", str(truth)]) == 1
+        assert (f"{path.name}:{len(lines) + 2}: duplicate id {rows[first][key]!r}, "
+                f"first on line {first + 1}") in capsys.readouterr().err
 
     def test_eval_line_numbers_count_blank_lines(self, small_run, tmp_path, capsys):
         truth = tmp_path / "truth.jsonl"

@@ -59,6 +59,16 @@ class TestDataWindow:
             batch = np.mean([p.vec for p in w.points], axis=0)
             np.testing.assert_allclose(w.centroid, batch, atol=1e-9)
 
+    def test_cached_centroid_is_read_only_and_follows_appends(self):
+        w = make_window([[3.0, 4.0]], capacity=4)
+        assert w.centroid is w.centroid and w.centroid_norm == 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            w.centroid[0] = 1.0
+        w.append(DataPoint(id="new", ts=9, text="", vec=np.array([-3.0, 4.0])))
+        assert w.centroid.tolist() == [0.0, 4.0] and w.centroid_norm == 4.0
+        restored = DataWindow.restore(w.points, [0.0, 8.0], capacity=4, window_id="r")
+        assert restored.centroid.tolist() == [0.0, 4.0] and restored.centroid_norm == 4.0
+
 
 class TestCentroidDistances:
     def test_single_point_distance_zero(self):
