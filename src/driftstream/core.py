@@ -271,8 +271,9 @@ class Embedder:
         ``texts[i]``, or zeros when no token has a vector.
 
         A table row is the mean of the token vectors found; a hashed row sums
-        +-1 per token in its bucket. A mean that overflows gives a non-finite
-        row, which the caller refuses.
+        +-1 per token in its bucket. A finite row keeps its direction even when
+        its norm overflows; a mean that overflows gives a non-finite row, which
+        the caller refuses.
         """
         dim = self.cfg.dim
         out = np.zeros((len(texts), dim))
@@ -294,6 +295,10 @@ class Embedder:
                     out[i, bucket] += sign  # integer sums: exact in any order
         # a 1-d norm per row: norm(axis=1) would sum the squares in another order
         norms = np.array([np.linalg.norm(row) for row in out]).reshape(-1, 1)
+        # a finite row whose squares overflow is first divided by its largest magnitude
+        for i in np.flatnonzero(np.isinf(norms[:, 0]) & np.isfinite(out).all(axis=1)):
+            out[i] /= np.max(np.abs(out[i]))
+            norms[i] = np.linalg.norm(out[i])
         np.divide(out, norms, out=out, where=norms > 0.0)
         return out
 

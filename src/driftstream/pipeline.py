@@ -8,6 +8,11 @@ per-model drift verdicts, then retraining and generation. Predictions for a
 window always use the snapshot taken at the previous boundary, so the
 bootstrap window emits no predictions at all.
 
+Each window is one step: its points are routed, its boundary runs, and its
+decision, baseline, verdict and window-stats rows are appended to their
+files as it closes. Only the knowledgebase, the event histogram, the reports
+and the final checkpoint wait for the end of the stream.
+
 Everything is deterministic given the input files and the seed; two replays
 of the same inputs produce byte-identical artifacts.
 """
@@ -19,6 +24,7 @@ import io
 import json
 import math
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -411,20 +417,8 @@ class ReplayResult:
     report_rows: list[WindowReport]
 
 
-def _predict_window(snapshot, window_points, X, cfg: PipelineConfig):
-    """Team predictions for one window (vector matrix ``X``) against a fixed snapshot."""
-    rows = []
-    predictions: dict[str, int] = {}
-    positives = []
-    for point, decision in zip(window_points, predict_window(snapshot, X, cfg.k)):
-        rows.append({"point_id": point.id, **decision})
-        label = decision["label"]
-        if label is None:
-            continue
-        predictions[point.id] = label
-        if label == 1:
-            positives.append((point, decision["p"]))
-    return rows, predictions, positives
+def _labels(rows: list[dict]) -> dict[str, int]:
+    return {r["point_id"]: r["label"] for r in rows if r["label"] is not None}
 
 
 def replay(
@@ -452,48 +446,38 @@ def replay(
 
     pool = Pool(general_capacity=cfg.window_size)
     pool_cfg = cfg.pool_config()
-    snapshot = []
-    static_snapshot = None
-
-    decision_rows: list[dict] = []
-    baseline_rows: list[dict] = []
-    verdict_rows: list[dict] = []
-    window_stats: list[dict] = []
-    adaptive_pred: dict[str, int] = {}
-    static_pred: dict[str, int] = {}
+    snapshot = static_snapshot = None
     positives: list[tuple[DataPoint, float]] = []
-
+    report_rows: list[WindowReport] = []
+    paths = {name: out / f"{name}.jsonl"
+             for name in ("decisions", "baseline_decisions", "verdicts", "window_stats")}
     static_pool_path = out / "static_pool.json"
-    window_points: list[DataPoint] = []
-    window_index = 0
 
-    for idx, point in enumerate(points):
-        window_points.append(point)
-        process_point(pool, point, pool_cfg)
-        if len(window_points) == cfg.window_size or idx == len(points) - 1:
-            # predictions for this window use the snapshot from the previous
+    with ExitStack() as stack:
+        files = {name: stack.enter_context(open(path, "w", encoding="utf-8"))
+                 for name, path in paths.items()}
+        for start in range(0, len(points), cfg.window_size):
+            window = points[start:start + cfg.window_size]
+            index = start // cfg.window_size
+            for point in window:
+                process_point(pool, point, pool_cfg)
+            # predictions for this window use the snapshots from the previous
             # boundary; the bootstrap window has none and emits nothing
-            if window_index > 0:
-                X = np.vstack([p.vec for p in window_points])
-                rows, preds, pos = _predict_window(snapshot, window_points, X, cfg)
-                decision_rows.extend(rows)
-                adaptive_pred.update(preds)
-                positives.extend(pos)
-                srows, spreds, _ = _predict_window(static_snapshot, window_points, X, cfg)
-                baseline_rows.extend(srows)
-                static_pred.update(spreds)
+            rows: dict[str, list[dict]] = {}
+            if index > 0:
+                X = np.vstack([p.vec for p in window])
+                for name, snap in (("decisions", snapshot), ("baseline_decisions", static_snapshot)):
+                    rows[name] = [{"point_id": p.id, **d}
+                                  for p, d in zip(window, predict_window(snap, X, cfg.k))]
 
-            assignments = assign_labels(window_points, events, cfg.pad_seconds)
+            assignments = assign_labels(window, events, cfg.pad_seconds)
             label_map = {a.point_id: (a.label, SOURCE_CORROBORATIVE) for a in assignments}
             pool.apply_labels(label_map)
-            labeled = [
-                p.with_label(*label_map[p.id]) for p in window_points if p.id in label_map
-            ]
+            labeled = [p.with_label(*label_map[p.id]) for p in window if p.id in label_map]
             if pool.models and labeled:
-                evaluate_models(pool, labeled, window_index)
+                evaluate_models(pool, labeled, index)
 
-            live = DataWindow(window_points, capacity=cfg.window_size,
-                              window_id=f"w{window_index:04d}")
+            live = DataWindow(window, capacity=cfg.window_size, window_id=f"w{index:04d}")
             verdicts = {}
             for model in pool.models:
                 verdict = detect_drift(
@@ -502,56 +486,56 @@ def replay(
                 )
                 if verdict is not None:
                     verdicts[model.id] = verdict
-                    verdict_rows.append(verdict.record(ts=window_points[-1].ts))
-            on_drift(pool, verdicts, pool_cfg, window_index)
+            on_drift(pool, verdicts, pool_cfg, index)
 
-            if window_index == 0:
+            if index == 0:
                 static_snapshot = pool.snapshot()
                 save_pool(pool, static_pool_path)
             snapshot = pool.snapshot()
 
-            window_stats.append({
-                "window": window_index,
-                "count": len(window_points),
+            stats = {
+                "window": index,
+                "count": len(window),
                 "corroborative": len(assignments),
-                "unlabeled": len(window_points) - len(assignments),
-                "first_ts": window_points[0].ts,
-                "last_ts": window_points[-1].ts,
-                "point_ids": [p.id for p in window_points],
-            })
-            window_points = []
-            window_index += 1
+                "unlabeled": len(window) - len(assignments),
+                "first_ts": window[0].ts,
+                "last_ts": window[-1].ts,
+                "point_ids": [p.id for p in window],
+            }
+            rows["verdicts"] = [v.record(ts=window[-1].ts) for v in verdicts.values()]
+            rows["window_stats"] = [stats]
+            for name, fh in files.items():
+                _write_jsonl(fh, rows.get(name, ()))
+            if index > 0:
+                positives += [(p, r["p"]) for p, r in zip(window, rows["decisions"])
+                              if r["label"] == 1]
+                report_rows += build_reports([stats], _labels(rows["decisions"]),
+                                             _labels(rows["baseline_decisions"]), truth)
 
     detected, histogram = aggregate_events(positives)
-    _write_jsonl(kb_path, (e.record() for e in detected))
+    with open(kb_path, "w", encoding="utf-8") as fh:
+        _write_jsonl(fh, (e.record() for e in detected))
     (out / "events_histogram.json").write_text(
         json.dumps({str(k): histogram[k] for k in sorted(histogram)}, separators=(",", ":")) + "\n",
         encoding="utf-8",
     )
-    _write_jsonl(out / "decisions.jsonl", decision_rows)
-    _write_jsonl(out / "baseline_decisions.jsonl", baseline_rows)
-    _write_jsonl(out / "verdicts.jsonl", verdict_rows)
-    _write_jsonl(out / "window_stats.jsonl", window_stats)
-
-    report_rows = build_reports(window_stats, adaptive_pred, static_pred, truth)
     write_reports_csv(report_rows, reports_path)
     save_pool(pool, out / "final_pool.json")
 
     return ReplayResult(
         knowledgebase=kb_path, reports=reports_path,
-        decisions=out / "decisions.jsonl",
-        baseline_decisions=out / "baseline_decisions.jsonl",
-        verdicts=out / "verdicts.jsonl", static_pool=static_pool_path,
-        window_stats=out / "window_stats.jsonl",
+        decisions=paths["decisions"], baseline_decisions=paths["baseline_decisions"],
+        verdicts=paths["verdicts"], static_pool=static_pool_path,
+        window_stats=paths["window_stats"],
         events_histogram=out / "events_histogram.json",
         report_rows=report_rows,
     )
 
 
-def _write_jsonl(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+def _write_jsonl(fh, rows) -> None:
+    """Append ``rows`` to the open text file ``fh``, one compact JSON object a line."""
+    for row in rows:
+        fh.write(json.dumps(row, separators=(",", ":")) + "\n")
 
 
 def evaluate_windows(run_dir: str | Path, truth_path: str | Path) -> list[WindowReport]:
@@ -589,6 +573,8 @@ def _stats_row(d: dict) -> dict:
             raise ValueError(f"{key} {d[key]!r} is not an integer")
     if type(d["point_ids"]) is not list:
         raise ValueError("point_ids is not a list")
+    for pid in d["point_ids"]:
+        check_string(pid, "point id")
     return d
 
 

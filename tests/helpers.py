@@ -149,7 +149,8 @@ def reference_predict(models, x, k):
 def reference_embed(embedder, text):
     """One text embedded on its own, token by token: the table mean of the
     tokens found or the hashed +-1 bucket sums, divided by its norm when that
-    is positive. Each row of ``embedder.embed_all`` must equal it bit for bit."""
+    is positive. A finite vector whose norm overflows is first divided by its
+    largest magnitude. Each row of ``embedder.embed_all`` must equal it bit for bit."""
     tokens = tokenize(text)
     vec = np.zeros(embedder.cfg.dim, dtype=np.float64)
     if embedder._table is not None:
@@ -161,6 +162,9 @@ def reference_embed(embedder, text):
             bucket, sign = _token_bucket_sign(token, embedder.cfg.dim, embedder.cfg.hash_seed)
             vec[bucket] += sign
     norm = float(np.linalg.norm(vec))
+    if norm == np.inf and np.isfinite(vec).all():
+        vec = vec / np.max(np.abs(vec))
+        norm = float(np.linalg.norm(vec))
     if norm > 0.0:
         vec = vec / norm
     return vec

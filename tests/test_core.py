@@ -193,6 +193,14 @@ class TestEmbedAll:
         assert np.isfinite(block[0]).all() and not np.isfinite(block[1]).all()
         assert block[2].tobytes() == np.zeros(3).tobytes()
 
+    def test_finite_row_with_overflowing_norm_keeps_its_direction(self, tmp_path):
+        table = tmp_path / "big.tsv"
+        table.write_text("a 1e200 1e200\n")
+        embedder = Embedder(EmbedderConfig(dim=2, mode="table", table_path=str(table)))
+        with np.errstate(over="ignore"):
+            vec = embedder.embed("a")
+        assert vec.tolist() == [1 / np.sqrt(2)] * 2
+
 
 def write_table(path, data: str, newline: str) -> None:
     path.write_bytes(data.replace("\n", newline).encode("utf-8"))

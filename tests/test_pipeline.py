@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+import driftstream.pipeline as pipeline
 from driftstream.cli import main as cli_main
 from driftstream.core import ConfigError, DataPoint, Embedder, InputError
 from driftstream.pipeline import (
@@ -50,6 +51,25 @@ def small_run(tmp_path_factory):
                          table_path=str(gen.table_path), seed=3, min_train=12)
     result = replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=base / "run")
     return gen, cfg, result
+
+
+@pytest.fixture(scope="module")
+def tail_run(tmp_path_factory):
+    """Two full windows of 400 points, then a tail of 30: under window_size // 10,
+    so the tail's drift verdicts are withheld."""
+    base = tmp_path_factory.mktemp("tail_run")
+    scfg = SynthConfig(n_windows=3, window_size=400, dim=12, seed=3,
+                       corroborative_fraction=0.05)
+    gen = generate_synthetic(scfg, base / "data")
+    stream = base / "tail.jsonl"
+    stream.write_text("".join(gen.stream_path.read_text().splitlines(keepends=True)[:830]))
+    cfg = PipelineConfig(window_size=400, dim=12, embed_mode="table",
+                         table_path=str(gen.table_path), seed=3, min_train=12)
+    return replay(stream, gen.corroborative_path, cfg, out_dir=base / "run")
+
+
+def jsonl_rows(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 class TestConfig:
@@ -318,6 +338,38 @@ class TestReplay:
         for name in names:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
+    def test_partial_tail_window(self, tail_run):
+        after_bootstrap = [f"p{i:06d}" for i in range(400, 830)]
+        assert [r["point_id"] for r in jsonl_rows(tail_run.decisions)] == after_bootstrap
+        assert [r["point_id"] for r in jsonl_rows(tail_run.baseline_decisions)] == after_bootstrap
+        stats = jsonl_rows(tail_run.window_stats)
+        assert [(s["window"], s["count"]) for s in stats] == [(0, 400), (1, 400), (2, 30)]
+        verdicts = jsonl_rows(tail_run.verdicts)
+        assert verdicts and {v["live_id"] for v in verdicts} == {"w0001"}
+        assert [r.window for r in tail_run.report_rows] == [1, 2]
+        assert [row.split(",")[0] for row in tail_run.reports.read_text().splitlines()] == [
+            "window", "1", "2"]
+
+    def test_closed_windows_are_on_disk_when_a_later_boundary_fails(
+            self, small_run, tmp_path, monkeypatch):
+        gen, cfg, full = small_run
+        on_drift = pipeline.on_drift
+
+        def failing_on_drift(pool, verdicts, pool_cfg, window_index):
+            if window_index == 2:
+                raise RuntimeError("boundary 2 failed")
+            return on_drift(pool, verdicts, pool_cfg, window_index)
+
+        monkeypatch.setattr(pipeline, "on_drift", failing_on_drift)
+        run = tmp_path / "run"
+        with pytest.raises(RuntimeError, match="boundary 2 failed"):
+            replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=run)
+        # window 1's 400 decisions and the stats of windows 0-1, as the full run wrote them
+        for name in ("decisions.jsonl", "baseline_decisions.jsonl"):
+            whole = (full.knowledgebase.parent / name).read_text()
+            assert (run / name).read_text() == "".join(whole.splitlines(keepends=True)[:400])
+        assert jsonl_rows(run / "window_stats.jsonl") == jsonl_rows(full.window_stats)[:2]
+
     def test_evaluate_windows_round_trip(self, small_run, tmp_path):
         gen, _, result = small_run
         run_dir = result.knowledgebase.parent
@@ -527,6 +579,8 @@ class TestCli:
         ("baseline_decisions.jsonl", 1, lambda d: {k: v for k, v in d.items() if k != "label"}),
         ("window_stats.jsonl", 2, lambda d: {k: v for k, v in d.items() if k != "point_ids"}),
         ("window_stats.jsonl", 1, lambda d: {**d, "unlabeled": "3"}),
+        ("window_stats.jsonl", 2, lambda d: {**d, "point_ids": [["a"], *d["point_ids"][1:]]}),
+        ("window_stats.jsonl", 3, lambda d: {**d, "point_ids": [*d["point_ids"][:-1], 7]}),
         ("decisions.jsonl", 2, None),
         ("window_stats.jsonl", 3, None),
     ])
