@@ -25,7 +25,7 @@ def labeled_cluster(rng, center, label, n, prefix, noise=0.15):
     return [
         DataPoint(id=f"{prefix}{i}", ts=i, text="",
                   vec=center + noise * rng.standard_normal(len(center)),
-                  label=label, label_source="corroborative")
+                  label=label)
         for i in range(n)
     ]
 

@@ -73,8 +73,6 @@ def _cmd_gen(args) -> int:
         table_path=str(result.table_path.resolve()), seed=cfg.seed,
         stream=str(result.stream_path.resolve()),
         corroborative=str(result.corroborative_path.resolve()),
-        knowledgebase=str((Path(args.out) / "knowledgebase.jsonl").resolve()),
-        reports=str((Path(args.out) / "reports.csv").resolve()),
     )
     config_path = Path(args.out) / "config.txt"
     save_config(run_cfg, config_path)

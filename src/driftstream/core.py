@@ -22,15 +22,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_DIM = 300
 
-LABEL_RELEVANT = 1
-LABEL_IRRELEVANT = 0
-
-# how a label got attached to a point
-SOURCE_GROUND_TRUTH = "ground_truth"
-SOURCE_CORROBORATIVE = "corroborative"
-SOURCE_PREDICTED = "predicted"
-LABEL_SOURCES = (SOURCE_GROUND_TRUTH, SOURCE_CORROBORATIVE, SOURCE_PREDICTED)
-
 # Stream and feed timestamps are integer Unix seconds within UTC years 1-9999:
 # detected events are grouped by UTC date, and the labeler's float64 prefilter
 # is exact on integers this small.
@@ -61,6 +52,15 @@ def read_lines(path: str | Path, error: type[Exception], what: str) -> Iterator[
                     yield lineno, line
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def check_ranges(config, ranges: dict) -> None:
+    """Refuse the first setting of ``config`` failing its (test, rule); NaN fails every test."""
+    for key, (ok, rule) in ranges.items():
+        value = getattr(config, key)
+        if not ok(value):
+            name = "lambda" if key == "lam" else key
+            raise ConfigError(f"{name}={value} out of range: must be {rule}")
 
 
 # Field rules of the data types and file readers: each raises an InputError naming
@@ -105,7 +105,7 @@ def check_geo(lat, lon, where: str = "") -> None:
 
 def check_label(value, name: str = "label") -> int:
     """A label (truth, decision or point) is the integer 0 or 1."""
-    if type(value) is not int or value not in (LABEL_RELEVANT, LABEL_IRRELEVANT):
+    if type(value) is not int or value not in (0, 1):
         raise InputError(f"{name} {value!r} is not 0 or 1")
     return value
 
@@ -121,7 +121,6 @@ class DataPoint:
     lat: float | None = None
     lon: float | None = None
     label: int | None = None
-    label_source: str | None = None
 
     def __post_init__(self):
         vec = np.asarray(self.vec, dtype=np.float64)
@@ -133,8 +132,6 @@ class DataPoint:
         check_geo(self.lat, self.lon, f"point {self.id}: ")
         if self.label is not None:
             check_label(self.label, f"point {self.id}: label")
-            if self.label_source not in LABEL_SOURCES:
-                raise InputError(f"point {self.id}: labeled point needs a label_source")
 
     @property
     def geo(self) -> tuple[float, float] | None:
@@ -142,8 +139,8 @@ class DataPoint:
             return None
         return (self.lat, self.lon)
 
-    def with_label(self, label: int, source: str) -> "DataPoint":
-        return replace(self, label=label, label_source=source)
+    def with_label(self, label: int) -> "DataPoint":
+        return replace(self, label=label)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 and proximity, and aggregate their probabilities.
 
 Every point gets its own team, but the teams of a window are formed together
-from one immutable pool snapshot: one distance column and one probability
-column per model, then a stable sort of each row. Reading a frozen snapshot
-keeps the prediction path independent of pool maintenance.
+from one state of the pool: one distance column and one probability column
+per model, then a stable sort of each row. Replay predicts a window before
+routing its points, so the teams read the pool as the previous boundary left it.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import numpy as np
 
 from .core import centroid_cosine_distances
 from .pool import ModelRecord, sigmoid
-
-DEFAULT_K = 5
 
 
 def team_weights(members: Sequence[tuple[float, float]]) -> np.ndarray:
@@ -38,7 +36,7 @@ def _softmax(raw: np.ndarray) -> np.ndarray:
 
 
 def predict_window(
-    models: Sequence[ModelRecord], X: np.ndarray, k: int = DEFAULT_K,
+    models: Sequence[ModelRecord], X: np.ndarray, k: int,
 ) -> list[dict]:
     """One decision per row of ``X``: ``{"team", "p", "label"}``.
 

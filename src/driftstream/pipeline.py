@@ -1,17 +1,18 @@
 """End-to-end orchestration: stream replay, maintenance, and reporting.
 
 Replay runs two paths. The prediction path gives every point its own teamed
-classifier, formed for a whole window at once from an immutable pool
-snapshot, and logs one decision per point; the maintenance path fires at
+classifier, formed for a whole window at once from the pool as the previous
+boundary left it, before the window's points are routed, and logs one
+decision per point; baseline decisions read a frozen copy of the bootstrap
+pool, and the bootstrap window emits none. The maintenance path fires at
 window boundaries: retroactive corroborative labeling, model evaluation,
-per-model drift verdicts, then retraining and generation. Predictions for a
-window always use the snapshot taken at the previous boundary, so the
-bootstrap window emits no predictions at all.
+per-model drift verdicts, then retraining and generation.
 
-Each window is one step: its points are routed, its boundary runs, and its
-decision, baseline, verdict and window-stats rows are appended to their
-files as it closes. Only the knowledgebase, the event histogram, the reports
-and the final checkpoint wait for the end of the stream.
+Each window is one step: it is predicted, its points are routed, its boundary
+runs, and its decision, baseline, verdict and window-stats rows are appended.
+The knowledgebase, event histogram, reports and final checkpoint wait for the
+end of the stream; replay first deletes these and the static checkpoint of an
+earlier run.
 
 Everything is deterministic given the input files and the seed; two replays
 of the same inputs produce byte-identical artifacts.
@@ -37,9 +38,9 @@ from .core import (
     Embedder,
     EmbedderConfig,
     InputError,
-    SOURCE_CORROBORATIVE,
     check_geo,
     check_label,
+    check_ranges,
     check_string,
     check_ts,
     read_lines,
@@ -57,21 +58,6 @@ from .pool import (
     save_pool,
 )
 from .windows import DataWindow, DEFAULT_DELTA, DEFAULT_WINDOW_SIZE
-
-
-# What each numeric setting must satisfy, as (test, rule); NaN fails every test.
-_RANGES = {
-    "window_size": (lambda v: v >= 1, ">= 1"),
-    "k": (lambda v: v >= 1, ">= 1"),
-    "delta": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "bins": (lambda v: v >= 2, ">= 2"),
-    "epochs": (lambda v: v >= 0, ">= 0"),
-    "min_train": (lambda v: v >= 1, ">= 1"),
-    "learn_rate": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
-    "kl_threshold": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-    "pad_seconds": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-    "lam": (lambda v: v is None or 0.0 <= v <= 1.0, "auto or in [0, 1]"),
-}
 
 
 @dataclass
@@ -99,16 +85,16 @@ class PipelineConfig:
     bins: int = DEFAULT_BINS
     stream: str | None = None
     corroborative: str | None = None
-    knowledgebase: str | None = None
-    reports: str | None = None
 
     def __post_init__(self):
-        for key, (ok, rule) in _RANGES.items():
-            value = getattr(self, key)
-            if not ok(value):
-                name = "lambda" if key == "lam" else key
-                raise ConfigError(f"{name}={value} out of range: must be {rule}")
-        self.embedder_config()  # refuses a bad dim or embed_mode here, not at replay
+        check_ranges(self, {
+            "window_size": (lambda v: v >= 1, ">= 1"),
+            "bins": (lambda v: v >= 2, ">= 2"),
+            "kl_threshold": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+            "pad_seconds": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+        })
+        self.pool_config()  # refuses a bad pool setting here, not at replay
+        self.embedder_config()  # and a bad dim or embed_mode
 
     def embedder_config(self) -> EmbedderConfig:
         return EmbedderConfig(
@@ -425,28 +411,23 @@ def replay(
     stream_path: str | Path,
     corroborative_path: str | Path,
     cfg: PipelineConfig,
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
 ) -> ReplayResult:
-    """Replay a stream against a corroborative feed, producing all artifacts."""
-    if out_dir is not None:
-        out = Path(out_dir)
-        kb_path = out / "knowledgebase.jsonl"
-        reports_path = out / "reports.csv"
-    elif cfg.knowledgebase and cfg.reports:
-        kb_path = Path(cfg.knowledgebase)
-        reports_path = Path(cfg.reports)
-        out = kb_path.parent
-    else:
-        raise ConfigError("no output directory: pass out_dir or set knowledgebase/reports paths")
-    out.mkdir(parents=True, exist_ok=True)
-
+    """Replay a stream against a corroborative feed, writing all artifacts to ``out_dir``."""
     embedder = Embedder(cfg.embedder_config())
     points, truth = load_stream(stream_path, embedder)
     events = load_events(corroborative_path)
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    kb_path, reports_path = out / "knowledgebase.jsonl", out / "reports.csv"
+    # a replay that fails part-way must leave no end-of-run file of an earlier run
+    for path in (kb_path, reports_path, out / "events_histogram.json",
+                 out / "static_pool.json", out / "final_pool.json"):
+        path.unlink(missing_ok=True)
     pool = Pool(general_capacity=cfg.window_size)
     pool_cfg = cfg.pool_config()
-    snapshot = static_snapshot = None
+    bootstrap = None  # a frozen copy of the pool after window 0
     positives: list[tuple[DataPoint, float]] = []
     report_rows: list[WindowReport] = []
     paths = {name: out / f"{name}.jsonl"
@@ -459,21 +440,20 @@ def replay(
         for start in range(0, len(points), cfg.window_size):
             window = points[start:start + cfg.window_size]
             index = start // cfg.window_size
-            for point in window:
-                process_point(pool, point, pool_cfg)
-            # predictions for this window use the snapshots from the previous
-            # boundary; the bootstrap window has none and emits nothing
+            # the pool as the previous boundary left it predicts the window before routing
             rows: dict[str, list[dict]] = {}
             if index > 0:
                 X = np.vstack([p.vec for p in window])
-                for name, snap in (("decisions", snapshot), ("baseline_decisions", static_snapshot)):
+                for name, models in (("decisions", pool.models), ("baseline_decisions", bootstrap)):
                     rows[name] = [{"point_id": p.id, **d}
-                                  for p, d in zip(window, predict_window(snap, X, cfg.k))]
+                                  for p, d in zip(window, predict_window(models, X, cfg.k))]
+            for point in window:
+                process_point(pool, point, pool_cfg)
 
             assignments = assign_labels(window, events, cfg.pad_seconds)
-            label_map = {a.point_id: (a.label, SOURCE_CORROBORATIVE) for a in assignments}
+            label_map = {a.point_id: a.label for a in assignments}
             pool.apply_labels(label_map)
-            labeled = [p.with_label(*label_map[p.id]) for p in window if p.id in label_map]
+            labeled = [p.with_label(label_map[p.id]) for p in window if p.id in label_map]
             if pool.models and labeled:
                 evaluate_models(pool, labeled, index)
 
@@ -489,9 +469,8 @@ def replay(
             on_drift(pool, verdicts, pool_cfg, index)
 
             if index == 0:
-                static_snapshot = pool.snapshot()
+                bootstrap = pool.snapshot()
                 save_pool(pool, static_pool_path)
-            snapshot = pool.snapshot()
 
             stats = {
                 "window": index,

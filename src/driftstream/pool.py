@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataPoint, InputError, cosine_distance
+from .core import DataPoint, InputError, check_ranges, cosine_distance
 from .windows import (
     INSIDE,
     OUTSIDE,
@@ -44,7 +44,7 @@ class PoolError(Exception):
 
 @dataclass
 class PoolConfig:
-    """Knobs for routing, training, and team selection."""
+    """Knobs for routing, training, and team selection, range-checked at construction."""
 
     lam: float | None = None  # None: per model, band.hi + LAMBDA_MARGIN capped at 1
     delta: float = 0.6
@@ -52,6 +52,16 @@ class PoolConfig:
     min_train: int = 50
     learn_rate: float = 0.1
     epochs: int = 20
+
+    def __post_init__(self):
+        check_ranges(self, {
+            "k": (lambda v: v >= 1, ">= 1"),
+            "delta": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+            "epochs": (lambda v: v >= 0, ">= 0"),
+            "min_train": (lambda v: v >= 1, ">= 1"),
+            "learn_rate": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+            "lam": (lambda v: v is None or 0.0 <= v <= 1.0, "auto or in [0, 1]"),
+        })
 
     def effective_lambda(self, band: DeltaBand) -> float:
         if self.lam is None:
@@ -89,7 +99,7 @@ class Pool:
         self.general = DataWindow(capacity=general_capacity, window_id=GENERAL_ID)
         self._next_model = 0  # count of generated models, which numbers their ids
 
-    def apply_labels(self, labels: dict[str, tuple[int, str]]) -> None:
+    def apply_labels(self, labels: dict[str, int]) -> None:
         """Swap labeled copies of points into the model memories and the
         general memory.
 
@@ -99,11 +109,11 @@ class Pool:
         for w in [m.memory for m in self.models] + [self.general]:
             for i, p in enumerate(w.points):
                 if p.id in labels and p.label is None:
-                    w.points[i] = p.with_label(*labels[p.id])
+                    w.points[i] = p.with_label(labels[p.id])
 
     def snapshot(self) -> list[ModelRecord]:
         """Copies of the models, with their own weights and memory windows, that
-        later routing and retraining leave unchanged; prediction reads these."""
+        later routing and retraining leave unchanged: replay's frozen bootstrap pool."""
         return [replace(m, weights=m.weights.copy(), memory=m.memory.copy()) for m in self.models]
 
 
@@ -349,8 +359,7 @@ def _decode_f8(block: dict) -> np.ndarray:
 
 def _points_to_json(points: list[DataPoint]) -> tuple[list[dict], dict]:
     meta = [
-        {"id": p.id, "ts": p.ts, "lat": p.lat, "lon": p.lon, "text": p.text,
-         "label": p.label, "label_source": p.label_source}
+        {"id": p.id, "ts": p.ts, "lat": p.lat, "lon": p.lon, "text": p.text, "label": p.label}
         for p in points
     ]
     vecs = np.stack([p.vec for p in points]) if points else np.empty((0, 0))
@@ -364,7 +373,7 @@ def _points_from_json(meta: list[dict], vecs_block: dict) -> list[DataPoint]:
     return [
         DataPoint(
             id=d["id"], ts=d["ts"], lat=d["lat"], lon=d["lon"], text=d["text"],
-            label=d["label"], label_source=d["label_source"], vec=v,
+            label=d["label"], vec=v,
         )
         for d, v in zip(meta, vecs)
     ]

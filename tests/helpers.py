@@ -7,15 +7,14 @@ import math
 
 import numpy as np
 
-from driftstream.core import DataPoint, SOURCE_CORROBORATIVE, _token_bucket_sign, tokenize
+from driftstream.core import DataPoint, _token_bucket_sign, tokenize
 from driftstream.corroborate import LabelAssignment, _time_offset, haversine_km
 from driftstream.pool import ModelRecord, k_nearest, predict_raw
 from driftstream.windows import DataWindow, DeltaBand
 
 
-def point(pid, vec, label=None, source=None, ts=0):
-    return DataPoint(id=pid, ts=ts, text="", vec=np.asarray(vec, dtype=float),
-                     label=label, label_source=source)
+def point(pid, vec, label=None, ts=0):
+    return DataPoint(id=pid, ts=ts, text="", vec=np.asarray(vec, dtype=float), label=label)
 
 
 def vec_at_distance(d, dim=2):
@@ -74,11 +73,7 @@ def random_routing_fixture(rng):
         state.append((f"m{j}", centroid.copy(), lo, hi))
     lam = None if rng.random() < 0.5 else float(rng.uniform(0.0, 1.0))
     labeled = rng.random() < 0.4
-    x = point(
-        "x", rng.standard_normal(dim),
-        label=int(rng.integers(0, 2)) if labeled else None,
-        source=SOURCE_CORROBORATIVE if labeled else None,
-    )
+    x = point("x", rng.standard_normal(dim), label=int(rng.integers(0, 2)) if labeled else None)
     return pool, state, x, PoolConfig(lam=lam)
 
 

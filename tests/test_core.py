@@ -41,15 +41,10 @@ class TestDataPoint:
         with pytest.raises(InputError):
             DataPoint(id="a", ts=0, text="", vec=np.zeros(3), lat=lat, lon=lon)
 
-    def test_label_requires_source(self):
-        with pytest.raises(InputError):
-            DataPoint(id="a", ts=0, text="", vec=np.zeros(3), label=1)
-
     @pytest.mark.parametrize("label", [True, False, 2, -1, 1.0, "1"])
     def test_label_other_than_zero_or_one_rejected(self, label):
         with pytest.raises(InputError, match="point a: label"):
-            DataPoint(id="a", ts=0, text="", vec=np.zeros(3), label=label,
-                      label_source="corroborative")
+            DataPoint(id="a", ts=0, text="", vec=np.zeros(3), label=label)
 
     def test_nonfinite_vec_rejected(self):
         with pytest.raises(InputError):
@@ -57,8 +52,8 @@ class TestDataPoint:
 
     def test_with_label_copies(self):
         p = DataPoint(id="a", ts=0, text="", vec=np.zeros(3))
-        q = p.with_label(1, "corroborative")
-        assert p.label is None and q.label == 1 and q.label_source == "corroborative"
+        q = p.with_label(1)
+        assert p.label is None and q.label == 1
 
 
 class TestEmbed:

@@ -7,6 +7,7 @@ import pytest
 import driftstream.pipeline as pipeline
 from driftstream.cli import main as cli_main
 from driftstream.core import ConfigError, DataPoint, Embedder, InputError
+from driftstream.ensemble import predict_window
 from driftstream.pipeline import (
     PipelineConfig,
     aggregate_events,
@@ -17,6 +18,7 @@ from driftstream.pipeline import (
     replay,
     serialize_config,
 )
+from driftstream.pool import load_pool
 from driftstream.synth import SynthConfig, generate_synthetic
 
 
@@ -70,6 +72,18 @@ def tail_run(tmp_path_factory):
 
 def jsonl_rows(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def fail_boundary(monkeypatch, index):
+    """Make replay's ``on_drift`` raise at window ``index``."""
+    on_drift = pipeline.on_drift
+
+    def failing_on_drift(pool, verdicts, pool_cfg, window_index):
+        if window_index == index:
+            raise RuntimeError(f"boundary {index} failed")
+        return on_drift(pool, verdicts, pool_cfg, window_index)
+
+    monkeypatch.setattr(pipeline, "on_drift", failing_on_drift)
 
 
 class TestConfig:
@@ -353,14 +367,7 @@ class TestReplay:
     def test_closed_windows_are_on_disk_when_a_later_boundary_fails(
             self, small_run, tmp_path, monkeypatch):
         gen, cfg, full = small_run
-        on_drift = pipeline.on_drift
-
-        def failing_on_drift(pool, verdicts, pool_cfg, window_index):
-            if window_index == 2:
-                raise RuntimeError("boundary 2 failed")
-            return on_drift(pool, verdicts, pool_cfg, window_index)
-
-        monkeypatch.setattr(pipeline, "on_drift", failing_on_drift)
+        fail_boundary(monkeypatch, 2)
         run = tmp_path / "run"
         with pytest.raises(RuntimeError, match="boundary 2 failed"):
             replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=run)
@@ -369,6 +376,36 @@ class TestReplay:
             whole = (full.knowledgebase.parent / name).read_text()
             assert (run / name).read_text() == "".join(whole.splitlines(keepends=True)[:400])
         assert jsonl_rows(run / "window_stats.jsonl") == jsonl_rows(full.window_stats)[:2]
+
+    def test_rerun_into_a_used_directory_leaves_no_stale_artifact(
+            self, small_run, tmp_path, monkeypatch):
+        gen, cfg, full = small_run
+        run = tmp_path / "run"
+        shutil.copytree(full.knowledgebase.parent, run)
+        fail_boundary(monkeypatch, 1)
+        with pytest.raises(RuntimeError, match="boundary 1 failed"):
+            replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=run)
+        for name in ("knowledgebase.jsonl", "reports.csv", "events_histogram.json",
+                     "final_pool.json"):
+            assert not (run / name).exists(), name
+        assert (run / "static_pool.json").read_bytes() == full.static_pool.read_bytes()
+
+    def test_window_1_live_and_frozen_decisions_agree(self, small_run):
+        # at window 1 the live pool is still the bootstrap pool
+        _, cfg, result = small_run
+        live, frozen = (path.read_text().splitlines(keepends=True)[:cfg.window_size]
+                        for path in (result.decisions, result.baseline_decisions))
+        assert live == frozen
+
+    def test_static_checkpoint_restores_window_1_decisions(self, small_run):
+        gen, cfg, result = small_run
+        points, _ = load_stream(gen.stream_path, Embedder(cfg.embedder_config()))
+        window = points[cfg.window_size:2 * cfg.window_size]
+        rows = predict_window(load_pool(result.static_pool).models,
+                              np.vstack([p.vec for p in window]), cfg.k)
+        assert [json.dumps({"point_id": p.id, **r}, separators=(",", ":"))
+                for p, r in zip(window, rows)] == \
+            result.decisions.read_text().splitlines()[:cfg.window_size]
 
     def test_evaluate_windows_round_trip(self, small_run, tmp_path):
         gen, _, result = small_run
@@ -524,6 +561,19 @@ class TestCli:
         feed.write_text("")
         assert cli_main(["replay", "--stream", str(stream), "--corroborative",
                          str(feed), "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("line", ["knowledgebase=kb.jsonl", "reports=reports.csv"])
+    def test_output_path_keys_are_unknown(self, tmp_path, capsys, line):
+        # a replay writes only to --out; configs that name output files are refused
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(serialize_config(PipelineConfig(dim=8, window_size=10)) + line + "\n")
+        stream = tmp_path / "s.jsonl"
+        write_stream(stream, [stream_row(0, 1)])
+        feed = tmp_path / "c.jsonl"
+        feed.write_text("")
+        assert cli_main(["replay", "--stream", str(stream), "--corroborative",
+                         str(feed), "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 2
+        assert f"unknown key {line.partition('=')[0]!r}" in capsys.readouterr().err
 
     def test_input_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"

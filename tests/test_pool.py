@@ -9,7 +9,7 @@ import pytest
 from helpers import make_model, oracle_route, point, random_routing_fixture, vec_at_distance
 
 from driftstream import core
-from driftstream.core import SOURCE_CORROBORATIVE, DataPoint, InputError
+from driftstream.core import ConfigError, DataPoint, InputError
 from driftstream.drift import DriftVerdict
 from driftstream.ensemble import predict_window
 from driftstream.pool import (
@@ -37,7 +37,7 @@ def two_cluster_points(rng, n=120, dim=6, sep=1.0):
         center = np.zeros(dim)
         center[0] = sep if label else -sep
         vec = center + 0.15 * rng.standard_normal(dim)
-        pts.append(point(f"p{i}", vec, label=label, source="corroborative", ts=i))
+        pts.append(point(f"p{i}", vec, label=label, ts=i))
     return pts
 
 
@@ -53,6 +53,29 @@ class TestFScore:
 
     def test_zero_when_all_missed(self):
         assert f_score([1, 1], [0, 0]) == 0.0
+
+
+class TestPoolConfig:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"k": 0}, "k=0 out of range: must be >= 1"),
+        ({"delta": 0.0}, "delta=0.0 out of range: must be in (0, 1]"),
+        ({"delta": 1.5}, "delta=1.5 out of range: must be in (0, 1]"),
+        ({"delta": math.nan}, "delta=nan out of range: must be in (0, 1]"),
+        ({"min_train": 0}, "min_train=0 out of range: must be >= 1"),
+        ({"learn_rate": -1}, "learn_rate=-1 out of range: must be finite and > 0"),
+        ({"learn_rate": math.inf}, "learn_rate=inf out of range: must be finite and > 0"),
+        ({"epochs": -3}, "epochs=-3 out of range: must be >= 0"),
+        ({"lam": 2.0}, "lambda=2.0 out of range: must be auto or in [0, 1]"),
+        ({"lam": -0.5}, "lambda=-0.5 out of range: must be auto or in [0, 1]"),
+    ])
+    def test_out_of_range_value_refused(self, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            PoolConfig(**kwargs)
+        assert str(info.value) == message
+
+    def test_range_edges_accepted(self):
+        PoolConfig(k=1, delta=1.0, min_train=1, learn_rate=1e-9, epochs=0, lam=0.0)
+        PoolConfig(lam=1.0)
 
 
 class TestTrainClassifier:
@@ -77,7 +100,7 @@ class TestTrainClassifier:
 
     def test_single_class_deferred(self):
         rng = np.random.default_rng(2)
-        pts = [point(f"p{i}", rng.standard_normal(3), label=1, source="corroborative")
+        pts = [point(f"p{i}", rng.standard_normal(3), label=1)
                for i in range(60)]
         with pytest.raises(PoolError):
             train_classifier(pts, PoolConfig())
@@ -177,10 +200,8 @@ class TestProcessPoint:
         assert len(pool.general) == 0
         assert pool.models[0].memory.points[-1].id == "x"
 
-    @pytest.mark.parametrize("label, source", [
-        (None, None), (1, SOURCE_CORROBORATIVE), (0, SOURCE_CORROBORATIVE),
-    ])
-    def test_routing_leaves_weights_bit_identical(self, label, source):
+    @pytest.mark.parametrize("label", [None, 1, 0])
+    def test_routing_leaves_weights_bit_identical(self, label):
         pool = Pool()
         e1 = np.array([1.0, 0.0])
         pool.models.append(make_model("m1", e1, DeltaBand(0.6, 0.4, 0.6),
@@ -188,7 +209,7 @@ class TestProcessPoint:
         pool.models.append(make_model("m2", e1, DeltaBand(0.6, 0.2, 0.45),
                                       weights=np.array([-0.3, 0.2, 0.7]), created_at=1))
         before = [m.weights.copy() for m in pool.models]
-        x = point("x", vec_at_distance(0.5), label=label, source=source)
+        x = point("x", vec_at_distance(0.5), label=label)
         outcome = process_point(pool, x, PoolConfig(lam=0.7))
         # inside m1's band and in m2's generalization margin: both memories grow
         assert outcome.models_appended == ("m1", "m2")
@@ -198,7 +219,7 @@ class TestProcessPoint:
     def test_ground_truth_label_does_not_update(self):
         pool = Pool()
         pool.models.append(make_model("m1", np.array([1.0, 0.0]), DeltaBand(0.6, 0.4, 0.6)))
-        x = point("x", vec_at_distance(0.5), label=1, source="ground_truth")
+        x = point("x", vec_at_distance(0.5), label=1)
         assert process_point(pool, x, PoolConfig()).models_appended == ("m1",)
         np.testing.assert_array_equal(pool.models[0].weights.view(np.uint64),
                                       np.zeros(3).view(np.uint64))
@@ -324,7 +345,7 @@ class TestGeneralMemory:
         pool = Pool()
         pool.general.append(point("a", [1.0]))
         pool.general.append(point("b", [1.0]))
-        pool.apply_labels({"b": (1, SOURCE_CORROBORATIVE)})
+        pool.apply_labels({"b": 1})
         assert [p.id for p in pool.general.points if p.label is not None] == ["b"]
 
 
@@ -340,17 +361,16 @@ class TestApplyLabels:
         for i, w in enumerate(windows):
             w.append(point(f"u{i}", rng.standard_normal(3)))
             w.append(shared)
-            w.append(point(f"y{i}", rng.standard_normal(3), label=0, source=SOURCE_CORROBORATIVE))
+            w.append(point(f"y{i}", rng.standard_normal(3), label=0))
         sums = [w._vec_sum.copy() for w in windows]
-        labels = {"x": (1, SOURCE_CORROBORATIVE)}
-        labels.update({f"y{i}": (1, SOURCE_CORROBORATIVE) for i in range(len(windows))})
+        labels = {"x": 1}
+        labels.update({f"y{i}": 1 for i in range(len(windows))})
         pool.apply_labels(labels)
         for i, (w, vec_sum) in enumerate(zip(windows, sums)):
             np.testing.assert_array_equal(w._vec_sum.view(np.uint64), vec_sum.view(np.uint64))
-            got = {p.id: (p.label, p.label_source) for p in w.points[-3:]}
+            got = {p.id: p.label for p in w.points[-3:]}
             # a label already held is kept; unlabeled points without one stay so
-            assert got == {f"u{i}": (None, None), "x": (1, SOURCE_CORROBORATIVE),
-                           f"y{i}": (0, SOURCE_CORROBORATIVE)}
+            assert got == {f"u{i}": None, "x": 1, f"y{i}": 0}
             np.testing.assert_array_equal(w.points[-2].vec, shared.vec)
 
 
@@ -427,7 +447,7 @@ class TestEvaluateModels:
         pool = Pool()
         pool.models.append(self._model_with_band())
         in_band = vec_at_distance(0.5, dim=3)  # predictor outputs ~1 there
-        labeled = [point(f"p{i}", in_band, label=1, source="corroborative") for i in range(4)]
+        labeled = [point(f"p{i}", in_band, label=1) for i in range(4)]
         omegas = evaluate_models(pool, labeled, window_index=2)
         assert omegas["m1"] == 1.0
         assert pool.models[0].last_evaluated == 2
@@ -437,10 +457,10 @@ class TestEvaluateModels:
         pool.models.append(self._model_with_band())
         in_band = vec_at_distance(0.5, dim=3)
         labeled = [
-            point("a", in_band, label=1, source="corroborative"),
-            point("b", in_band, label=1, source="corroborative"),
-            point("c", in_band, label=0, source="corroborative"),
-            point("d", in_band, label=0, source="corroborative"),
+            point("a", in_band, label=1),
+            point("b", in_band, label=1),
+            point("c", in_band, label=0),
+            point("d", in_band, label=0),
         ]
         omegas = evaluate_models(pool, labeled)
         assert omegas["m1"] == pytest.approx(2.0 / 3.0)
@@ -449,7 +469,7 @@ class TestEvaluateModels:
         pool = Pool()
         pool.models.append(self._model_with_band())
         out_band = vec_at_distance(0.9, dim=3)
-        labeled = [point("a", out_band, label=1, source="corroborative")]
+        labeled = [point("a", out_band, label=1)]
         omegas = evaluate_models(pool, labeled)
         assert omegas["m1"] == 0.4
 
@@ -504,7 +524,7 @@ class TestCheckpoint:
                 memory.append(DataPoint(
                     id=f"{mid}-p{i}", ts=1_700_000_000 + i, text=f"Überschwemmung ☔ {i}",
                     vec=v, lat=None if i % 4 else -33.5, lon=None if i % 4 else 151.25,
-                    label=label, label_source=None if label is None else SOURCE_CORROBORATIVE,
+                    label=label,
                 ))
             weights = rng.standard_normal(self.D + 1)
             weights[: len(self.SPECIAL)] = self.SPECIAL
@@ -530,8 +550,8 @@ class TestCheckpoint:
 
     def _assert_windows_bit_equal(self, a, b):
         assert (a.capacity, a.id) == (b.capacity, b.id)
-        assert [(p.id, p.ts, p.lat, p.lon, p.text, p.label, p.label_source) for p in a.points] \
-            == [(p.id, p.ts, p.lat, p.lon, p.text, p.label, p.label_source) for p in b.points]
+        assert [(p.id, p.ts, p.lat, p.lon, p.text, p.label) for p in a.points] \
+            == [(p.id, p.ts, p.lat, p.lon, p.text, p.label) for p in b.points]
         for p, q in zip(a.points, b.points):
             np.testing.assert_array_equal(self._bits(p.vec), self._bits(q.vec))
         if a._vec_sum is None or b._vec_sum is None:
@@ -566,8 +586,7 @@ class TestCheckpoint:
         save_pool(pool, tmp_path / "a.json")
         doc = json.loads((tmp_path / "a.json").read_text())
         memory = doc["models"][0]["memory"]
-        assert list(memory["points"][0]) == ["id", "ts", "lat", "lon", "text", "label",
-                                             "label_source"]
+        assert list(memory["points"][0]) == ["id", "ts", "lat", "lon", "text", "label"]
         assert memory["vecs"]["shape"] == [40, self.D]
         assert memory["vec_sum"]["shape"] == [self.D]
         assert doc["models"][0]["weights"]["shape"] == [self.D + 1]
