@@ -39,7 +39,6 @@ from .pool import (
     PoolConfig,
     evaluate_models,
     on_drift,
-    predict_raw,
     process_point,
     train_classifier,
 )

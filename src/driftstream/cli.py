@@ -62,11 +62,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    cfg = SynthConfig(
-        schedule=args.schedule, n_windows=args.windows, seed=args.seed,
-        window_size=args.window_size, dim=args.dim,
-        corroborative_fraction=args.corroborative_fraction, jump=args.jump,
-    )
+    try:
+        cfg = SynthConfig(
+            schedule=args.schedule, n_windows=args.windows, seed=args.seed,
+            window_size=args.window_size, dim=args.dim,
+            corroborative_fraction=args.corroborative_fraction, jump=args.jump,
+        )
+    except ValueError as exc:  # refused before anything is written
+        raise ConfigError(str(exc)) from exc
     result = generate_synthetic(cfg, args.out)
     run_cfg = PipelineConfig(
         window_size=cfg.window_size, dim=cfg.dim, embed_mode="table",
@@ -109,6 +112,7 @@ def _print_reports(reports) -> int:
 
 
 def _cmd_band(args) -> int:
+    PipelineConfig(delta=args.delta)  # refuses a delta outside (0, 1] before the stream is read
     if args.config:
         embedder = Embedder(load_config(args.config).embedder_config())
     else:

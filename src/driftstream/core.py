@@ -127,7 +127,7 @@ class DataPoint:
         object.__setattr__(self, "vec", vec)
         if vec.ndim != 1:
             raise InputError(f"point {self.id}: vec must be 1-d, got shape {vec.shape}")
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise InputError(f"point {self.id}: vec has non-finite components")
         check_geo(self.lat, self.lon, f"point {self.id}: ")
         if self.label is not None:

@@ -13,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import centroid_cosine_distances
-from .pool import ModelRecord, sigmoid
+from .pool import ModelRecord, score_columns
 
 
 def team_weights(members: Sequence[tuple[float, float]]) -> np.ndarray:
@@ -50,11 +49,7 @@ def predict_window(
     if not models:
         return [{"team": [], "p": None, "label": None} for _ in range(len(X))]
     ordered = sorted(models, key=lambda m: (m.created_at, m.id))
-    # one column per model, so that bit-equal centroids give bit-equal columns
-    # (a single X @ C.T may round one column differently and break the tie)
-    dist = np.column_stack([centroid_cosine_distances(X, m.centroid) for m in ordered])
-    logits = np.column_stack([X @ m.weights[:-1] + m.weights[-1] for m in ordered])
-    probs = np.clip(sigmoid(logits), 1e-15, 1.0 - 1e-15)
+    dist, probs = score_columns(ordered, X)
     team = np.argsort(dist, axis=1, kind="stable")[:, :k]
     d = np.take_along_axis(dist, team, axis=1)
     omega = np.array([m.omega for m in ordered])

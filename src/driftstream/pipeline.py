@@ -38,7 +38,6 @@ from .core import (
     Embedder,
     EmbedderConfig,
     InputError,
-    check_geo,
     check_label,
     check_ranges,
     check_string,
@@ -57,31 +56,26 @@ from .pool import (
     process_point,
     save_pool,
 )
-from .windows import DataWindow, DEFAULT_DELTA, DEFAULT_WINDOW_SIZE
+from .windows import DataWindow, DEFAULT_WINDOW_SIZE
 
 
 @dataclass
-class PipelineConfig:
-    """Flat run configuration; round-trips through the key=value file format.
+class PipelineConfig(PoolConfig):
+    """Flat run configuration, :class:`PoolConfig`'s settings first; round-trips
+    through the key=value file format.
 
     Numeric settings outside the ranges the pipeline works in are a
     :class:`ConfigError` at construction.
     """
 
     window_size: int = DEFAULT_WINDOW_SIZE
-    delta: float = DEFAULT_DELTA
     kl_threshold: float = DEFAULT_KL_THRESHOLD
-    k: int = 5
-    lam: float | None = None
     pad_seconds: float = 86400.0
     dim: int = 300
     embed_mode: str = "feature_hash"
     table_path: str | None = None
     hash_seed: int = 0
     seed: int = 0
-    min_train: int = 50
-    learn_rate: float = 0.1
-    epochs: int = 20
     bins: int = DEFAULT_BINS
     stream: str | None = None
     corroborative: str | None = None
@@ -93,19 +87,13 @@ class PipelineConfig:
             "kl_threshold": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
             "pad_seconds": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
         })
-        self.pool_config()  # refuses a bad pool setting here, not at replay
-        self.embedder_config()  # and a bad dim or embed_mode
+        super().__post_init__()
+        self.embedder_config()  # refuses a bad dim or embed_mode here, not at replay
 
     def embedder_config(self) -> EmbedderConfig:
         return EmbedderConfig(
             dim=self.dim, mode=self.embed_mode,
             table_path=self.table_path, hash_seed=self.hash_seed,
-        )
-
-    def pool_config(self) -> PoolConfig:
-        return PoolConfig(
-            lam=self.lam, delta=self.delta, k=self.k, min_train=self.min_train,
-            learn_rate=self.learn_rate, epochs=self.epochs,
         )
 
 
@@ -193,24 +181,23 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
     separate id-to-label map used only for evaluation. The stream must be
     sorted by timestamp, point ids must be unique strings, and a text, when
     present, must be a string. Every line is checked first; then all texts
-    are embedded at once, and each point's ``vec`` is a read-only row of that
-    one block. The first bad line is the one reported.
+    are embedded at once, each point's ``vec`` is a read-only row of that one
+    block, and :class:`DataPoint`'s rules refuse a bad point. The first bad
+    line is reported; a bad point comes before the other faults of its line.
     """
     rows: list[tuple[int, str, int, object, object]] = []  # lineno, id, ts, lat, lon
     texts: list[str] = []
     truth: dict[str, int] = {}
     first_line: dict[str, int] = {}
     last_ts = None
+    fault = None  # the first bad line, raised once the points before it are built
     try:
         for lineno, line in read_lines(path, InputError, "stream"):
             try:
                 d = json.loads(line)
                 ts, point_id = check_ts(d["ts"]), check_string(d["id"], "id")
                 texts.append(check_string(d.get("text", ""), "text"))
-                lat, lon = d.get("lat"), d.get("lon")
-                # a non-finite embedding of this line comes before its other faults
-                rows.append((lineno, point_id, ts, lat, lon))
-                check_geo(lat, lon, f"point {point_id}: ")
+                rows.append((lineno, point_id, ts, d.get("lat"), d.get("lon")))
                 if d.get("label") is not None:
                     truth[point_id] = check_label(d["label"])
             except (KeyError, ValueError, TypeError, InputError) as exc:
@@ -221,28 +208,19 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
             if first != lineno:
                 raise InputError(f"{path}:{lineno}: duplicate id {point_id!r}, first on line {first}")
             last_ts = ts
-    except InputError:
-        _embed_rows(path, rows, texts, embedder)  # raises for an earlier bad line
-        raise
-    vecs = _embed_rows(path, rows, texts, embedder)
-    points = [
-        DataPoint(id=point_id, ts=ts, text=text, vec=vec, lat=lat, lon=lon)
-        for (_, point_id, ts, lat, lon), text, vec in zip(rows, texts, vecs)
-    ]
-    return points, truth
-
-
-def _embed_rows(path, rows, texts, embedder: Embedder) -> np.ndarray:
-    """The read-only embedding block of ``texts``; a non-finite row is an
-    :class:`InputError` naming its stream line."""
+    except InputError as exc:
+        fault = exc
     vecs = embedder.embed_all(texts)
     vecs.flags.writeable = False
-    bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
-    if bad.size:
-        lineno, point_id = rows[bad[0]][:2]
-        raise InputError(f"{path}:{lineno}: malformed stream line: "
-                         f"point {point_id}: vec has non-finite components")
-    return vecs
+    points = []
+    for (lineno, point_id, ts, lat, lon), text, vec in zip(rows, texts, vecs):
+        try:
+            points.append(DataPoint(id=point_id, ts=ts, text=text, vec=vec, lat=lat, lon=lon))
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: malformed stream line: {exc}") from exc
+    if fault is not None:
+        raise fault
+    return points, truth
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +404,6 @@ def replay(
                  out / "static_pool.json", out / "final_pool.json"):
         path.unlink(missing_ok=True)
     pool = Pool(general_capacity=cfg.window_size)
-    pool_cfg = cfg.pool_config()
     bootstrap = None  # a frozen copy of the pool after window 0
     positives: list[tuple[DataPoint, float]] = []
     report_rows: list[WindowReport] = []
@@ -448,7 +425,7 @@ def replay(
                     rows[name] = [{"point_id": p.id, **d}
                                   for p, d in zip(window, predict_window(models, X, cfg.k))]
             for point in window:
-                process_point(pool, point, pool_cfg)
+                process_point(pool, point, cfg)
 
             assignments = assign_labels(window, events, cfg.pad_seconds)
             label_map = {a.point_id: a.label for a in assignments}
@@ -466,7 +443,7 @@ def replay(
                 )
                 if verdict is not None:
                     verdicts[model.id] = verdict
-            on_drift(pool, verdicts, pool_cfg, index)
+            on_drift(pool, verdicts, cfg, index)
 
             if index == 0:
                 bootstrap = pool.snapshot()

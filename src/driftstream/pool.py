@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataPoint, InputError, check_ranges, cosine_distance
+from .core import DataPoint, InputError, centroid_cosine_distances, check_ranges, cosine_distance
 from .windows import (
+    DEFAULT_DELTA,
     INSIDE,
     OUTSIDE,
     DataWindow,
@@ -29,6 +30,7 @@ from .windows import (
     band_membership,
     centroid_distances,
     empirical_delta_band,
+    in_band,
 )
 
 log = logging.getLogger(__name__)
@@ -47,7 +49,7 @@ class PoolConfig:
     """Knobs for routing, training, and team selection, range-checked at construction."""
 
     lam: float | None = None  # None: per model, band.hi + LAMBDA_MARGIN capped at 1
-    delta: float = 0.6
+    delta: float = DEFAULT_DELTA
     k: int = 5
     min_train: int = 50
     learn_rate: float = 0.1
@@ -188,13 +190,18 @@ def _fit_logistic(x, y, cfg: PoolConfig, init: np.ndarray | None) -> np.ndarray:
     return w
 
 
-def predict_raw(model: ModelRecord, point: DataPoint) -> float:
-    """Classifier probability sigmoid(w.x + b), kept strictly inside (0, 1)."""
-    w = model.weights
-    if len(point.vec) + 1 != len(w):
-        raise InputError(f"dim mismatch: point {len(point.vec)}, weights {len(w)}")
-    z = float(point.vec @ w[:-1] + w[-1])
-    return float(np.clip(sigmoid(np.float64(z)), 1e-15, 1.0 - 1e-15))
+def score_columns(models: list[ModelRecord], X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dist, probs) with one column per model: the cosine distance of each row
+    of ``X`` to model j's memory centroid, and model j's probability
+    sigmoid(w.x + b) of the row, kept strictly inside (0, 1)."""
+    dist = np.empty((len(X), len(models)))
+    logits = np.empty((len(X), len(models)))
+    # one column per model, so that bit-equal centroids give bit-equal columns
+    # (a single X @ C.T may round one column differently and break a tie)
+    for j, m in enumerate(models):
+        dist[:, j] = centroid_cosine_distances(X, m.centroid)
+        logits[:, j] = X @ m.weights[:-1] + m.weights[-1]
+    return dist, np.clip(sigmoid(logits), 1e-15, 1.0 - 1e-15)
 
 
 def train_classifier(
@@ -314,20 +321,13 @@ def evaluate_models(pool: Pool, labeled: list[DataPoint], window_index: int | No
     """
     if not labeled:
         raise InputError("need at least one labeled point")
+    y = np.array([p.label for p in labeled])
+    dist, probs = score_columns(pool.models, np.stack([p.vec for p in labeled]))
     omegas: dict[str, float] = {}
-    norms = [float(np.linalg.norm(p.vec)) for p in labeled]
-    for model in pool.models:
-        centroid, centroid_norm = model.memory.centroid, model.memory.centroid_norm
-        # inside/outside does not depend on lambda, so the minimal one is fine
-        in_band = []
-        for p, norm in zip(labeled, norms):
-            d = cosine_distance(p.vec, centroid, norm, centroid_norm)
-            if band_membership(model.band, d, model.band.hi) == INSIDE:
-                in_band.append(p)
-        if in_band:
-            y = np.array([p.label for p in in_band])
-            preds = np.array([1 if predict_raw(model, p) >= 0.5 else 0 for p in in_band])
-            model.omega = f_score(y, preds)
+    for j, model in enumerate(pool.models):
+        rows = in_band(model.band, dist[:, j])
+        if rows.any():
+            model.omega = f_score(y[rows], probs[rows, j] >= 0.5)
             if window_index is not None:
                 model.last_evaluated = window_index
         omegas[model.id] = model.omega

@@ -53,6 +53,8 @@ class SynthConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.n_windows < 2:
             raise ValueError("need at least 2 windows")
+        if self.window_size < 1:
+            raise ValueError("need window_size >= 1")
         if self.dim < 3:
             raise ValueError("need dim >= 3 for the drift geometry")
 

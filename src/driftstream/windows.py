@@ -184,6 +184,14 @@ def unit_hypersphere_volume(d: int) -> float:
     return 0.5**d * math.pi ** (0.5 * d) / math.gamma(0.5 * d + 1.0)
 
 
+def in_band(band: DeltaBand, dist):
+    """The INSIDE rule, elementwise on an array of distances: lo < dist < hi,
+    or dist == lo when the band is degenerate."""
+    if band.lo == band.hi:
+        return dist == band.lo
+    return (band.lo < dist) & (dist < band.hi)
+
+
 def band_membership(band: DeltaBand, dist: float, lam: float) -> str:
     """Classify a distance against a band and its generalization margin.
 
@@ -192,10 +200,7 @@ def band_membership(band: DeltaBand, dist: float, lam: float) -> str:
     """
     if lam < band.hi:
         raise ConfigError(f"lambda {lam} below band hi {band.hi}")
-    if band.lo == band.hi:
-        if dist == band.lo:
-            return INSIDE
-    elif band.lo < dist < band.hi:
+    if in_band(band, dist):
         return INSIDE
     if band.hi <= dist < lam:
         return GENERALIZATION

@@ -1,16 +1,16 @@
 """Shared fixtures-by-hand for the test suite: geometry builders, the
 independent routing oracle, the pair-by-pair labeling reference, the
-point-by-point team prediction reference and the text-by-text embedding
-reference."""
+scalar classifier with the point-by-point team prediction and model
+evaluation references built on it, and the text-by-text embedding reference."""
 
 import math
 
 import numpy as np
 
-from driftstream.core import DataPoint, _token_bucket_sign, tokenize
+from driftstream.core import DataPoint, _token_bucket_sign, cosine_distance, tokenize
 from driftstream.corroborate import LabelAssignment, _time_offset, haversine_km
-from driftstream.pool import ModelRecord, k_nearest, predict_raw
-from driftstream.windows import DataWindow, DeltaBand
+from driftstream.pool import ModelRecord, f_score, k_nearest, sigmoid
+from driftstream.windows import INSIDE, DataWindow, DeltaBand, band_membership
 
 
 def point(pid, vec, label=None, ts=0):
@@ -118,6 +118,31 @@ def reference_assign_labels(points, events, pad_seconds):
                 )
             )
     return out
+
+
+def predict_raw(model, point):
+    """The scalar classifier: sigmoid(w.x + b) of one point, kept strictly inside (0, 1)."""
+    w = model.weights
+    z = float(point.vec @ w[:-1] + w[-1])
+    return float(np.clip(sigmoid(np.float64(z)), 1e-15, 1.0 - 1e-15))
+
+
+def reference_evaluate_models(pool, labeled, window_index=None):
+    """Omega refreshed model by model and point by point with the scalar
+    distance, band_membership and the scalar classifier; evaluate_models must
+    leave every model with the same omega and last_evaluated."""
+    omegas = {}
+    for model in pool.models:
+        in_band = [p for p in labeled
+                   if band_membership(model.band, cosine_distance(p.vec, model.centroid),
+                                      model.band.hi) == INSIDE]
+        if in_band:
+            model.omega = f_score([p.label for p in in_band],
+                                  [1 if predict_raw(model, p) >= 0.5 else 0 for p in in_band])
+            if window_index is not None:
+                model.last_evaluated = window_index
+        omegas[model.id] = model.omega
+    return omegas
 
 
 def reference_predict(models, x, k):

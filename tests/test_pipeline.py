@@ -230,6 +230,26 @@ class TestLoadStream:
                 InputError, match=r":2: malformed stream line: point p1: vec has non-finite"):
             load_stream(path, embedder)
 
+    @pytest.mark.parametrize("label,line4", [
+        (None, "{not json"),
+        (None, '{"id":"p3","ts":"x"}'),
+        (None, '{"id":"p3","ts":1}'),
+        (None, '{"id":"p0","ts":9}'),
+        (None, '{"id":"p3","ts":9,"label":2}'),
+        (2, None),
+    ])
+    def test_bad_coordinates_reported_before_a_later_or_same_line_fault(self, tmp_path, label,
+                                                                      line4):
+        path = tmp_path / "s.jsonl"
+        write_stream(path, [stream_row(0, 1), stream_row(1, 2, lat=100.0, label=label),
+                            stream_row(2, 3)])
+        if line4 is not None:
+            with path.open("a") as fh:
+                fh.write(line4 + "\n")
+        with pytest.raises(InputError, match=r"s\.jsonl:2: malformed stream line: "
+                                             r"point p1: lat 100\.0 out of range$"):
+            load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+
     def test_point_vectors_are_read_only_rows_of_one_block(self, tmp_path):
         path = tmp_path / "s.jsonl"
         write_stream(path, [stream_row(0, 1, text="flood rain"), stream_row(1, 2, text="")])
@@ -526,6 +546,23 @@ class TestCli:
                          "--delta", "0.6", "--config", str(config)]) == 0
         printed = capsys.readouterr().out
         assert "empirical band" in printed and "hypersphere" in printed
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--window-size", "0"), ("--windows", "1"), ("--dim", "2"),
+    ])
+    def test_gen_out_of_range_argument_is_config_error_writing_nothing(self, tmp_path, capsys,
+                                                                        flag, value):
+        out = tmp_path / "data"
+        assert cli_main(["gen", flag, value, "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("delta", ["1.5", "0", "nan"])
+    def test_band_delta_out_of_range_is_config_error_before_the_stream_is_read(
+            self, tmp_path, capsys, delta):
+        missing = tmp_path / "absent.jsonl"
+        assert cli_main(["band", "--window", str(missing), "--delta", delta]) == 2
+        assert f"config error: delta={float(delta)} out of range" in capsys.readouterr().err
 
     def test_replay_reads_paths_from_config(self, tmp_path):
         out = tmp_path / "data"

@@ -6,7 +6,16 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import make_model, oracle_route, point, random_routing_fixture, vec_at_distance
+from helpers import (
+    make_model,
+    oracle_route,
+    point,
+    random_routing_fixture,
+    reference_evaluate_models,
+    vec_at_distance,
+)
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from driftstream import core
 from driftstream.core import ConfigError, DataPoint, InputError
@@ -22,12 +31,42 @@ from driftstream.pool import (
     load_pool,
     logistic_loss_and_grad,
     on_drift,
-    predict_raw,
     process_point,
     save_pool,
+    score_columns,
     train_classifier,
 )
 from driftstream.windows import DataWindow, DeltaBand, centroid_distances, empirical_delta_band
+
+
+@st.composite
+def evaluation_inputs(draw):
+    """A pool of 1-5 models in d=2..6, some sharing a centroid or with a
+    degenerate lo == hi band, and labeled points, some equal to a centroid."""
+    dim = draw(st.integers(2, 6))
+    vector = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(np.array)
+    pool, centroids = Pool(), []
+    for j in range(draw(st.integers(1, 5))):
+        shared = bool(centroids) and draw(st.booleans())
+        centroid = draw(st.sampled_from(centroids)) if shared else draw(vector)
+        centroids.append(centroid)
+        lo = draw(st.floats(0.0, 1.0))
+        hi = lo if draw(st.booleans()) else draw(st.floats(lo, 1.0))
+        weights = draw(st.lists(st.floats(-5.0, 5.0), min_size=dim + 1, max_size=dim + 1))
+        pool.models.append(make_model(f"m{j}", centroid, DeltaBand(0.6, lo, hi),
+                                      weights=weights, omega=draw(st.floats(0.0, 1.0)),
+                                      created_at=j))
+    labeled = [
+        point(f"p{i}", draw(st.sampled_from(centroids)) if draw(st.booleans()) else draw(vector),
+              label=draw(st.integers(0, 1)))
+        for i in range(draw(st.integers(1, 8)))
+    ]
+    return pool, labeled
+
+
+def probability(model, vec):
+    """Model's probability of one vector: its cell of score_columns' probability column."""
+    return score_columns([model], np.array([vec], dtype=float))[1][0, 0]
 
 
 def two_cluster_points(rng, n=120, dim=6, sep=1.0):
@@ -81,7 +120,7 @@ class TestPoolConfig:
 class TestTrainClassifier:
     def test_fresh_record_with_zero_weights_predicts_half(self):
         model = make_model("m", np.array([1.0, 0.0]), DeltaBand(0.6, 0.0, 1.0))
-        assert predict_raw(model, point("x", [0.3, -0.8])) == 0.5
+        assert probability(model, [0.3, -0.8]) == 0.5
 
     def test_separable_clusters_reach_high_f_score(self):
         rng = np.random.default_rng(0)
@@ -164,29 +203,29 @@ class TestGradient:
             assert abs(grad[j] - numeric) <= 1e-5 * max(1.0, abs(numeric))
 
 
-class TestPredictRaw:
+class TestScoreColumns:
     def test_zero_weights(self):
         model = make_model("m", np.array([1.0, 0.0, 0.0]), DeltaBand(0.6, 0.0, 1.0))
-        assert predict_raw(model, point("x", [1.0, 2.0, 3.0])) == 0.5
+        assert probability(model, [1.0, 2.0, 3.0]) == 0.5
 
     def test_saturation(self):
         x = np.array([1.0, 0.0, 0.0])
         model = make_model("m", x, DeltaBand(0.6, 0.0, 1.0),
                            weights=np.array([50.0, 0.0, 0.0, 0.0]))
-        assert predict_raw(model, point("x", x)) >= 0.99
+        assert probability(model, x) >= 0.99
 
     def test_worked_sigmoid(self):
         model = make_model("m", np.array([1.0, 0.0, 0.0]), DeltaBand(0.6, 0.0, 1.0),
                            weights=np.array([1.0, -1.0, 0.0, 0.0]))
         expected = 1.0 / (1.0 + math.exp(-1.0))
         assert expected == pytest.approx(0.73106, abs=1e-5)
-        assert predict_raw(model, point("x", [1.0, 0.0, 0.0])) == pytest.approx(expected)
+        assert probability(model, [1.0, 0.0, 0.0]) == pytest.approx(expected)
 
     def test_always_strictly_inside_unit_interval(self):
         model = make_model("m", np.array([1.0, 0.0]), DeltaBand(0.6, 0.0, 1.0),
                            weights=np.array([1e6, 0.0, 0.0]))
-        p_hi = predict_raw(model, point("a", [1.0, 0.0]))
-        p_lo = predict_raw(model, point("b", [-1.0, 0.0]))
+        p_hi = probability(model, [1.0, 0.0])
+        p_lo = probability(model, [-1.0, 0.0])
         assert 0.0 < p_lo < p_hi < 1.0
 
 
@@ -472,6 +511,23 @@ class TestEvaluateModels:
         labeled = [point("a", out_band, label=1)]
         omegas = evaluate_models(pool, labeled)
         assert omegas["m1"] == 0.4
+
+    @given(evaluation_inputs(), st.one_of(st.none(), st.integers(0, 9)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_point_by_point_reference(self, inputs, window_index):
+        pool, labeled = inputs
+        # a distance on a band edge or a logit at 0 may round either way in a block
+        for model in pool.models:
+            w = model.weights
+            for p in labeled:
+                d = core.cosine_distance(p.vec, model.centroid)
+                assume(abs(d - model.band.lo) > 1e-9 and abs(d - model.band.hi) > 1e-9)
+                assume(abs(float(p.vec @ w[:-1] + w[-1])) > 1e-9)
+        reference = copy.deepcopy(pool)
+        expected = reference_evaluate_models(reference, labeled, window_index)
+        assert evaluate_models(pool, labeled, window_index) == expected
+        assert ([(m.omega, m.last_evaluated) for m in pool.models]
+                == [(m.omega, m.last_evaluated) for m in reference.models])
 
 
 class TestCheckpoint:
