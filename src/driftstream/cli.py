@@ -18,8 +18,9 @@ from .pipeline import (
     replay,
     save_config,
 )
-from .synth import SynthConfig, generate_synthetic
+from .synth import SCHEDULES, SynthConfig, generate_synthetic
 from .windows import (
+    DEFAULT_DELTA,
     DataWindow,
     GaussianBandEstimate,
     centroid_distances,
@@ -34,14 +35,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic drifting stream")
-    gen.add_argument("--schedule", choices=["gradual", "sudden", "cyclic"], default="sudden")
-    gen.add_argument("--windows", type=int, default=6)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--schedule", choices=SCHEDULES, default=SynthConfig.schedule)
+    gen.add_argument("--windows", type=int, default=SynthConfig.n_windows)
+    gen.add_argument("--seed", type=int, default=SynthConfig.seed)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--window-size", type=int, default=3000)
-    gen.add_argument("--dim", type=int, default=32)
-    gen.add_argument("--corroborative-fraction", type=float, default=0.03)
-    gen.add_argument("--jump", type=float, default=1.0)
+    gen.add_argument("--window-size", type=int, default=SynthConfig.window_size)
+    gen.add_argument("--dim", type=int, default=SynthConfig.dim)
+    gen.add_argument("--corroborative-fraction", type=float,
+                     default=SynthConfig.corroborative_fraction)
+    gen.add_argument("--jump", type=float, default=SynthConfig.jump)
 
     rep = sub.add_parser("replay", help="replay a stream against corroborative events")
     rep.add_argument("--stream", help="stream JSONL (default: the config's stream=)")
@@ -56,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     band = sub.add_parser("band", help="band diagnostics for a window of points")
     band.add_argument("--window", required=True, help="stream JSONL file")
-    band.add_argument("--delta", type=float, default=0.6)
+    band.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     band.add_argument("--config", default=None)
     return parser
 
@@ -113,10 +115,7 @@ def _print_reports(reports) -> int:
 
 def _cmd_band(args) -> int:
     PipelineConfig(delta=args.delta)  # refuses a delta outside (0, 1] before the stream is read
-    if args.config:
-        embedder = Embedder(load_config(args.config).embedder_config())
-    else:
-        embedder = Embedder(EmbedderConfig())
+    embedder = Embedder(load_config(args.config) if args.config else EmbedderConfig())
     points, _ = load_stream(args.window, embedder)
     if not points:
         raise InputError("window file has no points")

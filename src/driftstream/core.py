@@ -8,6 +8,7 @@ hashing (no external model) or a lookup table of precomputed vectors.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import numbers
 import re
@@ -29,6 +30,11 @@ MIN_TS = -62135596800
 MAX_TS = 253402300799
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+# The config-file key of each setting whose field name differs from its key.
+CONFIG_KEYS = {"lam": "lambda"}
+
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 class ConfigError(Exception):
@@ -59,8 +65,12 @@ def check_ranges(config, ranges: dict) -> None:
     for key, (ok, rule) in ranges.items():
         value = getattr(config, key)
         if not ok(value):
-            name = "lambda" if key == "lam" else key
-            raise ConfigError(f"{name}={value} out of range: must be {rule}")
+            raise ConfigError(f"{CONFIG_KEYS.get(key, key)}={value} out of range: must be {rule}")
+
+
+def json_line(obj) -> str:
+    """``obj`` as one line of compact JSON, newline included."""
+    return _JSON.encode(obj) + "\n"
 
 
 # Field rules of the data types and file readers: each raises an InputError naming
@@ -148,16 +158,16 @@ class EmbedderConfig:
     """How to turn text into a fixed-dimension vector."""
 
     dim: int = DEFAULT_DIM
-    mode: str = "feature_hash"  # or "table"
+    embed_mode: str = "feature_hash"  # or "table"
     table_path: str | None = None
     hash_seed: int = 0
 
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigError(f"embedding dim must be positive, got {self.dim}")
-        if self.mode not in ("feature_hash", "table"):
-            raise ConfigError(f"unknown embed_mode {self.mode!r}")
-        if self.mode == "table" and not self.table_path:
+        if self.embed_mode not in ("feature_hash", "table"):
+            raise ConfigError(f"unknown embed_mode {self.embed_mode!r}")
+        if self.embed_mode == "table" and not self.table_path:
             raise ConfigError("table mode requires table_path")
 
 
@@ -257,7 +267,7 @@ class Embedder:
     def __init__(self, cfg: EmbedderConfig):
         self.cfg = cfg
         self._table: dict[str, np.ndarray] | None = None
-        if cfg.mode == "table":
+        if cfg.embed_mode == "table":
             self._table = load_embedding_table(cfg.table_path, cfg.dim)
 
     def embed(self, text: str) -> np.ndarray:

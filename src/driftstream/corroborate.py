@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
-    DataPoint, InputError, check_coordinates, check_string, check_ts, is_number, read_lines
+    DataPoint, InputError, check_coordinates, check_string, check_ts, is_number, json_line,
+    read_lines,
 )
 
 EARTH_RADIUS_KM = 6371.0088
@@ -205,4 +206,4 @@ def load_events(path: str | Path) -> list[CorroborativeEvent]:
 def save_events(events: Iterable[CorroborativeEvent], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for e in events:
-            fh.write(json.dumps(asdict(e), separators=(",", ":")) + "\n")
+            fh.write(json_line(asdict(e)))

@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    CONFIG_KEYS,
     ConfigError,
     DataPoint,
     Embedder,
@@ -42,9 +43,10 @@ from .core import (
     check_ranges,
     check_string,
     check_ts,
+    json_line,
     read_lines,
 )
-from .corroborate import assign_labels, load_events
+from .corroborate import DEFAULT_PAD_SECONDS, assign_labels, load_events
 from .drift import DEFAULT_KL_THRESHOLD, DEFAULT_BINS, detect_drift
 from .ensemble import predict_window
 from .pool import (
@@ -59,22 +61,19 @@ from .pool import (
 from .windows import DataWindow, DEFAULT_WINDOW_SIZE
 
 
-@dataclass
-class PipelineConfig(PoolConfig):
-    """Flat run configuration, :class:`PoolConfig`'s settings first; round-trips
-    through the key=value file format.
+@dataclass(frozen=True)
+class PipelineConfig(PoolConfig, EmbedderConfig):
+    """Flat run configuration: :class:`EmbedderConfig`'s settings, then
+    :class:`PoolConfig`'s, then the run's own; round-trips through the
+    key=value file format.
 
-    Numeric settings outside the ranges the pipeline works in are a
-    :class:`ConfigError` at construction.
+    A setting outside the range the pipeline works in is a
+    :class:`ConfigError` at construction, and a config never changes after.
     """
 
     window_size: int = DEFAULT_WINDOW_SIZE
     kl_threshold: float = DEFAULT_KL_THRESHOLD
-    pad_seconds: float = 86400.0
-    dim: int = 300
-    embed_mode: str = "feature_hash"
-    table_path: str | None = None
-    hash_seed: int = 0
+    pad_seconds: float = DEFAULT_PAD_SECONDS
     seed: int = 0
     bins: int = DEFAULT_BINS
     stream: str | None = None
@@ -87,17 +86,15 @@ class PipelineConfig(PoolConfig):
             "kl_threshold": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
             "pad_seconds": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
         })
-        super().__post_init__()
-        self.embedder_config()  # refuses a bad dim or embed_mode here, not at replay
+        PoolConfig.__post_init__(self)
+        EmbedderConfig.__post_init__(self)
 
     def embedder_config(self) -> EmbedderConfig:
-        return EmbedderConfig(
-            dim=self.dim, mode=self.embed_mode,
-            table_path=self.table_path, hash_seed=self.hash_seed,
-        )
+        """The embedding settings, which this config itself holds."""
+        return self
 
 
-_CONFIG_KEY_ALIASES = {"lambda": "lam"}
+_FIELD_OF_KEY = {key: name for name, key in CONFIG_KEYS.items()}
 _NONE_TOKEN = "auto"
 _INT_KEYS = {"window_size", "k", "dim", "hash_seed", "seed", "min_train", "epochs", "bins"}
 _FLOAT_KEYS = {"delta", "kl_threshold", "lam", "pad_seconds", "learn_rate"}
@@ -105,12 +102,8 @@ _OPTIONAL_KEYS = {f.name for f in fields(PipelineConfig) if f.default is None}
 
 
 def serialize_config(cfg: PipelineConfig) -> str:
-    lines = []
-    for f in fields(PipelineConfig):
-        key = "lambda" if f.name == "lam" else f.name
-        value = getattr(cfg, f.name)
-        lines.append(f"{key}={_NONE_TOKEN if value is None else value}")
-    return "\n".join(lines) + "\n"
+    values = {CONFIG_KEYS.get(f.name, f.name): getattr(cfg, f.name) for f in fields(cfg)}
+    return "".join(f"{key}={_NONE_TOKEN if v is None else v}\n" for key, v in values.items())
 
 
 def parse_config(text: str) -> PipelineConfig:
@@ -129,7 +122,7 @@ def _config_from(lines) -> PipelineConfig:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
         name, _, raw = line.partition("=")
-        key = _CONFIG_KEY_ALIASES.get(name.strip(), name.strip())
+        key = _FIELD_OF_KEY.get(name.strip(), name.strip())
         if key not in known:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
@@ -392,7 +385,7 @@ def replay(
     out_dir: str | Path,
 ) -> ReplayResult:
     """Replay a stream against a corroborative feed, writing all artifacts to ``out_dir``."""
-    embedder = Embedder(cfg.embedder_config())
+    embedder = Embedder(cfg)
     points, truth = load_stream(stream_path, embedder)
     events = load_events(corroborative_path)
 
@@ -472,9 +465,7 @@ def replay(
     with open(kb_path, "w", encoding="utf-8") as fh:
         _write_jsonl(fh, (e.record() for e in detected))
     (out / "events_histogram.json").write_text(
-        json.dumps({str(k): histogram[k] for k in sorted(histogram)}, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+        json_line({str(k): histogram[k] for k in sorted(histogram)}), encoding="utf-8")
     write_reports_csv(report_rows, reports_path)
     save_pool(pool, out / "final_pool.json")
 
@@ -491,7 +482,7 @@ def replay(
 def _write_jsonl(fh, rows) -> None:
     """Append ``rows`` to the open text file ``fh``, one compact JSON object a line."""
     for row in rows:
-        fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+        fh.write(json_line(row))
 
 
 def evaluate_windows(run_dir: str | Path, truth_path: str | Path) -> list[WindowReport]:

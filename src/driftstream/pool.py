@@ -20,7 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataPoint, InputError, centroid_cosine_distances, check_ranges, cosine_distance
+from .core import (
+    DataPoint, InputError, centroid_cosine_distances, check_ranges, cosine_distance, json_line
+)
 from .windows import (
     DEFAULT_DELTA,
     INSIDE,
@@ -44,7 +46,7 @@ class PoolError(Exception):
     """Training preconditions not met; caller should defer."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoolConfig:
     """Knobs for routing, training, and team selection, range-checked at construction."""
 
@@ -357,41 +359,26 @@ def _decode_f8(block: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
-def _points_to_json(points: list[DataPoint]) -> tuple[list[dict], dict]:
-    meta = [
-        {"id": p.id, "ts": p.ts, "lat": p.lat, "lon": p.lon, "text": p.text, "label": p.label}
-        for p in points
-    ]
-    vecs = np.stack([p.vec for p in points]) if points else np.empty((0, 0))
-    return meta, _encode_f8(vecs)
-
-
-def _points_from_json(meta: list[dict], vecs_block: dict) -> list[DataPoint]:
-    vecs = _decode_f8(vecs_block)
-    if len(vecs) != len(meta) or (meta and vecs.ndim != 2):
-        raise ValueError(f"{len(meta)} points but vector block of shape {list(vecs.shape)}")
-    return [
-        DataPoint(
-            id=d["id"], ts=d["ts"], lat=d["lat"], lon=d["lon"], text=d["text"],
-            label=d["label"], vec=v,
-        )
-        for d, v in zip(meta, vecs)
-    ]
-
-
 def _window_to_json(w: DataWindow) -> dict:
-    meta, vecs = _points_to_json(w.points)
     return {
         "capacity": w.capacity, "id": w.id,
         "vec_sum": None if w._vec_sum is None else _encode_f8(w._vec_sum),
-        "points": meta, "vecs": vecs,
+        "points": [
+            {"id": p.id, "ts": p.ts, "lat": p.lat, "lon": p.lon, "text": p.text, "label": p.label}
+            for p in w.points
+        ],
+        "vecs": _encode_f8(np.stack([p.vec for p in w.points]) if w.points else np.empty((0, 0))),
     }
 
 
 def _window_from_json(d: dict) -> DataWindow:
+    meta, vecs = d["points"], _decode_f8(d["vecs"])
+    if len(vecs) != len(meta) or (meta and vecs.ndim != 2):
+        raise ValueError(f"{len(meta)} points but vector block of shape {list(vecs.shape)}")
+    points = [DataPoint(id=m["id"], ts=m["ts"], lat=m["lat"], lon=m["lon"], text=m["text"],
+                        label=m["label"], vec=v) for m, v in zip(meta, vecs)]
     return DataWindow.restore(
-        _points_from_json(d["points"], d["vecs"]),
-        None if d["vec_sum"] is None else _decode_f8(d["vec_sum"]),
+        points, None if d["vec_sum"] is None else _decode_f8(d["vec_sum"]),
         capacity=d["capacity"], window_id=d["id"],
     )
 
@@ -416,7 +403,7 @@ def save_pool(pool: Pool, path: str | Path) -> None:
             for m in pool.models
         ],
     }
-    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
+    Path(path).write_text(json_line(doc), encoding="utf-8")
 
 
 def load_pool(path: str | Path) -> Pool:

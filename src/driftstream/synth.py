@@ -57,6 +57,12 @@ class SynthConfig:
             raise ValueError("need window_size >= 1")
         if self.dim < 3:
             raise ValueError("need dim >= 3 for the drift geometry")
+        if self.seed < 0:
+            raise ValueError("need seed >= 0")
+        if not 0.0 <= self.corroborative_fraction <= 1.0:
+            raise ValueError("need corroborative_fraction in [0, 1]")
+        if not 0.0 <= self.jump < math.inf:
+            raise ValueError("need a finite jump >= 0")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -2,19 +2,17 @@
 measured values, then asserts."""
 
 import json
-import math
 
 import numpy as np
 from helpers import cone_window, oracle_route, random_routing_fixture
 
-from driftstream.corroborate import EARTH_RADIUS_KM, CorroborativeEvent, assign_labels, haversine_km
+from driftstream.corroborate import CorroborativeEvent, assign_labels, haversine_km
 from driftstream.drift import DistanceHistogram, detect_drift, kl_divergence
 from driftstream.ensemble import team_weights
 from driftstream.pipeline import PipelineConfig, replay
 from driftstream.pool import logistic_loss_and_grad, process_point
 from driftstream.synth import SynthConfig, generate_synthetic
 from driftstream.windows import (
-    DeltaBand,
     GaussianBandEstimate,
     centroid_distances,
     empirical_delta_band,

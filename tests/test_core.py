@@ -90,13 +90,13 @@ class TestEmbed:
     def test_table_mode_averages_and_skips_unknown(self, tmp_path):
         table = tmp_path / "emb.tsv"
         table.write_text("flood 1.0 0.0\nrain 0.0 1.0\n")
-        cfg = EmbedderConfig(dim=2, mode="table", table_path=str(table))
+        cfg = EmbedderConfig(dim=2, embed_mode="table", table_path=str(table))
         vec = Embedder(cfg).embed("flood rain unknowntoken")
         expected = np.array([0.5, 0.5]) / np.linalg.norm([0.5, 0.5])
         np.testing.assert_allclose(vec, expected)
 
     def test_table_missing_file_is_config_error(self, tmp_path):
-        cfg = EmbedderConfig(dim=2, mode="table", table_path=str(tmp_path / "nope.tsv"))
+        cfg = EmbedderConfig(dim=2, embed_mode="table", table_path=str(tmp_path / "nope.tsv"))
         with pytest.raises(ConfigError):
             Embedder(cfg)
 
@@ -104,21 +104,21 @@ class TestEmbed:
         table = tmp_path / "emb.tsv"
         table.write_text("flood 1.0 0.0 0.0\n")
         with pytest.raises(ConfigError):
-            Embedder(EmbedderConfig(dim=2, mode="table", table_path=str(table)))
+            Embedder(EmbedderConfig(dim=2, embed_mode="table", table_path=str(table)))
 
     @pytest.mark.parametrize("value", ["x", "1,5", "nan", "inf", "-Infinity", "1e999"])
     def test_table_bad_value_is_config_error_with_line(self, tmp_path, value):
         table = tmp_path / "emb.tsv"
         table.write_text(f"rain 0.0 1.0\n\nflood 1.0 {value}\n")
         with pytest.raises(ConfigError, match=r"emb\.tsv:3: "):
-            Embedder(EmbedderConfig(dim=2, mode="table", table_path=str(table)))
+            Embedder(EmbedderConfig(dim=2, embed_mode="table", table_path=str(table)))
 
     def test_table_duplicate_token_is_config_error_naming_both_lines(self, tmp_path):
         table = tmp_path / "emb.tsv"
         table.write_text("flood 1 0\nrain 0 1\n\nflood 0 1\n")
         with pytest.raises(ConfigError, match=r"emb\.tsv:4: duplicate token 'flood', "
                                               r"first on line 1"):
-            Embedder(EmbedderConfig(dim=2, mode="table", table_path=str(table)))
+            Embedder(EmbedderConfig(dim=2, embed_mode="table", table_path=str(table)))
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_table_lines_end_only_at_newlines(self, tmp_path, newline):
@@ -128,9 +128,9 @@ class TestEmbed:
         rows = ["flood 1.0 0.0\u2028", "rain 0.0 1.0\x85", "", "wind 1.0 nan"]
         table.write_bytes(newline.join(rows).encode("utf-8"))
         with pytest.raises(ConfigError, match=r"emb\.tsv:4: non-finite value"):
-            Embedder(EmbedderConfig(dim=2, mode="table", table_path=str(table)))
+            Embedder(EmbedderConfig(dim=2, embed_mode="table", table_path=str(table)))
         table.write_bytes(newline.join(rows[:3]).encode("utf-8"))
-        embedder = Embedder(EmbedderConfig(dim=2, mode="table", table_path=str(table)))
+        embedder = Embedder(EmbedderConfig(dim=2, embed_mode="table", table_path=str(table)))
         np.testing.assert_array_equal(embedder.embed("flood"), [1.0, 0.0])
         np.testing.assert_array_equal(embedder.embed("rain"), [0.0, 1.0])
 
@@ -157,7 +157,7 @@ def embedders(tmp_path_factory):
     table = tmp_path_factory.mktemp("embed") / "emb.tsv"
     table.write_text("".join(f"{t} {' '.join(map(repr, v))}\n" for t, v in EMBED_TABLE.items()))
     return [
-        Embedder(EmbedderConfig(dim=3, mode="table", table_path=str(table))),
+        Embedder(EmbedderConfig(dim=3, embed_mode="table", table_path=str(table))),
         Embedder(EmbedderConfig(dim=3, hash_seed=7)),  # few buckets: tokens collide and cancel
         Embedder(EmbedderConfig(dim=64)),
     ]
@@ -191,7 +191,7 @@ class TestEmbedAll:
     def test_finite_row_with_overflowing_norm_keeps_its_direction(self, tmp_path):
         table = tmp_path / "big.tsv"
         table.write_text("a 1e200 1e200\n")
-        embedder = Embedder(EmbedderConfig(dim=2, mode="table", table_path=str(table)))
+        embedder = Embedder(EmbedderConfig(dim=2, embed_mode="table", table_path=str(table)))
         with np.errstate(over="ignore"):
             vec = embedder.embed("a")
         assert vec.tolist() == [1 / np.sqrt(2)] * 2

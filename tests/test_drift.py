@@ -14,7 +14,7 @@ from driftstream.drift import (
     smooth_zero_bins,
     smoothing_points,
 )
-from driftstream.windows import DataWindow
+from driftstream.windows import DataWindow, centroid_distances, empirical_delta_band, in_band
 
 
 def make_window(vectors, wid="w"):
@@ -164,6 +164,27 @@ class TestDetectDrift:
         live = make_window(mixed, wid="l")
         verdict = detect_drift(prior, live, 0.6, 0.05)
         assert verdict.drifted and verdict.kl > 0.05
+
+    def test_band_is_closed_at_tied_edges(self):
+        # the prior's distances tie at both band edges: the closed rule lo <= d <= hi
+        # keeps all 15 of them, in_band's open rule would keep only 5
+        angles = np.repeat([0.0, 0.6, 1.2], 5)
+        prior = make_window(np.column_stack([np.cos(angles), np.sin(angles)]), wid="p")
+        angles = np.linspace(0.0, 1.4, 15)
+        live = make_window(np.column_stack([np.cos(angles), np.sin(angles)]), wid="l")
+
+        def kept(window, closed):
+            d = centroid_distances(window)
+            band = empirical_delta_band(d, 0.6)
+            return d[(d >= band.lo) & (d <= band.hi)] if closed else d[in_band(band, d)]
+
+        def kl(closed):
+            return kl_divergence(*smooth_zero_bins(histogram(kept(prior, closed), 32),
+                                                   histogram(kept(live, closed), 32)))
+
+        assert (len(kept(prior, True)), len(kept(prior, False))) == (15, 5)
+        assert (round(kl(True), 4), round(kl(False), 4)) == (0.0572, 0.0112)
+        assert detect_drift(prior, live, 0.6, 0.05, 32).kl == kl(True)
 
     def test_verdict_fields(self):
         rng = np.random.default_rng(6)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 
@@ -6,7 +7,7 @@ import pytest
 
 import driftstream.pipeline as pipeline
 from driftstream.cli import main as cli_main
-from driftstream.core import ConfigError, DataPoint, Embedder, InputError
+from driftstream.core import ConfigError, DataPoint, Embedder, EmbedderConfig, InputError
 from driftstream.ensemble import predict_window
 from driftstream.pipeline import (
     PipelineConfig,
@@ -18,7 +19,7 @@ from driftstream.pipeline import (
     replay,
     serialize_config,
 )
-from driftstream.pool import load_pool
+from driftstream.pool import PoolConfig, load_pool
 from driftstream.synth import SynthConfig, generate_synthetic
 
 
@@ -97,6 +98,23 @@ class TestConfig:
         text = serialize_config(cfg)
         assert "lambda=auto" in text
         assert parse_config(text) == cfg
+
+    def test_defaults_written_embedding_then_pool_then_run_keys(self):
+        assert serialize_config(PipelineConfig()) == (
+            "dim=300\nembed_mode=feature_hash\ntable_path=auto\nhash_seed=0\n"
+            "lambda=auto\ndelta=0.6\nk=5\nmin_train=50\nlearn_rate=0.1\nepochs=20\n"
+            "window_size=3000\nkl_threshold=0.05\npad_seconds=86400.0\nseed=0\nbins=32\n"
+            "stream=auto\ncorroborative=auto\n")
+
+    @pytest.mark.parametrize("cls,field", [
+        (PoolConfig, "k"), (EmbedderConfig, "dim"), (PipelineConfig, "k"),
+        (PipelineConfig, "dim"), (PipelineConfig, "window_size"),
+    ])
+    def test_config_refuses_field_assignment(self, cls, field):
+        cfg = cls()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, 0)
+        assert cfg == cls()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -548,7 +566,10 @@ class TestCli:
         assert "empirical band" in printed and "hypersphere" in printed
 
     @pytest.mark.parametrize("flag,value", [
-        ("--window-size", "0"), ("--windows", "1"), ("--dim", "2"),
+        ("--window-size", "0"), ("--windows", "1"), ("--dim", "2"), ("--seed", "-1"),
+        ("--corroborative-fraction", "-1"), ("--corroborative-fraction", "1.5"),
+        ("--corroborative-fraction", "nan"), ("--jump", "-1"), ("--jump", "inf"),
+        ("--jump", "nan"),
     ])
     def test_gen_out_of_range_argument_is_config_error_writing_nothing(self, tmp_path, capsys,
                                                                         flag, value):
