@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import numbers
 import re
 from array import array
@@ -301,12 +302,11 @@ class Embedder:
                     bucket, sign = buckets[token]
                     out[i, bucket] += sign  # integer sums: exact in any order
         # a 1-d norm per row: norm(axis=1) would sum the squares in another order
-        norms = np.array([np.linalg.norm(row) for row in out]).reshape(-1, 1)
+        norms = np.array([vector_norm(row) for row in out])
         # a finite row whose squares overflow is first divided by its largest magnitude
-        for i in np.flatnonzero(np.isinf(norms[:, 0]) & np.isfinite(out).all(axis=1)):
-            out[i] /= np.max(np.abs(out[i]))
-            norms[i] = np.linalg.norm(out[i])
-        np.divide(out, norms, out=out, where=norms > 0.0)
+        for i in np.flatnonzero(np.isinf(norms)):
+            out[i], norms[i] = _rescaled(out[i], norms[i])
+        np.divide(out, norms[:, None], out=out, where=norms[:, None] > 0.0)
         return out
 
 
@@ -315,20 +315,29 @@ def embed(text: str, cfg: EmbedderConfig) -> np.ndarray:
     return Embedder(cfg).embed(text)
 
 
-# Below this norm the squares inside np.linalg.norm may be subnormal or zero,
-# so the vector is first divided by its largest magnitude.
+# Below this norm the squares inside the norm may be subnormal or zero, and a
+# finite vector whose squares overflow has an infinite norm: either vector is
+# first divided by its largest magnitude.
 _TINY_NORM = 1e-150
+_F8 = np.dtype(np.float64)
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` of a 1-d float64 array, bit for bit: numpy
+    takes a vector's 2-norm as ``sqrt(x.dot(x))`` of its contiguous copy ``x``."""
+    return math.sqrt(v.dot(v)) if v.flags.c_contiguous else float(np.linalg.norm(v))
 
 
 def _rescaled(v: np.ndarray, norm: float) -> tuple[np.ndarray, float]:
-    """``v`` and its norm, divided by max(abs(v)) when the norm is tiny."""
-    if norm >= _TINY_NORM:
+    """``v`` and its norm, divided by max(abs(v)) when the norm is tiny, or
+    infinite for a finite ``v``."""
+    if not (norm < _TINY_NORM or norm == math.inf):
         return v, norm
     scale = float(np.max(np.abs(v), initial=0.0))
-    if scale == 0.0:
-        return v, 0.0
+    if scale == 0.0 or scale == math.inf:
+        return v, norm
     v = v / scale
-    return v, float(np.linalg.norm(v))
+    return v, vector_norm(v)
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray,
@@ -337,25 +346,24 @@ def cosine_distance(a: np.ndarray, b: np.ndarray,
 
     Maps cosine similarity s in [-1, 1] to (1 - s) / 2. A zero vector on either
     side yields 0.5 (maximal uncertainty) and is flagged in the debug log.
-    ``na`` and ``nb``, when given, must be ``float(np.linalg.norm(...))`` of
-    ``a`` and ``b``; a caller that holds them saves recomputing them.
+    ``na`` and ``nb``, when given, must be ``vector_norm`` of ``a`` and ``b``
+    as float64 arrays; a caller that holds them saves recomputing them.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = a if type(a) is np.ndarray and a.dtype is _F8 else np.asarray(a, dtype=np.float64)
+    b = b if type(b) is np.ndarray and b.dtype is _F8 else np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise InputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if na is None:
-        na = float(np.linalg.norm(a))
-    if nb is None:
-        nb = float(np.linalg.norm(b))
-    if na < _TINY_NORM or nb < _TINY_NORM:
+    na = vector_norm(a) if na is None else na
+    nb = vector_norm(b) if nb is None else nb
+    if not (_TINY_NORM <= na < math.inf and _TINY_NORM <= nb < math.inf):
         a, na = _rescaled(a, na)
         b, nb = _rescaled(b, nb)
         if na == 0.0 or nb == 0.0:
             log.debug("cosine_distance on zero vector, returning 0.5")
             return 0.5
-    sim = float(np.dot(a, b) / (na * nb))
-    sim = max(-1.0, min(1.0, sim))
+    sim = float(a.dot(b) / (na * nb))
+    # clipped to [-1, 1]; NaN becomes 1.0, as under max(-1.0, min(1.0, sim))
+    sim = 1.0 if not sim < 1.0 else -1.0 if sim < -1.0 else sim
     return (1.0 - sim) / 2.0
 
 
@@ -364,8 +372,8 @@ def centroid_cosine_distances(vectors: np.ndarray, centroid: np.ndarray) -> np.n
     vectors = np.asarray(vectors, dtype=np.float64)
     centroid = np.asarray(centroid, dtype=np.float64)
     norms = np.linalg.norm(vectors, axis=1)
-    centroid, cnorm = _rescaled(centroid, float(np.linalg.norm(centroid)))
-    tiny = np.flatnonzero(norms < _TINY_NORM)
+    centroid, cnorm = _rescaled(centroid, vector_norm(centroid))
+    tiny = np.flatnonzero((norms < _TINY_NORM) | np.isinf(norms))
     if tiny.size:
         vectors = vectors.copy()
         for i in tiny:

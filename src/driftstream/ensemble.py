@@ -9,6 +9,7 @@ routing its points, so the teams read the pool as the previous boundary left it.
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii as _string
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +35,24 @@ def _softmax(raw: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
+def _teams(models: Sequence[ModelRecord], X: np.ndarray, k: int):
+    """(ids, team, d, w, p) for a non-empty pool: the model ids in
+    (created_at, id) order, each row's team as indices into them, the team's
+    distances and weights, and each row's probability."""
+    ordered = sorted(models, key=lambda m: (m.created_at, m.id))
+    dist, probs = score_columns(ordered, X)
+    team = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    d = np.take_along_axis(dist, team, axis=1)
+    omega = np.array([m.omega for m in ordered])
+    w = _softmax(omega[team] * (1.0 - d))
+    # members are added in team order, as a point-by-point loop would add them
+    p = np.zeros(len(X))
+    for column in (w * np.take_along_axis(probs, team, axis=1)).T:
+        p += column
+    np.clip(p, 0.0, 1.0, out=p)
+    return [m.id for m in ordered], team, d, w, p
+
+
 def predict_window(
     models: Sequence[ModelRecord], X: np.ndarray, k: int,
 ) -> list[dict]:
@@ -48,23 +67,30 @@ def predict_window(
     """
     if not models:
         return [{"team": [], "p": None, "label": None} for _ in range(len(X))]
-    ordered = sorted(models, key=lambda m: (m.created_at, m.id))
-    dist, probs = score_columns(ordered, X)
-    team = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    d = np.take_along_axis(dist, team, axis=1)
-    omega = np.array([m.omega for m in ordered])
-    w = _softmax(omega[team] * (1.0 - d))
-    # members are added in team order, as a point-by-point loop would add them
-    p = np.zeros(len(X))
-    for column in (w * np.take_along_axis(probs, team, axis=1)).T:
-        p += column
-    np.clip(p, 0.0, 1.0, out=p)
-    ids = [m.id for m in ordered]
-    return [
-        {
-            "team": [{"model": ids[j], "d": dj, "w": wj} for j, dj, wj in zip(tr, dr, wr)],
-            "p": pr,
-            "label": int(pr >= 0.5),
-        }
-        for tr, dr, wr, pr in zip(team.tolist(), d.tolist(), w.tolist(), p.tolist())
-    ]
+    ids, team, d, w, p = _teams(models, X, k)
+    return [{"team": [{"model": ids[j], "d": dj, "w": wj} for j, dj, wj in zip(tr, dr, wr)],
+             "p": pr, "label": int(pr >= 0.5)}
+            for tr, dr, wr, pr in zip(team.tolist(), d.tolist(), w.tolist(), p.tolist())]
+
+
+def decision_lines(
+    point_ids: Sequence[str], models: Sequence[ModelRecord], X: np.ndarray, k: int,
+) -> tuple[list[str], list[float | None]]:
+    """(lines, p): row i of :func:`predict_window` as ``json_line({"point_id":
+    point_ids[i], **row})`` writes it, formatted straight from the team arrays
+    with the encoder's own string escaper and its ``float.__repr__`` of a finite
+    float (d, w and p are finite for finite rows and centroids), and its p."""
+    pids = [_string(pid) for pid in point_ids]
+    if not models:
+        return ([f'{{"point_id":{pid},"team":[],"p":null,"label":null}}\n' for pid in pids],
+                [None] * len(pids))
+    ids, team, d, w, p = _teams(models, X, k)
+    heads = [f'{{"model":{_string(i)},"d":' for i in ids]
+    # every member of every row, row after row
+    members = [f'{heads[j]}{dj!r},"w":{wj!r}}}'
+               for j, dj, wj in zip(team.ravel().tolist(), d.ravel().tolist(), w.ravel().tolist())]
+    size = team.shape[1]
+    p = p.tolist()
+    lines = [f'{{"point_id":{pid},"team":[{",".join(members[i * size:(i + 1) * size])}],'
+             f'"p":{pr!r},"label":{int(pr >= 0.5)}}}\n' for i, (pid, pr) in enumerate(zip(pids, p))]
+    return lines, p

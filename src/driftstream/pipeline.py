@@ -48,7 +48,7 @@ from .core import (
 )
 from .corroborate import DEFAULT_PAD_SECONDS, assign_labels, load_events
 from .drift import DEFAULT_KL_THRESHOLD, DEFAULT_BINS, detect_drift
-from .ensemble import predict_window
+from .ensemble import decision_lines
 from .pool import (
     Pool,
     PoolConfig,
@@ -374,10 +374,6 @@ class ReplayResult:
     report_rows: list[WindowReport]
 
 
-def _labels(rows: list[dict]) -> dict[str, int]:
-    return {r["point_id"]: r["label"] for r in rows if r["label"] is not None}
-
-
 def replay(
     stream_path: str | Path,
     corroborative_path: str | Path,
@@ -410,13 +406,13 @@ def replay(
         for start in range(0, len(points), cfg.window_size):
             window = points[start:start + cfg.window_size]
             index = start // cfg.window_size
+            ids = [p.id for p in window]
             # the pool as the previous boundary left it predicts the window before routing
-            rows: dict[str, list[dict]] = {}
+            decided: dict[str, tuple[list[str], list[float | None]]] = {}  # file -> (lines, p)
             if index > 0:
                 X = np.vstack([p.vec for p in window])
                 for name, models in (("decisions", pool.models), ("baseline_decisions", bootstrap)):
-                    rows[name] = [{"point_id": p.id, **d}
-                                  for p, d in zip(window, predict_window(models, X, cfg.k))]
+                    decided[name] = decision_lines(ids, models, X, cfg.k)
             for point in window:
                 process_point(pool, point, cfg)
 
@@ -449,17 +445,19 @@ def replay(
                 "unlabeled": len(window) - len(assignments),
                 "first_ts": window[0].ts,
                 "last_ts": window[-1].ts,
-                "point_ids": [p.id for p in window],
+                "point_ids": ids,
             }
-            rows["verdicts"] = [v.record(ts=window[-1].ts) for v in verdicts.values()]
-            rows["window_stats"] = [stats]
-            for name, fh in files.items():
-                _write_jsonl(fh, rows.get(name, ()))
+            for name, (lines, _) in decided.items():
+                files[name].writelines(lines)
+            _write_jsonl(files["verdicts"], (v.record(ts=window[-1].ts) for v in verdicts.values()))
+            _write_jsonl(files["window_stats"], [stats])
             if index > 0:
-                positives += [(p, r["p"]) for p, r in zip(window, rows["decisions"])
-                              if r["label"] == 1]
-                report_rows += build_reports([stats], _labels(rows["decisions"]),
-                                             _labels(rows["baseline_decisions"]), truth)
+                # a row's label is int(p >= 0.5) by construction
+                adaptive, static = ({pid: int(pr >= 0.5) for pid, pr in zip(ids, decided[name][1])
+                                     if pr is not None} for name in ("decisions", "baseline_decisions"))
+                positives += [(p, pr) for p, pr in zip(window, decided["decisions"][1])
+                              if adaptive.get(p.id)]
+                report_rows += build_reports([stats], adaptive, static, truth)
 
     detected, histogram = aggregate_events(positives)
     with open(kb_path, "w", encoding="utf-8") as fh:

@@ -16,12 +16,14 @@ import json
 import logging
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
-    DataPoint, InputError, centroid_cosine_distances, check_ranges, cosine_distance, json_line
+    DataPoint, InputError, centroid_cosine_distances, check_ranges, cosine_distance, json_line,
+    vector_norm,
 )
 from .windows import (
     DEFAULT_DELTA,
@@ -243,14 +245,15 @@ def k_nearest(
     models: list[ModelRecord], vec: np.ndarray, k: int
 ) -> list[tuple[float, ModelRecord]]:
     """(distance, model) pairs for the k models with memory centroids closest
-    to ``vec``. Ties break toward older created_at, then lexicographic id.
+    to the float64 ``vec``. Ties break toward older created_at, then lexicographic id.
     """
-    norm = float(np.linalg.norm(vec))
-    ranked = sorted(
-        ((cosine_distance(vec, m.centroid, norm, m.memory.centroid_norm), m) for m in models),
-        key=lambda dm: (dm[0], dm[1].created_at, dm[1].id),
-    )
-    return ranked[:k]
+    norm = vector_norm(vec)
+    keyed = []
+    for m in models:
+        centroid, centroid_norm = m.memory.centroid_and_norm()
+        keyed.append(((cosine_distance(vec, centroid, norm, centroid_norm), m.created_at, m.id), m))
+    keyed.sort(key=itemgetter(0))
+    return [(key[0], m) for key, m in keyed[:k]]
 
 
 def process_point(pool: Pool, point: DataPoint, cfg: PoolConfig) -> RoutingOutcome:

@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import ConfigError, DataPoint, InputError, centroid_cosine_distances
+from .core import ConfigError, DataPoint, InputError, centroid_cosine_distances, vector_norm
 
 DEFAULT_WINDOW_SIZE = 3000
 DEFAULT_DELTA = 0.6
@@ -75,20 +75,16 @@ class DataWindow:
     @property
     def centroid(self) -> np.ndarray:
         """The mean vector, read-only."""
-        return self._centroid_and_norm()[0]
+        return self.centroid_and_norm()[0]
 
-    @property
-    def centroid_norm(self) -> float:
-        """``float(np.linalg.norm(self.centroid))``."""
-        return self._centroid_and_norm()[1]
-
-    def _centroid_and_norm(self) -> tuple[np.ndarray, float]:
+    def centroid_and_norm(self) -> tuple[np.ndarray, float]:
+        """The read-only mean vector and its ``vector_norm``."""
         if self._centroid is None:
             if not self.points:
                 raise InputError("empty window has no centroid")
             centroid = self._vec_sum / len(self.points)
             centroid.flags.writeable = False
-            self._centroid = (centroid, float(np.linalg.norm(centroid)))
+            self._centroid = (centroid, vector_norm(centroid))
         return self._centroid
 
     def vectors(self) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared fixtures-by-hand for the test suite: geometry builders, the
 independent routing oracle, the pair-by-pair labeling reference, the
 scalar classifier with the point-by-point team prediction and model
-evaluation references built on it, and the text-by-text embedding reference."""
+evaluation references built on it, the text-by-text embedding reference and
+the numpy-call cosine distance the lean one must equal."""
 
 import math
 
@@ -188,3 +189,33 @@ def reference_embed(embedder, text):
     if norm > 0.0:
         vec = vec / norm
     return vec
+
+
+def reference_cosine_distance(a, b, na=None, nb=None):
+    """The cosine distance through np.asarray, np.linalg.norm and np.dot, with
+    tiny norms rescaled by the largest magnitude; wherever both norms are
+    finite, core.cosine_distance must equal it bit for bit."""
+
+    def rescaled(v, norm):
+        if norm >= 1e-150:
+            return v, norm
+        scale = float(np.max(np.abs(v), initial=0.0))
+        if scale == 0.0:
+            return v, 0.0
+        v = v / scale
+        return v, float(np.linalg.norm(v))
+
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if na is None:
+        na = float(np.linalg.norm(a))
+    if nb is None:
+        nb = float(np.linalg.norm(b))
+    if na < 1e-150 or nb < 1e-150:
+        a, na = rescaled(a, na)
+        b, nb = rescaled(b, nb)
+        if na == 0.0 or nb == 0.0:
+            return 0.5
+    sim = float(np.dot(a, b) / (na * nb))
+    sim = max(-1.0, min(1.0, sim))
+    return (1.0 - sim) / 2.0

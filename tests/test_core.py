@@ -1,3 +1,4 @@
+import struct
 from unittest import mock
 
 import numpy as np
@@ -19,8 +20,9 @@ from driftstream.core import (
     embed,
     load_embedding_table,
     tokenize,
+    vector_norm,
 )
-from helpers import reference_embed
+from helpers import reference_cosine_distance, reference_embed
 
 
 class TestDataPoint:
@@ -340,3 +342,90 @@ class TestCosineDistance:
         batch = centroid_cosine_distances(vectors, centroid)
         scalar = [cosine_distance(v, centroid) for v in vectors]
         np.testing.assert_allclose(batch, scalar, atol=1e-12)
+
+    def test_overflowing_norm_keeps_direction(self):
+        with np.errstate(over="ignore"):  # the squares inside each norm overflow
+            assert cosine_distance(np.array([1e200, 0.0]), np.array([1.0, 0.0])) == 0.0
+            assert cosine_distance(np.array([-1e200, 0.0]), np.array([1.0, 0.0])) == 1.0
+            assert cosine_distance([3e300, 4e300], [-3e200, -4e200]) == 1.0
+            assert cosine_distance([1e200, 0.0], [0.0, 1e-200]) == 0.5
+            rows = centroid_cosine_distances([[1e200, 0.0], [-1e200, 0.0]], [1.0, 0.0])
+            centroid = centroid_cosine_distances([[1.0, 0.0], [-1.0, 0.0]], [1e200, 0.0])
+        assert rows.tolist() == [0.0, 1.0] and centroid.tolist() == [0.0, 1.0]
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# values from subnormal to near the square-root overflow, and zeros
+magnitude = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-320, 150)),
+    st.sampled_from([5e-324, -2.5e-310, 3e-170, -1e-160, 1e154, -1.3e154]),
+)
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two vectors of one dimension, the second often a multiple of the first,
+    as lists, int lists, float32 arrays, or float64 arrays (some strided)."""
+    dim = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["list", "int", "f4", "f8", "strided"]))
+    if kind == "int":
+        vec = st.lists(st.integers(-10**6, 10**6), min_size=dim, max_size=dim)
+    elif kind == "f4":
+        vec = st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim)
+    else:
+        vec = st.lists(magnitude, min_size=dim, max_size=dim)
+    a = draw(vec)
+    if draw(st.booleans()):
+        factor = draw(st.sampled_from([1, -1, 2, -3, 0.5, -1e-3, 1e-150]))
+        b = [x * factor for x in a]
+        if kind == "int":
+            b = [int(x) for x in b]
+    else:
+        b = draw(vec)
+    if kind == "f4":
+        return np.array(a, dtype=np.float32), np.array(b, dtype=np.float32)
+    if kind == "f8":
+        return np.array(a), np.array(b)
+    if kind == "strided":
+        return np.repeat(a, 2)[::2], np.repeat(b, 2)[::2]
+    return a, b
+
+
+# a strided vector whose dot product sums in another order than a contiguous one's
+STRIDED = np.repeat([2.041, -2.556, 0.418, -0.568], 2)[::2]
+
+
+class TestLeanMath:
+    @given(vector_pairs(), st.booleans())
+    @settings(max_examples=1000, deadline=None)
+    @example(([1e-160, 0.0], [0.0, 3e-170]), True)
+    @example(([0.0, 0.0], [1.0, 2.0]), False)
+    @example((STRIDED, STRIDED[::-1]), False)
+    def test_cosine_distance_equals_reference_bit_for_bit(self, pair, given_norms):
+        a, b = pair
+        with np.errstate(over="ignore"):  # an overflowing norm is assumed away
+            na, nb = (float(np.linalg.norm(np.asarray(v, dtype=np.float64))) for v in (a, b))
+            assume(np.isfinite(na) and np.isfinite(nb))
+            norms = (na, nb) if given_norms else ()
+            got, want = cosine_distance(a, b, *norms), reference_cosine_distance(a, b, *norms)
+        assert bits(got) == bits(want)
+
+    @given(st.lists(magnitude | st.floats(-2.0, 2.0) | st.sampled_from([1e200, -1e300]),
+                    min_size=1, max_size=40),
+           st.booleans())
+    @settings(max_examples=500, deadline=None)
+    @example(STRIDED.tolist(), True)
+    def test_vector_norm_is_numpy_norm(self, values, strided):
+        v = np.repeat(values, 2)[::2] if strided else np.array(values)
+        with np.errstate(over="ignore"):  # a norm past the float range is inf in both
+            assert bits(vector_norm(v)) == bits(float(np.linalg.norm(v)))
+
+    @pytest.mark.parametrize("a, b", [([np.nan, 1.0], [1.0, 0.0]), ([np.inf, 0.0], [1.0, 0.0]),
+                                      ([np.inf, 1.0], [0.0, 1.0]), ([-np.inf, 0.0], [0.0, 0.0])])
+    def test_non_finite_vectors_give_the_reference_distance(self, a, b):
+        with np.errstate(invalid="ignore"):  # inf / inf and inf * 0
+            assert bits(cosine_distance(a, b)) == bits(reference_cosine_distance(a, b))

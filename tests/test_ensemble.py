@@ -7,8 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from helpers import make_model, reference_predict
 
-from driftstream.core import DataPoint, cosine_distance
-from driftstream.ensemble import predict_window, team_weights
+from driftstream.core import DataPoint, cosine_distance, json_line
+from driftstream.ensemble import decision_lines, predict_window, team_weights
 from driftstream.windows import DeltaBand
 
 
@@ -272,3 +272,36 @@ class TestPredictWindowDifferential:
         # created_at, then id, over all four
         assert team_ids(predict_window(models, X, 4)[0]) == ["m1", "m3", "m0", "m2"]
         assert team_ids(predict_window(models, X, k)[2]) == ["m1", "m0"]
+
+
+# ids with quotes, backslashes, control characters, non-ASCII text and lone surrogates
+id_text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\xe9\u6f22\ud800\udfff'),
+                            st.characters(exclude_categories=())), max_size=6)
+
+
+@st.composite
+def decision_inputs(draw):
+    """prediction_inputs' (models, X, k) with drawn model ids, plus point ids."""
+    models, X, k = draw(prediction_inputs())
+    model_ids = draw(st.lists(id_text, min_size=len(models), max_size=len(models), unique=True))
+    for m, mid in zip(models, model_ids):
+        m.id = mid
+    return models, X, k, draw(st.lists(id_text, min_size=len(X), max_size=len(X)))
+
+
+class TestDecisionLines:
+    @given(decision_inputs())
+    @example((*_tied_case(), ['a"\\', "\x00\u2028", "\ud800\xe9"]))
+    @settings(max_examples=300, deadline=None)
+    def test_lines_are_the_encoded_rows(self, case):
+        models, X, k, point_ids = case
+        rows = predict_window(models, X, k)
+        lines, p = decision_lines(point_ids, models, X, k)
+        assert lines == [json_line({"point_id": pid, **row}) for pid, row in zip(point_ids, rows)]
+        assert p == [row["p"] for row in rows]
+
+    def test_empty_pool_leaves_rows_unclassified(self):
+        lines, p = decision_lines(['a"b', "\u00e9"], [], np.eye(2), 5)
+        assert lines == ['{"point_id":"a\\"b","team":[],"p":null,"label":null}\n',
+                         '{"point_id":"\\u00e9","team":[],"p":null,"label":null}\n']
+        assert p == [None, None]

@@ -61,13 +61,13 @@ class TestDataWindow:
 
     def test_cached_centroid_is_read_only_and_follows_appends(self):
         w = make_window([[3.0, 4.0]], capacity=4)
-        assert w.centroid is w.centroid and w.centroid_norm == 5.0
+        assert w.centroid is w.centroid and w.centroid_and_norm()[1] == 5.0
         with pytest.raises(ValueError, match="read-only"):
             w.centroid[0] = 1.0
         w.append(DataPoint(id="new", ts=9, text="", vec=np.array([-3.0, 4.0])))
-        assert w.centroid.tolist() == [0.0, 4.0] and w.centroid_norm == 4.0
+        assert w.centroid.tolist() == [0.0, 4.0] and w.centroid_and_norm()[1] == 4.0
         restored = DataWindow.restore(w.points, [0.0, 8.0], capacity=4, window_id="r")
-        assert restored.centroid.tolist() == [0.0, 4.0] and restored.centroid_norm == 4.0
+        assert restored.centroid.tolist() == [0.0, 4.0] and restored.centroid_and_norm()[1] == 4.0
 
 
 class TestCentroidDistances:
