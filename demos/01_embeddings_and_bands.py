@@ -13,17 +13,17 @@ import numpy as np
 from driftstream import (
     DataPoint,
     DataWindow,
+    Embedder,
     EmbedderConfig,
     GaussianBandEstimate,
     centroid_distances,
     cosine_distance,
-    embed,
     empirical_delta_band,
     gaussian_delta_band,
     unit_hypersphere_volume,
 )
 
-cfg = EmbedderConfig(dim=64)
+embedder = Embedder(EmbedderConfig(dim=64))
 
 print("== deterministic embeddings ==")
 texts = [
@@ -31,7 +31,7 @@ texts = [
     "mudslide closes the mountain road",
     "election won by a landslide margin",
 ]
-vectors = {t: embed(t, cfg) for t in texts}
+vectors = {t: embedder.embed(t) for t in texts}
 for t, v in vectors.items():
     print(f"  |v|={np.linalg.norm(v):.3f}  {t!r}")
 
@@ -39,7 +39,7 @@ print("\n== cosine distance (0 same direction, 0.5 orthogonal, 1 opposite) ==")
 a, b, c = (vectors[t] for t in texts)
 print(f"  landslide-road vs mudslide-road : {cosine_distance(a, b):.3f}")
 print(f"  landslide-road vs election      : {cosine_distance(a, c):.3f}")
-print(f"  repeat embedding is bit-equal   : {np.array_equal(a, embed(texts[0], cfg))}")
+print(f"  repeat embedding is bit-equal   : {np.array_equal(a, embedder.embed(texts[0]))}")
 
 print("\n== a window of points and its distance distribution ==")
 rng = np.random.default_rng(0)

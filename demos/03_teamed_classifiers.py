@@ -4,10 +4,12 @@ Trains two regional models, routes fresh points through the pool (band
 membership decides which memories absorb them), then predicts a window of
 query points from a frozen snapshot: each point gets a weighted team of the
 nearest models, which blends the members' probabilities. Replay makes the
-same call once per window.
+same call once per window and writes the same decision rows.
 
 Run: python3 demos/03_teamed_classifiers.py
 """
+
+import json
 
 import numpy as np
 
@@ -15,7 +17,7 @@ from driftstream import (
     DataPoint,
     Pool,
     PoolConfig,
-    predict_window,
+    decision_lines,
     process_point,
     train_classifier,
 )
@@ -79,7 +81,9 @@ print("\n== teamed prediction for a window of one point ==")
 query = storms + 0.1 * rng.standard_normal(dim)
 snapshot = pool.snapshot()
 omega = {m.id: m.omega for m in snapshot}
-decision = predict_window(snapshot, query[None, :], k=cfg.k)[0]
+lines, _ = decision_lines(["query"], snapshot, query[None, :], k=cfg.k)
+print(f"  decision row: {lines[0].rstrip()}")
+decision = json.loads(lines[0])
 for member in decision["team"]:
     raw = omega[member["model"]] * (1.0 - member["d"])
     print(f"  {member['model']}: distance={member['d']:.3f} "

@@ -7,7 +7,6 @@ from .core import (
     EmbedderConfig,
     InputError,
     cosine_distance,
-    embed,
 )
 from .corroborate import (
     CorroborativeEvent,
@@ -24,7 +23,7 @@ from .drift import (
     kl_divergence,
     smooth_zero_bins,
 )
-from .ensemble import predict_window, team_weights
+from .ensemble import decision_lines
 from .pipeline import (
     DetectedEvent,
     PipelineConfig,

@@ -78,10 +78,21 @@ def json_line(obj) -> str:
 # the field (with any caller prefix) and the value. A bool is never a number,
 # timestamp or label; exact int and float skip the slow numbers-ABC isinstance test.
 
+def is_int(value) -> bool:
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
+def check_int(value, name: str, least: int) -> int:
+    """An integer (never a bool) of at least ``least``."""
+    if not is_int(value) or value < least:
+        raise InputError(f"{name} {value!r} is not an integer >= {least}")
+    return value
+
+
 def check_ts(value, name: str = "ts") -> int:
     """An integer Unix timestamp within UTC years 1-9999."""
-    if type(value) is not int and (isinstance(value, bool)
-                                   or not isinstance(value, numbers.Integral)):
+    if not is_int(value):
         raise InputError(f"{name} {value!r} is not an integer")
     if not MIN_TS <= value <= MAX_TS:
         raise InputError(f"{name} {value} outside years 1-9999")
@@ -308,11 +319,6 @@ class Embedder:
             out[i], norms[i] = _rescaled(out[i], norms[i])
         np.divide(out, norms[:, None], out=out, where=norms[:, None] > 0.0)
         return out
-
-
-def embed(text: str, cfg: EmbedderConfig) -> np.ndarray:
-    """One-shot embedding; builds a table-backed embedder per call in table mode."""
-    return Embedder(cfg).embed(text)
 
 
 # Below this norm the squares inside the norm may be subnormal or zero, and a

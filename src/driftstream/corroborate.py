@@ -69,7 +69,6 @@ class LabelAssignment:
     event_id: str
     label: int
     distance_km: float
-    dt_seconds: float
 
 
 def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -79,15 +78,6 @@ def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
     dlon = lon2 - lon1
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
-
-
-def _time_offset(ts: int, event: CorroborativeEvent) -> float:
-    """Signed seconds outside the event span; 0 when inside it."""
-    if ts < event.ts_start:
-        return float(ts - event.ts_start)
-    if ts > event.ts_end:
-        return float(ts - event.ts_end)
-    return 0.0
 
 
 def assign_labels(
@@ -171,10 +161,7 @@ def _nearest_match(
     if best is None:
         return None
     dist, _, e = best
-    return LabelAssignment(
-        point_id=p.id, event_id=e.id, label=e.label,
-        distance_km=dist, dt_seconds=_time_offset(p.ts, e),
-    )
+    return LabelAssignment(point_id=p.id, event_id=e.id, label=e.label, distance_km=dist)
 
 
 def label_fraction(points: Sequence, assignments: Sequence[LabelAssignment]) -> float:

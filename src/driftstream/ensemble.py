@@ -17,18 +17,6 @@ import numpy as np
 from .pool import ModelRecord, score_columns
 
 
-def team_weights(members: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Softmax weights from (omega, distance) pairs.
-
-    The raw score is omega * (1 - distance), so nearer models dominate.
-    """
-    if len(members) == 0:
-        raise ValueError("need at least one member")
-    omega = np.array([m[0] for m in members], dtype=np.float64)
-    dist = np.array([m[1] for m in members], dtype=np.float64)
-    return _softmax(omega * (1.0 - dist))
-
-
 def _softmax(raw: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, shifted by its maximum."""
     shifted = np.exp(raw - raw.max(axis=-1, keepdims=True))
@@ -53,33 +41,20 @@ def _teams(models: Sequence[ModelRecord], X: np.ndarray, k: int):
     return [m.id for m in ordered], team, d, w, p
 
 
-def predict_window(
-    models: Sequence[ModelRecord], X: np.ndarray, k: int,
-) -> list[dict]:
-    """One decision per row of ``X``: ``{"team", "p", "label"}``.
-
-    The team holds the k models whose memory centroids are nearest to the
-    row, sorted by distance with ties toward older created_at, then smaller
-    id, each as ``{"model", "d", "w"}`` with softmax weight w over
-    omega * (1 - d). p is the weighted mean of the members' probabilities and
-    the label is 1 iff p >= 0.5. An empty pool leaves every row unclassified
-    (empty team, p and label None).
-    """
-    if not models:
-        return [{"team": [], "p": None, "label": None} for _ in range(len(X))]
-    ids, team, d, w, p = _teams(models, X, k)
-    return [{"team": [{"model": ids[j], "d": dj, "w": wj} for j, dj, wj in zip(tr, dr, wr)],
-             "p": pr, "label": int(pr >= 0.5)}
-            for tr, dr, wr, pr in zip(team.tolist(), d.tolist(), w.tolist(), p.tolist())]
-
-
 def decision_lines(
     point_ids: Sequence[str], models: Sequence[ModelRecord], X: np.ndarray, k: int,
 ) -> tuple[list[str], list[float | None]]:
-    """(lines, p): row i of :func:`predict_window` as ``json_line({"point_id":
-    point_ids[i], **row})`` writes it, formatted straight from the team arrays
-    with the encoder's own string escaper and its ``float.__repr__`` of a finite
-    float (d, w and p are finite for finite rows and centroids), and its p."""
+    """(lines, p): one decision row per row of ``X``, as ``json_line`` writes
+    ``{"point_id", "team", "p", "label"}``, and its p.
+
+    The team holds the k models whose memory centroids are nearest to the row,
+    sorted by distance with ties toward older created_at, then smaller id, each
+    as ``{"model", "d", "w"}`` with softmax weight w over omega * (1 - d). p is
+    the weighted mean of the members' probabilities and the label is 1 iff
+    p >= 0.5. An empty pool leaves every row unclassified (empty team, p and
+    label null). Rows are formatted straight from the team arrays with the
+    encoder's own string escaper and its ``float.__repr__`` of a finite float
+    (d, w and p are finite for finite rows and centroids)."""
     pids = [_string(pid) for pid in point_ids]
     if not models:
         return ([f'{{"point_id":{pid},"team":[],"p":null,"label":null}}\n' for pid in pids],

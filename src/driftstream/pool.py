@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DataPoint, InputError, centroid_cosine_distances, check_ranges, cosine_distance, json_line,
-    vector_norm,
+    DataPoint, InputError, centroid_cosine_distances, check_int, check_ranges, check_string,
+    check_ts, cosine_distance, is_number, json_line, vector_norm,
 )
 from .windows import (
     DEFAULT_DELTA,
@@ -89,8 +89,8 @@ class ModelRecord:
     last_evaluated: int
 
     def __post_init__(self):
-        if not (0.0 <= self.omega <= 1.0):
-            raise InputError(f"omega {self.omega} outside [0, 1]")
+        if not (is_number(self.omega) and 0.0 <= self.omega <= 1.0):
+            raise InputError(f"omega {self.omega!r} outside [0, 1]")
 
     @property
     def centroid(self) -> np.ndarray:
@@ -376,14 +376,17 @@ def _window_to_json(w: DataWindow) -> dict:
 
 def _window_from_json(d: dict) -> DataWindow:
     meta, vecs = d["points"], _decode_f8(d["vecs"])
+    vec_sum = None if d["vec_sum"] is None else _decode_f8(d["vec_sum"])
     if len(vecs) != len(meta) or (meta and vecs.ndim != 2):
         raise ValueError(f"{len(meta)} points but vector block of shape {list(vecs.shape)}")
-    points = [DataPoint(id=m["id"], ts=m["ts"], lat=m["lat"], lon=m["lon"], text=m["text"],
+    # a window holds a running sum of its vectors' width exactly when it holds points
+    if (None if vec_sum is None else vec_sum.shape) != (vecs.shape[1:] if meta else None):
+        raise ValueError(f"running sum does not fit the {len(meta)} points of the window")
+    points = [DataPoint(id=check_string(m["id"], "point id"), ts=check_ts(m["ts"]),
+                        text=check_string(m["text"], "text"), lat=m["lat"], lon=m["lon"],
                         label=m["label"], vec=v) for m, v in zip(meta, vecs)]
-    return DataWindow.restore(
-        points, None if d["vec_sum"] is None else _decode_f8(d["vec_sum"]),
-        capacity=d["capacity"], window_id=d["id"],
-    )
+    return DataWindow.restore(points, vec_sum, capacity=d["capacity"],
+                              window_id=check_string(d["id"], "window id"))
 
 
 def save_pool(pool: Pool, path: str | Path) -> None:
@@ -410,27 +413,38 @@ def save_pool(pool: Pool, path: str | Path) -> None:
 
 
 def load_pool(path: str | Path) -> Pool:
-    """Read a checkpoint written by :func:`save_pool`; anything else, including
-    checkpoints whose vectors are float lists or whose general memory is not a
-    window record, is an :class:`InputError`."""
+    """Read a checkpoint written by :func:`save_pool`; anything else is an
+    :class:`InputError` naming the file. That includes vectors stored as float
+    lists, a general memory that is not a window record, a count, capacity,
+    omega, timestamp, id or band kind of the wrong type (a bool is no number),
+    a running sum or weights that do not fit the pool's one vector width, and
+    two models with one id."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         pool = Pool()
-        pool._next_model = doc["next_model"]
+        pool._next_model = check_int(doc["next_model"], "next_model", 0)
         pool.general = _window_from_json(doc["general"])
+        widths = {len(pool.general.centroid)} if pool.general.points else set()
         for md in doc["models"]:
             band = DeltaBand(
                 delta=md["band"]["delta"], lo=md["band"]["lo"], hi=md["band"]["hi"],
-                estimate_kind=md["band"]["kind"],
+                estimate_kind=check_string(md["band"]["kind"], "band kind"),
             )
-            pool.models.append(
-                ModelRecord(
-                    id=md["id"], weights=_decode_f8(md["weights"]),
-                    memory=_window_from_json(md["memory"]), band=band,
-                    omega=md["omega"], created_at=md["created_at"],
-                    last_evaluated=md["last_evaluated"],
-                )
+            model = ModelRecord(
+                id=check_string(md["id"], "model id"), weights=_decode_f8(md["weights"]),
+                memory=_window_from_json(md["memory"]), band=band, omega=md["omega"],
+                created_at=check_int(md["created_at"], "created_at", 0),
+                last_evaluated=check_int(md["last_evaluated"], "last_evaluated", 0),
             )
+            if model.id in {m.id for m in pool.models}:
+                raise InputError(f"two models with id {model.id!r}")
+            # every vector of the pool has one width d and every model d + 1
+            # weights; the centroid refuses an empty memory
+            widths.add(len(model.centroid))
+            if len(widths) > 1 or model.weights.shape != (len(model.centroid) + 1,):
+                raise InputError(f"model {model.id}: weights of shape {list(model.weights.shape)} "
+                                 f"for vectors of widths {sorted(widths)}")
+            pool.models.append(model)
     except (OSError, KeyError, ValueError, TypeError, InputError) as exc:
         raise InputError(f"{path}: unreadable checkpoint: {type(exc).__name__}: {exc}") from exc
     return pool

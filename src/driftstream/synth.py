@@ -23,6 +23,15 @@ from .corroborate import CorroborativeEvent, save_events
 
 SCHEDULES = ("gradual", "sudden", "cyclic")
 
+RELEVANT_FRACTION = 0.5
+NOISE = 0.08
+BASE_ANGLE_DEG = 50.0
+# component of the new center pushed into the old decision boundary's
+# negative side; makes a stale pool confidently wrong on moved points
+TILT = 0.25
+START_TS = 1735689600  # 2025-01-01T00:00:00Z
+DT_SECONDS = 60
+
 
 @dataclass
 class SynthConfig:
@@ -31,22 +40,14 @@ class SynthConfig:
     window_size: int = 3000
     dim: int = 32
     seed: int = 0
-    relevant_fraction: float = 0.5
     corroborative_fraction: float = 0.03
-    noise: float = 0.08
-    base_angle_deg: float = 50.0
     # jump scales how far the relevant center relocates; 0 keeps the stream
     # stationary regardless of schedule
     jump: float = 1.0
     # fraction of post-drift relevant points still drawn at the old center,
     # so a frozen classifier keeps partial recall and f-scores stay comparable
     carryover: float = 0.2
-    # component of the new center pushed into the old decision boundary's
-    # negative side; makes a stale pool confidently wrong on moved points
-    tilt: float = 0.25
     step: float = 0.25  # gradual schedule: relocation fraction gained per window
-    start_ts: int = 1735689600  # 2025-01-01T00:00:00Z
-    dt_seconds: int = 60
 
     def __post_init__(self):
         if self.schedule not in SCHEDULES:
@@ -71,7 +72,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 def _centers(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Irrelevant center, relevant center, and the post-drift relevant center."""
-    base = math.radians(cfg.base_angle_deg)
+    base = math.radians(BASE_ANGLE_DEG)
     u = np.zeros(cfg.dim)
     u[0] = 1.0
     v = np.zeros(cfg.dim)
@@ -81,7 +82,7 @@ def _centers(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     c_hat = _unit(u + v)            # stale pool's centroid direction
     fresh = np.zeros(cfg.dim)
     fresh[2] = 1.0
-    moved = _unit(0.6 * fresh - 0.8 * c_hat - cfg.tilt * w_hat)
+    moved = _unit(0.6 * fresh - 0.8 * c_hat - TILT * w_hat)
     return u, v, moved
 
 
@@ -120,7 +121,7 @@ def generate_synthetic(cfg: SynthConfig, out_dir: str | Path) -> SynthStream:
         for idx in range(n_total):
             window = idx // cfg.window_size
             relocation = _relocation(cfg, window)
-            relevant = rng.random() < cfg.relevant_fraction
+            relevant = rng.random() < RELEVANT_FRACTION
             if relevant:
                 if relocation > 0.0 and rng.random() >= cfg.carryover:
                     center = _unit((1.0 - relocation) * v + relocation * moved)
@@ -128,10 +129,10 @@ def generate_synthetic(cfg: SynthConfig, out_dir: str | Path) -> SynthStream:
                     center = v
             else:
                 center = u
-            vec = center + cfg.noise * rng.standard_normal(cfg.dim)
+            vec = center + NOISE * rng.standard_normal(cfg.dim)
 
             token = f"tok{idx:06d}"
-            ts = cfg.start_ts + idx * cfg.dt_seconds
+            ts = START_TS + idx * DT_SECONDS
             lat = float(rng.uniform(-60.0, 60.0))
             lon = float(rng.uniform(-180.0, 180.0))
             label = 1 if relevant else 0

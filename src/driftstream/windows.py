@@ -14,7 +14,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import ConfigError, DataPoint, InputError, centroid_cosine_distances, vector_norm
+from .core import (
+    ConfigError, DataPoint, InputError, centroid_cosine_distances, check_int, vector_norm,
+)
 
 DEFAULT_WINDOW_SIZE = 3000
 DEFAULT_DELTA = 0.6
@@ -34,9 +36,7 @@ class DataWindow:
     """
 
     def __init__(self, points=(), capacity: int = DEFAULT_WINDOW_SIZE, window_id: str = ""):
-        if capacity < 1:
-            raise InputError(f"window capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+        self.capacity = check_int(capacity, "window capacity", 1)
         self.id = window_id
         self.points: list[DataPoint] = []
         self._vec_sum: np.ndarray | None = None

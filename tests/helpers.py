@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from driftstream.core import DataPoint, _token_bucket_sign, cosine_distance, tokenize
-from driftstream.corroborate import LabelAssignment, _time_offset, haversine_km
+from driftstream.corroborate import LabelAssignment, haversine_km
 from driftstream.pool import ModelRecord, f_score, k_nearest, sigmoid
 from driftstream.windows import INSIDE, DataWindow, DeltaBand, band_membership
 
@@ -112,12 +112,8 @@ def reference_assign_labels(points, events, pad_seconds):
                 best = (dist, e.id, e)
         if best is not None:
             dist, _, e = best
-            out.append(
-                LabelAssignment(
-                    point_id=p.id, event_id=e.id, label=e.label,
-                    distance_km=dist, dt_seconds=_time_offset(p.ts, e),
-                )
-            )
+            out.append(LabelAssignment(point_id=p.id, event_id=e.id, label=e.label,
+                                       distance_km=dist))
     return out
 
 
@@ -148,7 +144,7 @@ def reference_evaluate_models(pool, labeled, window_index=None):
 
 def reference_predict(models, x, k):
     """The teamed prediction for one point, built model by model with the
-    scalar distance and the scalar classifier; each row of predict_window must
+    scalar distance and the scalar classifier; each row of decision_lines must
     agree with it."""
     chosen = k_nearest(list(models), x.vec, k)
     if not chosen:

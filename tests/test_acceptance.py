@@ -8,7 +8,7 @@ from helpers import cone_window, oracle_route, random_routing_fixture
 
 from driftstream.corroborate import CorroborativeEvent, assign_labels, haversine_km
 from driftstream.drift import DistanceHistogram, detect_drift, kl_divergence
-from driftstream.ensemble import team_weights
+from driftstream.ensemble import _softmax
 from driftstream.pipeline import PipelineConfig, replay
 from driftstream.pool import logistic_loss_and_grad, process_point
 from driftstream.synth import SynthConfig, generate_synthetic
@@ -177,10 +177,11 @@ def test_08_ensemble_algebra():
     for _ in range(10_000):
         k = int(rng.integers(1, 6))
         members = [(float(rng.random()), float(rng.random())) for _ in range(k)]
-        w = team_weights(members)
+        omega, d = np.array(members).T
+        raw = omega * (1.0 - d)  # the weight rule replay's teams apply
+        w = _softmax(raw)
         sum_worst = max(sum_worst, abs(float(w.sum()) - 1.0))
 
-        raw = np.array([om * (1.0 - d) for om, d in members])
         shift = float(rng.uniform(-2.0, 2.0))
         shifted = np.exp((raw + shift) - (raw + shift).max())
         shifted /= shifted.sum()

@@ -17,7 +17,6 @@ from driftstream.core import (
     _read_table_lines,
     centroid_cosine_distances,
     cosine_distance,
-    embed,
     load_embedding_table,
     tokenize,
     vector_norm,
@@ -61,32 +60,32 @@ class TestDataPoint:
 class TestEmbed:
     def test_empty_text_is_zero_vector(self):
         cfg = EmbedderConfig(dim=8)
-        assert np.array_equal(embed("", cfg), np.zeros(8))
+        assert np.array_equal(Embedder(cfg).embed(""), np.zeros(8))
 
     def test_deterministic(self):
         cfg = EmbedderConfig(dim=32)
-        a = embed("landslide in Austin", cfg)
-        b = embed("landslide in Austin", cfg)
+        a = Embedder(cfg).embed("landslide in Austin")
+        b = Embedder(cfg).embed("landslide in Austin")
         assert np.array_equal(a, b)
 
     def test_single_token_is_one_hot_unit(self):
         # one token hits one bucket with weight +-1; normalization makes the
         # single nonzero component exactly magnitude 1
-        vec = embed("flood", EmbedderConfig(dim=4, hash_seed=0))
+        vec = Embedder(EmbedderConfig(dim=4, hash_seed=0)).embed("flood")
         nonzero = np.flatnonzero(vec)
         assert len(nonzero) == 1
         assert abs(vec[nonzero[0]]) == pytest.approx(1.0, abs=0)
 
     def test_normalized_when_nonzero(self):
-        vec = embed("flood in the valley after rain", EmbedderConfig(dim=16))
+        vec = Embedder(EmbedderConfig(dim=16)).embed("flood in the valley after rain")
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
     def test_tokenize_lowercase_nonalnum_split(self):
         assert tokenize("Flood, in-Austin!2024") == ["flood", "in", "austin", "2024"]
 
     def test_seed_changes_vectors(self):
-        a = embed("flood warning", EmbedderConfig(dim=64, hash_seed=0))
-        b = embed("flood warning", EmbedderConfig(dim=64, hash_seed=1))
+        a = Embedder(EmbedderConfig(dim=64, hash_seed=0)).embed("flood warning")
+        b = Embedder(EmbedderConfig(dim=64, hash_seed=1)).embed("flood warning")
         assert not np.array_equal(a, b)
 
     def test_table_mode_averages_and_skips_unknown(self, tmp_path):
@@ -140,7 +139,7 @@ class TestEmbed:
     @settings(max_examples=50, deadline=None)
     def test_pure_function_of_text(self, text):
         cfg = EmbedderConfig(dim=16)
-        assert np.array_equal(embed(text, cfg), embed(text, cfg))
+        assert np.array_equal(Embedder(cfg).embed(text), Embedder(cfg).embed(text))
 
 
 # Table values whose means round, cancel, hold a negative zero, or overflow.

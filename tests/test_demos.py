@@ -1,4 +1,4 @@
-"""Smoke test: every narrative demo runs to completion."""
+"""Smoke test: every narrative demo runs to completion without a warning."""
 
 import os
 import re
@@ -18,7 +18,8 @@ def run_demo(path, tmp_path):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     env["TMPDIR"] = str(tmp_path)  # demo 05 replays into a fresh temp dir
-    return subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+    # pytest's filterwarnings does not reach a subprocess: a demo warning is an error too
+    return subprocess.run([sys.executable, "-W", "error", str(path)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import make_model, reference_predict
 
 from driftstream.core import DataPoint, cosine_distance, json_line
-from driftstream.ensemble import decision_lines, predict_window, team_weights
+from driftstream.ensemble import _softmax, _teams, decision_lines
 from driftstream.windows import DeltaBand
 
 
@@ -38,9 +39,21 @@ def angled(deg, dim=3):
     return v
 
 
+def predict_rows(models, X, k):
+    """The decision rows of ``X`` as replay writes them, parsed back, with point ids x0, x1, ..."""
+    lines, _ = decision_lines([f"x{i}" for i in range(len(X))], models, X, k)
+    return [json.loads(line) for line in lines]
+
+
 def predict_one(models, x, k=5):
-    """The decision for one point: predict_window over a one-row window."""
-    return predict_window(models, x.vec[None, :], k)[0]
+    """The decision for one point: the row of a one-row window."""
+    return predict_rows(models, x.vec[None, :], k)[0]
+
+
+def softmax_weights(members):
+    """The weights _teams gives (omega, distance) members: softmax of omega * (1 - d)."""
+    omega, d = np.array(members, dtype=float).T
+    return _softmax(omega * (1.0 - d))
 
 
 def team_ids(decision):
@@ -78,24 +91,24 @@ class TestSelectModels:
 
 class TestTeamWeights:
     def test_identical_members_split_evenly(self):
-        w = team_weights([(0.8, 0.3)] * 5)
+        w = softmax_weights([(0.8, 0.3)] * 5)
         np.testing.assert_allclose(w, [0.2] * 5, atol=1e-12)
 
     def test_worked_example(self):
-        w = team_weights([(0.9, 0.2), (0.7, 0.5)])
+        w = softmax_weights([(0.9, 0.2), (0.7, 0.5)])
         raw = [0.9 * 0.8, 0.7 * 0.5]
         expected = np.exp(raw) / np.sum(np.exp(raw))
         np.testing.assert_allclose(w, expected, atol=1e-12)
         np.testing.assert_allclose(w, [0.5915, 0.4085], atol=1e-4)
 
     def test_singleton_weight_is_one(self):
-        np.testing.assert_allclose(team_weights([(0.4, 0.9)]), [1.0])
+        np.testing.assert_allclose(softmax_weights([(0.4, 0.9)]), [1.0])
 
     @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                     min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_sums_to_one(self, members):
-        assert float(team_weights(members).sum()) == pytest.approx(1.0, abs=1e-9)
+        assert float(softmax_weights(members).sum()) == pytest.approx(1.0, abs=1e-9)
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
            st.floats(-3.0, 3.0))
@@ -131,13 +144,14 @@ class TestTeamPredict:
         a, b = decision["team"]
         assert (a["model"], b["model"]) == ("a", "b")
         np.testing.assert_allclose([a["w"], b["w"]],
-                                   team_weights([(0.7, a["d"]), (0.9, b["d"])]), atol=1e-15)
+                                   softmax_weights([(0.7, a["d"]), (0.9, b["d"])]), atol=1e-15)
         assert decision["p"] == pytest.approx(a["w"] * 0.8 + b["w"] * 0.3, abs=1e-9)
         assert decision["label"] == 1
 
     def test_empty_team_unclassified(self):
-        decisions = predict_window([], np.eye(3), 5)
-        assert decisions == [{"team": [], "p": None, "label": None}] * 3
+        decisions = predict_rows([], np.eye(3), 5)
+        assert decisions == [{"point_id": f"x{i}", "team": [], "p": None, "label": None}
+                             for i in range(3)]
 
     def test_monotone_in_member_output(self):
         rng = np.random.default_rng(21)
@@ -146,11 +160,11 @@ class TestTeamPredict:
             k = int(rng.integers(1, 6))
             outputs = rng.uniform(0.05, 0.95, k)
             models = [view_with_output(f"m{i}", angled(5.0 + i), outputs[i]) for i in range(k)]
-            base = predict_window(models, x, k)[0]["p"]
+            base = predict_rows(models, x, k)[0]["p"]
             j = int(rng.integers(0, k))
             bumped = list(models)
             bumped[j] = view_with_output(f"m{j}", angled(5.0 + j), min(0.99, outputs[j] + 0.05))
-            raised = predict_window(bumped, x, k)[0]["p"]
+            raised = predict_rows(bumped, x, k)[0]["p"]
             assert raised >= base - 1e-12
 
 
@@ -175,7 +189,7 @@ class TestFormTeam:
     def test_record_schema(self):
         models = [view("m1", angled(30.0))]
         decision = predict_one(models, point("x", angled(0.0)), k=1)
-        assert list(decision) == ["team", "p", "label"]
+        assert list(decision) == ["point_id", "team", "p", "label"]
         assert isinstance(decision["p"], float) and type(decision["label"]) is int
         assert decision["team"][0]["model"] == "m1"
         assert list(decision["team"][0]) == ["model", "d", "w"]
@@ -245,14 +259,14 @@ def _near_ties_only_between_equal_centroids(models, X):
     return True
 
 
-class TestPredictWindowDifferential:
+class TestTeamDifferential:
     @given(prediction_inputs())
     @example(_tied_case())
     @settings(max_examples=300, deadline=None)
     def test_matches_point_by_point_reference(self, case):
         models, X, k = case
         assume(_near_ties_only_between_equal_centroids(models, X))
-        decisions = predict_window(models, X, k)
+        decisions = predict_rows(models, X, k)
         assert len(decisions) == len(X)
         for i, decision in enumerate(decisions):
             want = reference_predict(models, point(f"x{i}", X[i]), k)
@@ -270,8 +284,8 @@ class TestPredictWindowDifferential:
         models, X, k = _tied_case()
         # the zero row is at distance 0.5 from every model: the order is
         # created_at, then id, over all four
-        assert team_ids(predict_window(models, X, 4)[0]) == ["m1", "m3", "m0", "m2"]
-        assert team_ids(predict_window(models, X, k)[2]) == ["m1", "m0"]
+        assert team_ids(predict_rows(models, X, 4)[0]) == ["m1", "m3", "m0", "m2"]
+        assert team_ids(predict_rows(models, X, k)[2]) == ["m1", "m0"]
 
 
 # ids with quotes, backslashes, control characters, non-ASCII text and lone surrogates
@@ -289,16 +303,26 @@ def decision_inputs(draw):
     return models, X, k, draw(st.lists(id_text, min_size=len(X), max_size=len(X)))
 
 
+def encoded_rows(point_ids, models, X, k):
+    """The decision rows as json_line writes them, built from _teams' arrays."""
+    if not models:
+        rows = [{"team": [], "p": None, "label": None}] * len(X)
+    else:
+        ids, team, d, w, p = _teams(models, X, k)
+        rows = [{"team": [{"model": ids[j], "d": dj, "w": wj} for j, dj, wj in zip(tr, dr, wr)],
+                 "p": pr, "label": int(pr >= 0.5)}
+                for tr, dr, wr, pr in zip(team.tolist(), d.tolist(), w.tolist(), p.tolist())]
+    return [json_line({"point_id": pid, **row}) for pid, row in zip(point_ids, rows)], \
+        [row["p"] for row in rows]
+
+
 class TestDecisionLines:
     @given(decision_inputs())
     @example((*_tied_case(), ['a"\\', "\x00\u2028", "\ud800\xe9"]))
     @settings(max_examples=300, deadline=None)
     def test_lines_are_the_encoded_rows(self, case):
         models, X, k, point_ids = case
-        rows = predict_window(models, X, k)
-        lines, p = decision_lines(point_ids, models, X, k)
-        assert lines == [json_line({"point_id": pid, **row}) for pid, row in zip(point_ids, rows)]
-        assert p == [row["p"] for row in rows]
+        assert decision_lines(point_ids, models, X, k) == encoded_rows(point_ids, models, X, k)
 
     def test_empty_pool_leaves_rows_unclassified(self):
         lines, p = decision_lines(['a"b', "\u00e9"], [], np.eye(2), 5)

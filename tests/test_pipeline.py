@@ -8,7 +8,7 @@ import pytest
 import driftstream.pipeline as pipeline
 from driftstream.cli import main as cli_main
 from driftstream.core import ConfigError, DataPoint, Embedder, EmbedderConfig, InputError
-from driftstream.ensemble import predict_window
+from driftstream.ensemble import decision_lines
 from driftstream.pipeline import (
     PipelineConfig,
     aggregate_events,
@@ -20,7 +20,7 @@ from driftstream.pipeline import (
     serialize_config,
 )
 from driftstream.pool import PoolConfig, load_pool
-from driftstream.synth import SynthConfig, generate_synthetic
+from driftstream.synth import DT_SECONDS, START_TS, SynthConfig, generate_synthetic
 
 
 def write_stream(path, rows):
@@ -439,11 +439,9 @@ class TestReplay:
         gen, cfg, result = small_run
         points, _ = load_stream(gen.stream_path, Embedder(cfg.embedder_config()))
         window = points[cfg.window_size:2 * cfg.window_size]
-        rows = predict_window(load_pool(result.static_pool).models,
-                              np.vstack([p.vec for p in window]), cfg.k)
-        assert [json.dumps({"point_id": p.id, **r}, separators=(",", ":"))
-                for p, r in zip(window, rows)] == \
-            result.decisions.read_text().splitlines()[:cfg.window_size]
+        lines, _ = decision_lines([p.id for p in window], load_pool(result.static_pool).models,
+                                  np.vstack([p.vec for p in window]), cfg.k)
+        assert lines == result.decisions.read_text().splitlines(keepends=True)[:cfg.window_size]
 
     def test_evaluate_windows_round_trip(self, small_run, tmp_path):
         gen, _, result = small_run
@@ -461,7 +459,7 @@ class TestReplay:
         scfg = SynthConfig(n_windows=4, window_size=400, dim=12, seed=11,
                            jump=0.0, corroborative_fraction=0.08)
         gen = generate_synthetic(scfg, tmp_path / "data")
-        window0_end = scfg.start_ts + 400 * scfg.dt_seconds
+        window0_end = START_TS + 400 * DT_SECONDS
         kept = []
         for line in gen.corroborative_path.read_text().splitlines():
             row = json.loads(line)

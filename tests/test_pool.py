@@ -20,12 +20,14 @@ from hypothesis import strategies as st
 from driftstream import core
 from driftstream.core import ConfigError, DataPoint, InputError
 from driftstream.drift import DriftVerdict
-from driftstream.ensemble import predict_window
+from driftstream.ensemble import decision_lines
 from driftstream.pool import (
     ModelRecord,
     Pool,
     PoolConfig,
     PoolError,
+    _encode_f8,
+    _window_to_json,
     evaluate_models,
     f_score,
     load_pool,
@@ -325,7 +327,7 @@ class TestDistanceReuse:
         assert len(distance_calls) == n_models
         distance_calls.clear()
         # prediction takes one distance column per model, never a scalar pair
-        predict_window(pool.snapshot(), np.vstack([x.vec, -x.vec]), 5)
+        decision_lines(["a", "b"], pool.snapshot(), np.vstack([x.vec, -x.vec]), 5)
         assert distance_calls == []
 
 
@@ -344,8 +346,8 @@ class TestSnapshot:
         probes = [point(f"q{i}", rng.standard_normal(6)) for i in range(20)]
 
         def frozen_state():
-            return [(m.centroid.copy(), m.weights.copy()) for m in snapshot], predict_window(
-                snapshot, np.vstack([q.vec for q in probes]), 5
+            return [(m.centroid.copy(), m.weights.copy()) for m in snapshot], decision_lines(
+                [q.id for q in probes], snapshot, np.vstack([q.vec for q in probes]), 5
             )
 
         members, predictions = frozen_state()
@@ -528,6 +530,12 @@ class TestEvaluateModels:
         assert evaluate_models(pool, labeled, window_index) == expected
         assert ([(m.omega, m.last_evaluated) for m in pool.models]
                 == [(m.omega, m.last_evaluated) for m in reference.models])
+
+
+def _narrow_model(doc):
+    """Model 1 of a checkpoint swapped for one whose memory and weights have width 4."""
+    memory = DataWindow([point("n0", [1.0, 0.0, 0.0, 0.0])], capacity=4, window_id="n")
+    doc["models"][1].update(memory=_window_to_json(memory), weights=_encode_f8(np.zeros(5)))
 
 
 class TestCheckpoint:
@@ -720,6 +728,41 @@ class TestCheckpoint:
             path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
             with pytest.raises(InputError, match=rf"old-{old_format}\.json: unreadable checkpoint"):
                 load_pool(path)
+
+    # each checkpoint below loaded without complaint before these refusals
+    MALFORMED = {
+        "next_model_string": lambda doc: doc.update(next_model="7"),
+        "next_model_bool": lambda doc: doc.update(next_model=True),
+        "next_model_negative": lambda doc: doc.update(next_model=-1),
+        "capacity_bool": lambda doc: doc["general"].update(capacity=True),
+        "capacity_float": lambda doc: doc["general"].update(capacity=2.5),
+        "window_id_int": lambda doc: doc["models"][0]["memory"].update(id=5),
+        "point_ts_string": lambda doc: doc["general"]["points"][0].update(ts="soon"),
+        "point_id_int": lambda doc: doc["general"]["points"][0].update(id=5),
+        "point_text_int": lambda doc: doc["models"][0]["memory"]["points"][0].update(text=5),
+        "vec_sum_missing": lambda doc: doc["general"].update(vec_sum=None),
+        "vec_sum_narrow": lambda doc: doc["general"].update(vec_sum=_encode_f8(np.zeros(3))),
+        "omega_bool": lambda doc: doc["models"][0].update(omega=True),
+        "created_at_string": lambda doc: doc["models"][0].update(created_at="x"),
+        "last_evaluated_bool": lambda doc: doc["models"][1].update(last_evaluated=True),
+        "band_kind_int": lambda doc: doc["models"][0]["band"].update(kind=7),
+        "model_id_int": lambda doc: doc["models"][0].update(id=5),
+        "model_ids_repeat": lambda doc: doc["models"][1].update(id=doc["models"][0]["id"]),
+        "weights_short": lambda doc: doc["models"][0].update(weights=_encode_f8(np.ones(3))),
+        "memory_empty": lambda doc: doc["models"][0].update(
+            memory=_window_to_json(DataWindow(capacity=4, window_id="m0003"))),
+        "widths_differ": _narrow_model,
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_checkpoint_is_input_error_naming_file(self, tmp_path, case):
+        pool = self._special_pool(np.random.default_rng(28))
+        save_pool(pool, tmp_path / "a.json")
+        doc = json.loads((tmp_path / "a.json").read_text())
+        self.MALFORMED[case](doc)
+        (tmp_path / f"{case}.json").write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=rf"{case}\.json: unreadable checkpoint"):
+            load_pool(tmp_path / f"{case}.json")
 
     @pytest.mark.parametrize("cut", [1, 3, 4, 8])
     def test_truncated_block_is_input_error_naming_file(self, tmp_path, cut):
