@@ -64,14 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        cfg = SynthConfig(
-            schedule=args.schedule, n_windows=args.windows, seed=args.seed,
-            window_size=args.window_size, dim=args.dim,
-            corroborative_fraction=args.corroborative_fraction, jump=args.jump,
-        )
-    except ValueError as exc:  # refused before anything is written
-        raise ConfigError(str(exc)) from exc
+    cfg = SynthConfig(  # refuses a setting before anything is written
+        schedule=args.schedule, n_windows=args.windows, seed=args.seed,
+        window_size=args.window_size, dim=args.dim,
+        corroborative_fraction=args.corroborative_fraction, jump=args.jump,
+    )
     result = generate_synthetic(cfg, args.out)
     run_cfg = PipelineConfig(
         window_size=cfg.window_size, dim=cfg.dim, embed_mode="table",

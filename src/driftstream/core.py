@@ -14,7 +14,7 @@ import math
 import numbers
 import re
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -61,14 +61,6 @@ def read_lines(path: str | Path, error: type[Exception], what: str) -> Iterator[
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
-def check_ranges(config, ranges: dict) -> None:
-    """Refuse the first setting of ``config`` failing its (test, rule); NaN fails every test."""
-    for key, (ok, rule) in ranges.items():
-        value = getattr(config, key)
-        if not ok(value):
-            raise ConfigError(f"{CONFIG_KEYS.get(key, key)}={value} out of range: must be {rule}")
-
-
 def json_line(obj) -> str:
     """``obj`` as one line of compact JSON, newline included."""
     return _JSON.encode(obj) + "\n"
@@ -108,6 +100,31 @@ def check_string(value, name: str) -> str:
 def is_number(value) -> bool:
     return type(value) in (int, float) or (isinstance(value, numbers.Real)
                                            and not isinstance(value, bool))
+
+
+# A setting's type is its field's string annotation (``from __future__ import annotations``):
+# "int", "float" or "str", or "T | None" when it may be unset. An int is a float; a bool is neither.
+_SETTING_TYPES = {"int": (int, is_int, "an integer"), "float": (float, is_number, "a number"),
+                  "str": (str, lambda v: type(v) is str, "a string")}
+
+
+def setting_types(cls) -> dict[str, tuple[tuple, bool]]:
+    """((converter, test, name), optional) of each field of the config dataclass ``cls``."""
+    return {f.name: (_SETTING_TYPES[f.type.removesuffix(" | None")], f.type.endswith(" | None"))
+            for f in fields(cls)}
+
+
+def check_ranges(config, ranges: dict) -> None:
+    """Refuse the first setting of ``config`` whose value is not of its annotated
+    type, then the first failing its (test, rule); NaN fails every test."""
+    for key, ((_, is_kind, what), optional) in setting_types(type(config)).items():
+        value = getattr(config, key)
+        if not (is_kind(value) or optional and value is None):
+            raise ConfigError(f"{CONFIG_KEYS.get(key, key)}={value!r} is not {what}")
+    for key, (ok, rule) in ranges.items():
+        value = getattr(config, key)
+        if not ok(value):
+            raise ConfigError(f"{CONFIG_KEYS.get(key, key)}={value} out of range: must be {rule}")
 
 
 def check_coordinates(lat, lon, where: str = "") -> None:
@@ -175,10 +192,10 @@ class EmbedderConfig:
     hash_seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError(f"embedding dim must be positive, got {self.dim}")
-        if self.embed_mode not in ("feature_hash", "table"):
-            raise ConfigError(f"unknown embed_mode {self.embed_mode!r}")
+        check_ranges(self, {
+            "dim": (lambda v: v >= 1, ">= 1"),
+            "embed_mode": (lambda v: v in ("feature_hash", "table"), "feature_hash or table"),
+        })
         if self.embed_mode == "table" and not self.table_path:
             raise ConfigError("table mode requires table_path")
 

@@ -45,6 +45,7 @@ from .core import (
     check_ts,
     json_line,
     read_lines,
+    setting_types,
 )
 from .corroborate import DEFAULT_PAD_SECONDS, assign_labels, load_events
 from .drift import DEFAULT_KL_THRESHOLD, DEFAULT_BINS, detect_drift
@@ -67,7 +68,7 @@ class PipelineConfig(PoolConfig, EmbedderConfig):
     :class:`PoolConfig`'s, then the run's own; round-trips through the
     key=value file format.
 
-    A setting outside the range the pipeline works in is a
+    A setting of another type than its annotation, or out of range, is a
     :class:`ConfigError` at construction, and a config never changes after.
     """
 
@@ -96,9 +97,6 @@ class PipelineConfig(PoolConfig, EmbedderConfig):
 
 _FIELD_OF_KEY = {key: name for name, key in CONFIG_KEYS.items()}
 _NONE_TOKEN = "auto"
-_INT_KEYS = {"window_size", "k", "dim", "hash_seed", "seed", "min_train", "epochs", "bins"}
-_FLOAT_KEYS = {"delta", "kl_threshold", "lam", "pad_seconds", "learn_rate"}
-_OPTIONAL_KEYS = {f.name for f in fields(PipelineConfig) if f.default is None}
 
 
 def serialize_config(cfg: PipelineConfig) -> str:
@@ -137,18 +135,15 @@ def _config_from(lines) -> PipelineConfig:
 
 
 def _parse_value(key: str, raw: str, lineno: int):
+    (kind, _, _), optional = setting_types(PipelineConfig)[key]
     if raw == _NONE_TOKEN or raw == "":
-        if key not in _OPTIONAL_KEYS:
+        if not optional:
             raise ConfigError(f"config line {lineno}: {key} needs a value, got {raw!r}")
         return None
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"config line {lineno}: bad value for {key}: {raw!r}") from exc
-    return raw
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -288,20 +283,10 @@ class WindowReport:
     window: int
     static_f1: float
     adaptive_f1: float
-    unlabeled_count: int
-    corroborative_count: int
+    unlabeled: int
+    corroborative: int
     pct_labeled: float
     improvement_pct: float
-
-    @staticmethod
-    def csv_header() -> list[str]:
-        return [
-            "window", "static_f1", "adaptive_f1", "unlabeled",
-            "corroborative", "pct_labeled", "improvement_pct",
-        ]
-
-    def csv_row(self) -> list[str]:
-        return [repr(getattr(self, f.name)) for f in fields(self)]
 
 
 def _window_f1(point_ids: list[str], predictions: dict[str, int], truth: dict[str, int]) -> float:
@@ -340,8 +325,8 @@ def build_reports(
                 window=stats["window"],
                 static_f1=static_f1,
                 adaptive_f1=adaptive_f1,
-                unlabeled_count=stats["unlabeled"],
-                corroborative_count=stats["corroborative"],
+                unlabeled=stats["unlabeled"],
+                corroborative=stats["corroborative"],
                 pct_labeled=100.0 * stats["corroborative"] / count if count else 0.0,
                 improvement_pct=improvement,
             )
@@ -350,11 +335,11 @@ def build_reports(
 
 
 def write_reports_csv(reports: list[WindowReport], path: str | Path) -> None:
+    names = [f.name for f in fields(WindowReport)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(WindowReport.csv_header())
-        for r in reports:
-            writer.writerow(r.csv_row())
+        writer.writerow(names)
+        writer.writerows([repr(getattr(r, name)) for name in names] for r in reports)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .core import (
 )
 from .windows import (
     DEFAULT_DELTA,
+    DEFAULT_WINDOW_SIZE,
     INSIDE,
     OUTSIDE,
     DataWindow,
@@ -39,7 +40,6 @@ from .windows import (
 
 log = logging.getLogger(__name__)
 
-DEFAULT_GENERAL_CAPACITY = 3000
 GENERAL_ID = "general"  # window id of the general memory
 LAMBDA_MARGIN = 0.05  # generalization band width beyond the delta band
 
@@ -50,7 +50,7 @@ class PoolError(Exception):
 
 @dataclass(frozen=True)
 class PoolConfig:
-    """Knobs for routing, training, and team selection, range-checked at construction."""
+    """Knobs for routing, training, and team selection, type- and range-checked at construction."""
 
     lam: float | None = None  # None: per model, band.hi + LAMBDA_MARGIN capped at 1
     delta: float = DEFAULT_DELTA
@@ -100,7 +100,7 @@ class ModelRecord:
 class Pool:
     """Mutable pool of model records plus the general memory. Single writer."""
 
-    def __init__(self, general_capacity: int = DEFAULT_GENERAL_CAPACITY):
+    def __init__(self, general_capacity: int = DEFAULT_WINDOW_SIZE):
         self.models: list[ModelRecord] = []
         self.general = DataWindow(capacity=general_capacity, window_id=GENERAL_ID)
         self._next_model = 0  # count of generated models, which numbers their ids
@@ -213,7 +213,7 @@ def train_classifier(
     cfg: PoolConfig,
     model_id: str = "m0001",
     created_at: int = 0,
-    memory_capacity: int = DEFAULT_GENERAL_CAPACITY,
+    memory_capacity: int = DEFAULT_WINDOW_SIZE,
 ) -> ModelRecord:
     """Fit a logistic model by full-batch gradient descent.
 
@@ -354,12 +354,15 @@ def _encode_f8(a: np.ndarray) -> dict:
 
 
 def _decode_f8(block: dict) -> np.ndarray:
-    """An owned, writable native float64 copy of an :func:`_encode_f8` block."""
+    """An owned, writable native float64 copy of an :func:`_encode_f8` block of finite values."""
     shape = tuple(block["shape"])
     raw = base64.b64decode(block["f8"], validate=True)
     if any(type(n) is not int or n < 0 for n in shape) or len(raw) != 8 * math.prod(shape):
         raise ValueError(f"block of {len(raw)} bytes does not hold shape {list(shape)}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    a = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError(f"block of shape {list(shape)} holds non-finite values")
+    return a
 
 
 def _window_to_json(w: DataWindow) -> dict:
@@ -416,7 +419,8 @@ def load_pool(path: str | Path) -> Pool:
     """Read a checkpoint written by :func:`save_pool`; anything else is an
     :class:`InputError` naming the file. That includes vectors stored as float
     lists, a general memory that is not a window record, a count, capacity,
-    omega, timestamp, id or band kind of the wrong type (a bool is no number),
+    omega, band delta or bound, timestamp, id or band kind of the wrong type or
+    range (a bool is no number), a window over its capacity, a non-finite float,
     a running sum or weights that do not fit the pool's one vector width, and
     two models with one id."""
     try:

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import check_ranges
 from .corroborate import CorroborativeEvent, save_events
 
 SCHEDULES = ("gradual", "sudden", "cyclic")
@@ -33,7 +34,7 @@ START_TS = 1735689600  # 2025-01-01T00:00:00Z
 DT_SECONDS = 60
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     schedule: str = "sudden"
     n_windows: int = 6
@@ -50,20 +51,15 @@ class SynthConfig:
     step: float = 0.25  # gradual schedule: relocation fraction gained per window
 
     def __post_init__(self):
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.n_windows < 2:
-            raise ValueError("need at least 2 windows")
-        if self.window_size < 1:
-            raise ValueError("need window_size >= 1")
-        if self.dim < 3:
-            raise ValueError("need dim >= 3 for the drift geometry")
-        if self.seed < 0:
-            raise ValueError("need seed >= 0")
-        if not 0.0 <= self.corroborative_fraction <= 1.0:
-            raise ValueError("need corroborative_fraction in [0, 1]")
-        if not 0.0 <= self.jump < math.inf:
-            raise ValueError("need a finite jump >= 0")
+        check_ranges(self, {
+            "schedule": (lambda v: v in SCHEDULES, " or ".join(SCHEDULES)),
+            "n_windows": (lambda v: v >= 2, ">= 2"),
+            "window_size": (lambda v: v >= 1, ">= 1"),
+            "dim": (lambda v: v >= 3, ">= 3 for the drift geometry"),
+            "seed": (lambda v: v >= 0, ">= 0"),
+            "corroborative_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+            "jump": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+        })
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

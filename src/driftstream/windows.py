@@ -15,7 +15,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import (
-    ConfigError, DataPoint, InputError, centroid_cosine_distances, check_int, vector_norm,
+    ConfigError, DataPoint, InputError, centroid_cosine_distances, check_int, is_number,
+    vector_norm,
 )
 
 DEFAULT_WINDOW_SIZE = 3000
@@ -50,6 +51,8 @@ class DataWindow:
         rebuilt by re-appending (which can change its last bits)."""
         w = cls(capacity=capacity, window_id=window_id)
         w.points = list(points)
+        if len(w.points) > w.capacity:
+            raise InputError(f"{len(w.points)} points exceed window capacity {w.capacity}")
         w._vec_sum = None if vec_sum is None else np.array(vec_sum, dtype=np.float64)
         return w
 
@@ -101,8 +104,9 @@ class DeltaBand:
     estimate_kind: str = "empirical"
 
     def __post_init__(self):
-        if not (0.0 <= self.lo <= self.hi <= 1.0):
-            raise InputError(f"invalid band bounds [{self.lo}, {self.hi}]")
+        if not (all(map(is_number, (self.delta, self.lo, self.hi)))
+                and 0.0 < self.delta <= 1.0 and 0.0 <= self.lo <= self.hi <= 1.0):
+            raise InputError(f"bad band: delta {self.delta!r}, bounds [{self.lo!r}, {self.hi!r}]")
 
 
 @dataclass(frozen=True)

@@ -365,6 +365,9 @@ magnitude = st.one_of(
 )
 
 
+F4_THIRD = float(np.float32(np.finfo(np.float32).max / 3))
+
+
 @st.composite
 def vector_pairs(draw):
     """Two vectors of one dimension, the second often a multiple of the first,
@@ -374,7 +377,8 @@ def vector_pairs(draw):
     if kind == "int":
         vec = st.lists(st.integers(-10**6, 10**6), min_size=dim, max_size=dim)
     elif kind == "f4":
-        vec = st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim)
+        # a third of float32's largest value, so that every multiple below is a float32 too
+        vec = st.lists(st.floats(-F4_THIRD, F4_THIRD, width=32), min_size=dim, max_size=dim)
     else:
         vec = st.lists(magnitude, min_size=dim, max_size=dim)
     a = draw(vec)

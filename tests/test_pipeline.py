@@ -345,7 +345,7 @@ class TestReplay:
             if row.static_f1 > 0:
                 assert row.improvement_pct == 100.0 * row.adaptive_f1 / row.static_f1
             assert 0.0 <= row.pct_labeled <= 100.0
-            assert row.unlabeled_count + row.corroborative_count == 400
+            assert row.unlabeled + row.corroborative == 400
 
     def test_bootstrap_window_emits_no_predictions(self, small_run):
         _, _, result = small_run
@@ -478,7 +478,7 @@ class TestReplay:
         final = json.loads((tmp_path / "run" / "final_pool.json").read_text())
         assert len(final["models"]) == 1  # bootstrap happened, nothing else
         for row in result.report_rows:
-            assert row.corroborative_count == 0  # premise: labels only in w0
+            assert row.corroborative == 0  # premise: labels only in w0
             assert row.adaptive_f1 == row.static_f1
             assert row.improvement_pct == 100.0
 
@@ -534,7 +534,7 @@ class TestGenerator:
         assert a.corroborative_path.read_bytes() == b.corroborative_path.read_bytes()
 
     def test_rejects_single_window(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^n_windows=1 out of range: must be >= 2$"):
             SynthConfig(n_windows=1)
 
 

@@ -538,6 +538,13 @@ def _narrow_model(doc):
     doc["models"][1].update(memory=_window_to_json(memory), weights=_encode_f8(np.zeros(5)))
 
 
+def _spoiled(block, value):
+    """An ``_encode_f8`` block equal to ``block`` but for ``value`` as its first component."""
+    a = np.frombuffer(base64.b64decode(block["f8"]), dtype="<f8").reshape(block["shape"]).copy()
+    a.flat[0] = value
+    return _encode_f8(a)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -752,6 +759,19 @@ class TestCheckpoint:
         "memory_empty": lambda doc: doc["models"][0].update(
             memory=_window_to_json(DataWindow(capacity=4, window_id="m0003"))),
         "widths_differ": _narrow_model,
+        "band_delta_string": lambda doc: doc["models"][0]["band"].update(delta="x"),
+        "band_delta_null": lambda doc: doc["models"][0]["band"].update(delta=None),
+        "band_delta_bool": lambda doc: doc["models"][0]["band"].update(delta=True),
+        "band_delta_zero": lambda doc: doc["models"][1]["band"].update(delta=0.0),
+        "band_lo_bool": lambda doc: doc["models"][0]["band"].update(lo=False),
+        "memory_over_capacity": lambda doc: doc["models"][0]["memory"].update(capacity=3),
+        "general_over_capacity": lambda doc: doc["general"].update(capacity=3),
+        "weight_nan": lambda doc: doc["models"][0].update(
+            weights=_spoiled(doc["models"][0]["weights"], math.nan)),
+        "vec_sum_inf": lambda doc: doc["general"].update(
+            vec_sum=_spoiled(doc["general"]["vec_sum"], math.inf)),
+        "memory_vec_sum_nan": lambda doc: doc["models"][1]["memory"].update(
+            vec_sum=_spoiled(doc["models"][1]["memory"]["vec_sum"], math.nan)),
     }
 
     @pytest.mark.parametrize("case", MALFORMED)
