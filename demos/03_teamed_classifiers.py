@@ -2,9 +2,10 @@
 
 Trains two regional models, routes fresh points through the pool (band
 membership decides which memories absorb them), then predicts a window of
-query points from a frozen snapshot: each point gets a weighted team of the
-nearest models, which blends the members' probabilities. Replay makes the
-same call once per window and writes the same decision rows.
+query points from the pool's models, which prediction leaves unchanged: each
+point gets a weighted team of the nearest models, which blends the members'
+probabilities. Replay makes the same call once per window and writes the same
+decision rows.
 
 Run: python3 demos/03_teamed_classifiers.py
 """
@@ -79,9 +80,8 @@ print(f"  general memory now holds {len(pool.general)} point(s) for future model
 
 print("\n== teamed prediction for a window of one point ==")
 query = storms + 0.1 * rng.standard_normal(dim)
-snapshot = pool.snapshot()
-omega = {m.id: m.omega for m in snapshot}
-lines, _ = decision_lines(["query"], snapshot, query[None, :], k=cfg.k)
+omega = {m.id: m.omega for m in pool.models}
+lines, _ = decision_lines(["query"], pool.models, query[None, :], k=cfg.k)
 print(f"  decision row: {lines[0].rstrip()}")
 decision = json.loads(lines[0])
 for member in decision["team"]:

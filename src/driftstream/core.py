@@ -124,7 +124,7 @@ def check_ranges(config, ranges: dict) -> None:
     for key, (ok, rule) in ranges.items():
         value = getattr(config, key)
         if not ok(value):
-            raise ConfigError(f"{CONFIG_KEYS.get(key, key)}={value} out of range: must be {rule}")
+            raise ConfigError(f"{CONFIG_KEYS.get(key, key)}={value!r} out of range: must be {rule}")
 
 
 def check_coordinates(lat, lon, where: str = "") -> None:
@@ -329,11 +329,12 @@ class Embedder:
                         buckets[token] = _token_bucket_sign(token, dim, self.cfg.hash_seed)
                     bucket, sign = buckets[token]
                     out[i, bucket] += sign  # integer sums: exact in any order
-        # a 1-d norm per row: norm(axis=1) would sum the squares in another order
-        norms = np.array([vector_norm(row) for row in out])
+        # a 1-d norm per row: norm(axis=1) would sum the squares in another order;
         # a finite row whose squares overflow is first divided by its largest magnitude
-        for i in np.flatnonzero(np.isinf(norms)):
-            out[i], norms[i] = _rescaled(out[i], norms[i])
+        with np.errstate(over="ignore"):
+            norms = np.array([vector_norm(row) for row in out])
+            for i in np.flatnonzero(np.isinf(norms)):
+                out[i], norms[i] = _rescaled(out[i], norms[i])
         np.divide(out, norms[:, None], out=out, where=norms[:, None] > 0.0)
         return out
 

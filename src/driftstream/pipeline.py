@@ -3,10 +3,10 @@
 Replay runs two paths. The prediction path gives every point its own teamed
 classifier, formed for a whole window at once from the pool as the previous
 boundary left it, before the window's points are routed, and logs one
-decision per point; baseline decisions read a frozen copy of the bootstrap
-pool, and the bootstrap window emits none. The maintenance path fires at
-window boundaries: retroactive corroborative labeling, model evaluation,
-per-model drift verdicts, then retraining and generation.
+decision per point; baseline decisions read the bootstrap pool as restored
+from its checkpoint, and the bootstrap window emits none. The maintenance
+path fires at window boundaries: retroactive corroborative labeling, model
+evaluation, per-model drift verdicts, then retraining and generation.
 
 Each window is one step: it is predicted, its points are routed, its boundary
 runs, and its decision, baseline, verdict and window-stats rows are appended.
@@ -55,6 +55,7 @@ from .pool import (
     PoolConfig,
     evaluate_models,
     f_score,
+    load_pool,
     on_drift,
     process_point,
     save_pool,
@@ -86,6 +87,7 @@ class PipelineConfig(PoolConfig, EmbedderConfig):
             "bins": (lambda v: v >= 2, ">= 2"),
             "kl_threshold": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
             "pad_seconds": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+            **{key: _PATH_RULE for key in ("table_path", "stream", "corroborative")},
         })
         PoolConfig.__post_init__(self)
         EmbedderConfig.__post_init__(self)
@@ -97,6 +99,10 @@ class PipelineConfig(PoolConfig, EmbedderConfig):
 
 _FIELD_OF_KEY = {key: name for name, key in CONFIG_KEYS.items()}
 _NONE_TOKEN = "auto"
+# A path setting reads back from this format as itself: set, stripped and on one line.
+_PATH_RULE = (lambda v: v is None or (v == v.strip() and v not in ("", _NONE_TOKEN)
+                                      and "\n" not in v and "\r" not in v),
+              f"unset, or a non-empty path other than {_NONE_TOKEN} on one line, unpadded")
 
 
 def serialize_config(cfg: PipelineConfig) -> str:
@@ -366,8 +372,8 @@ def replay(
     out_dir: str | Path,
 ) -> ReplayResult:
     """Replay a stream against a corroborative feed, writing all artifacts to ``out_dir``."""
-    embedder = Embedder(cfg)
-    points, truth = load_stream(stream_path, embedder)
+    # no name holds the embedder, so its table is freed once the stream is embedded
+    points, truth = load_stream(stream_path, Embedder(cfg))
     events = load_events(corroborative_path)
 
     out = Path(out_dir)
@@ -378,7 +384,7 @@ def replay(
                  out / "static_pool.json", out / "final_pool.json"):
         path.unlink(missing_ok=True)
     pool = Pool(general_capacity=cfg.window_size)
-    bootstrap = None  # a frozen copy of the pool after window 0
+    bootstrap = None  # the models of the pool after window 0, read back from its checkpoint
     positives: list[tuple[DataPoint, float]] = []
     report_rows: list[WindowReport] = []
     paths = {name: out / f"{name}.jsonl"
@@ -420,8 +426,8 @@ def replay(
             on_drift(pool, verdicts, cfg, index)
 
             if index == 0:
-                bootstrap = pool.snapshot()
                 save_pool(pool, static_pool_path)
+                bootstrap = load_pool(static_pool_path).models
 
             stats = {
                 "window": index,

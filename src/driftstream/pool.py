@@ -15,7 +15,7 @@ import base64
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 
@@ -116,11 +116,6 @@ class Pool:
             for i, p in enumerate(w.points):
                 if p.id in labels and p.label is None:
                     w.points[i] = p.with_label(labels[p.id])
-
-    def snapshot(self) -> list[ModelRecord]:
-        """Copies of the models, with their own weights and memory windows, that
-        later routing and retraining leave unchanged: replay's frozen bootstrap pool."""
-        return [replace(m, weights=m.weights.copy(), memory=m.memory.copy()) for m in self.models]
 
 
 @dataclass(frozen=True)

@@ -56,9 +56,6 @@ class DataWindow:
         w._vec_sum = None if vec_sum is None else np.array(vec_sum, dtype=np.float64)
         return w
 
-    def copy(self) -> "DataWindow":
-        return self.restore(self.points, self._vec_sum, self.capacity, self.id)
-
     def __len__(self) -> int:
         return len(self.points)
 

@@ -3,11 +3,12 @@
 A value of the wrong declared type is a ConfigError naming the setting's key,
 whichever config class is built: a float, bool or string for an int, a bool
 or string for a float, a number for a string, and None where the field is not
-optional. Valid run configs round-trip through the key=value format.
+optional. A run config either round-trips through the key=value format or
+is refused, naming a path setting that format could not read back as itself.
 """
 
 import dataclasses
-import string
+import re
 
 import numpy as np
 import pytest
@@ -67,9 +68,9 @@ def test_int_is_a_float_and_numpy_ints_are_ints():
     assert (cfg.kl_threshold, cfg.pad_seconds, cfg.k) == (0, 3600, 3)
 
 
-# file values are stripped, and "auto" or an empty value means unset
-PATHS = st.text(string.ascii_letters + string.digits + "/._-", min_size=1).filter(
-    lambda s: s != "auto")
+# any text: a path setting the key=value format cannot read back as itself is refused
+PATHS = st.text()
+PATH_KEYS = ("table_path", "stream", "corroborative")
 
 
 def finite(lo, exclude_min=False):
@@ -77,9 +78,9 @@ def finite(lo, exclude_min=False):
 
 
 @st.composite
-def pipeline_configs(draw):
+def pipeline_settings(draw):
     embed_mode = draw(st.sampled_from(["feature_hash", "table"]))
-    return PipelineConfig(
+    return dict(
         dim=draw(st.integers(1, 10**6)), embed_mode=embed_mode,
         table_path=draw(PATHS if embed_mode == "table" else st.none() | PATHS),
         hash_seed=draw(st.integers(-2**63, 2**64)),
@@ -94,10 +95,31 @@ def pipeline_configs(draw):
     )
 
 
+def reads_back(key: str, value: str) -> bool:
+    """Whether a file holding ``key=value`` alone reads back as ``value``."""
+    try:
+        return getattr(parse_config(f"{key}={value}\n"), key) == value
+    except ConfigError:
+        return False
+
+
 @settings(max_examples=300, deadline=None)
-@given(pipeline_configs())
-def test_valid_config_round_trips(cfg):
+@given(pipeline_settings())
+def test_config_round_trips_or_is_refused(values):
+    try:
+        cfg = PipelineConfig(**values)
+    except ConfigError as exc:
+        key = str(exc).partition("=")[0]
+        assert key in PATH_KEYS and not reads_back(key, values[key]), exc
+        return
     text = serialize_config(cfg)
     parsed = parse_config(text)
     assert parsed == cfg
     assert serialize_config(parsed) == text
+
+
+@pytest.mark.parametrize("key", PATH_KEYS)
+@pytest.mark.parametrize("value", ["", "auto", " a", "a\r", "a\nb", "a\x85"])
+def test_unreadable_path_is_refused_naming_key(key, value):
+    with pytest.raises(ConfigError, match=rf"^{key}={re.escape(repr(value))} out of range"):
+        PipelineConfig(**{"embed_mode": "table", "table_path": "t.tsv", key: value})

@@ -160,6 +160,7 @@ def test_feed_lines(index, line):
 @example(0, b"flood \xff 0.1")
 @example(1, b"water nan 0.2")
 @example(0, "flood 1.0 0.1\u2028".encode())
+@example(1, b"water 0.0 2.6815615859885194e+154")  # finite, but its square overflows
 def test_table_lines(index, line):
     replay_with("table", index, line)
 

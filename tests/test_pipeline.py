@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -435,13 +436,38 @@ class TestReplay:
                         for path in (result.decisions, result.baseline_decisions))
         assert live == frozen
 
-    def test_static_checkpoint_restores_window_1_decisions(self, small_run):
+    def test_static_checkpoint_restores_every_baseline_window(self, small_run):
         gen, cfg, result = small_run
         points, _ = load_stream(gen.stream_path, Embedder(cfg.embedder_config()))
-        window = points[cfg.window_size:2 * cfg.window_size]
-        lines, _ = decision_lines([p.id for p in window], load_pool(result.static_pool).models,
-                                  np.vstack([p.vec for p in window]), cfg.k)
-        assert lines == result.decisions.read_text().splitlines(keepends=True)[:cfg.window_size]
+        frozen = load_pool(result.static_pool).models
+        baseline = result.baseline_decisions.read_text().splitlines(keepends=True)
+        for start in range(cfg.window_size, len(points), cfg.window_size):
+            window = points[start:start + cfg.window_size]
+            lines, _ = decision_lines([p.id for p in window], frozen,
+                                      np.vstack([p.vec for p in window]), cfg.k)
+            assert lines == baseline[:len(lines)], f"window {start // cfg.window_size}"
+            del baseline[:len(lines)]
+        assert baseline == []
+
+    def test_embedder_is_freed_before_routing(self, small_run, tmp_path, monkeypatch):
+        gen, cfg, _ = small_run
+        embedders, alive_at_routing = [], []
+        route = pipeline.process_point
+
+        class Tracked(pipeline.Embedder):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                embedders.append(weakref.ref(self))
+
+        def first_routed(*args):
+            if not alive_at_routing:
+                alive_at_routing.append(embedders[0]() is not None)
+            return route(*args)
+
+        monkeypatch.setattr(pipeline, "Embedder", Tracked)
+        monkeypatch.setattr(pipeline, "process_point", first_routed)
+        replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=tmp_path)
+        assert len(embedders) == 1 and alive_at_routing == [False]
 
     def test_evaluate_windows_round_trip(self, small_run, tmp_path):
         gen, _, result = small_run

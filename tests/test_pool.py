@@ -327,46 +327,8 @@ class TestDistanceReuse:
         assert len(distance_calls) == n_models
         distance_calls.clear()
         # prediction takes one distance column per model, never a scalar pair
-        decision_lines(["a", "b"], pool.snapshot(), np.vstack([x.vec, -x.vec]), 5)
+        decision_lines(["a", "b"], pool.models, np.vstack([x.vec, -x.vec]), 5)
         assert distance_calls == []
-
-
-class TestSnapshot:
-    def test_routing_and_retraining_leave_snapshot_unchanged(self):
-        rng = np.random.default_rng(14)
-        cfg = PoolConfig()
-        pool = Pool()
-        pool.models.append(train_classifier(two_cluster_points(rng, n=100), cfg, model_id="m1"))
-        pool.models.append(train_classifier(two_cluster_points(rng, n=100, sep=0.5), cfg,
-                                            model_id="m2", created_at=1))
-        snapshot = pool.snapshot()
-        for live, snap in zip(pool.models, snapshot):
-            assert snap.memory is not live.memory
-            np.testing.assert_array_equal(snap.centroid, live.centroid)
-        probes = [point(f"q{i}", rng.standard_normal(6)) for i in range(20)]
-
-        def frozen_state():
-            return [(m.centroid.copy(), m.weights.copy()) for m in snapshot], decision_lines(
-                [q.id for q in probes], snapshot, np.vstack([q.vec for q in probes]), 5
-            )
-
-        members, predictions = frozen_state()
-        live_centroid = pool.models[0].centroid.copy()
-        live_weights = pool.models[0].weights.copy()
-
-        for p in two_cluster_points(rng, n=60, sep=2.0):
-            process_point(pool, p, cfg)
-        verdict = DriftVerdict(kl=1.0, threshold=0.05, drifted=True, compared=("m1", "live"))
-        on_drift(pool, {"m1": verdict}, cfg)
-        # the live model did move, so the comparison below is not vacuous
-        assert not np.array_equal(pool.models[0].centroid, live_centroid)
-        assert not np.array_equal(pool.models[0].weights, live_weights)
-
-        members_after, predictions_after = frozen_state()
-        for (c0, w0), (c1, w1) in zip(members, members_after):
-            np.testing.assert_array_equal(c0, c1)
-            np.testing.assert_array_equal(w0, w1)
-        assert predictions == predictions_after
 
 
 class TestGeneralMemory:
