@@ -25,7 +25,6 @@ from .drift import (
 )
 from .ensemble import decision_lines
 from .pipeline import (
-    DetectedEvent,
     PipelineConfig,
     WindowReport,
     aggregate_events,

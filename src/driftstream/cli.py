@@ -18,7 +18,7 @@ from .pipeline import (
     replay,
     save_config,
 )
-from .synth import SCHEDULES, SynthConfig, generate_synthetic
+from .synth import SCHEDULES, SynthConfig, generate_synthetic, output_paths
 from .windows import (
     DEFAULT_DELTA,
     DataWindow,
@@ -69,13 +69,13 @@ def _cmd_gen(args) -> int:
         window_size=args.window_size, dim=args.dim,
         corroborative_fraction=args.corroborative_fraction, jump=args.jump,
     )
-    result = generate_synthetic(cfg, args.out)
-    run_cfg = PipelineConfig(
+    stream, corroborative, table = output_paths(args.out)
+    run_cfg = PipelineConfig(  # refuses the paths before anything is written
         window_size=cfg.window_size, dim=cfg.dim, embed_mode="table",
-        table_path=str(result.table_path.resolve()), seed=cfg.seed,
-        stream=str(result.stream_path.resolve()),
-        corroborative=str(result.corroborative_path.resolve()),
+        table_path=str(table.resolve()), seed=cfg.seed,
+        stream=str(stream.resolve()), corroborative=str(corroborative.resolve()),
     )
+    result = generate_synthetic(cfg, args.out)
     config_path = Path(args.out) / "config.txt"
     save_config(run_cfg, config_path)
     print(f"wrote {result.n_points} points to {result.stream_path}")

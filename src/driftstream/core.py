@@ -61,6 +61,23 @@ def read_lines(path: str | Path, error: type[Exception], what: str) -> Iterator[
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
+def line_fault(path: str | Path, lineno: int, what: str, exc: Exception) -> InputError:
+    """The :class:`InputError` of a bad ``what`` line of ``path``; a missing key is named as one."""
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    return InputError(f"{path}:{lineno}: malformed {what} line: {detail}")
+
+
+def read_jsonl(path: str | Path, what: str, parse) -> Iterator[tuple[int, object]]:
+    """(line number, ``parse`` applied to its JSON) for each non-blank line of
+    ``path``. A line that is not JSON, lacks a key or holds a bad value is the
+    :func:`line_fault` naming the file and line."""
+    for lineno, line in read_lines(path, InputError, f"{what} file"):
+        try:
+            yield lineno, parse(json.loads(line))
+        except (KeyError, ValueError, TypeError, InputError) as exc:
+            raise line_fault(path, lineno, what, exc) from exc
+
+
 def json_line(obj) -> str:
     """``obj`` as one line of compact JSON, newline included."""
     return _JSON.encode(obj) + "\n"

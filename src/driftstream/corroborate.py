@@ -7,7 +7,6 @@ polarity as its label.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ import numpy as np
 
 from .core import (
     DataPoint, InputError, check_coordinates, check_string, check_ts, is_number, json_line,
-    read_lines,
+    read_jsonl,
 )
 
 EARTH_RADIUS_KM = 6371.0088
@@ -57,6 +56,7 @@ class CorroborativeEvent:
         check_coordinates(self.lat, self.lon, f"event {self.id}: ")
         if self.polarity not in (POLARITY_RELEVANT, POLARITY_IRRELEVANT):
             raise InputError(f"event {self.id}: unknown polarity {self.polarity!r}")
+        check_string(self.source, f"event {self.id}: source")
 
     @property
     def label(self) -> int:
@@ -173,21 +173,15 @@ def label_fraction(points: Sequence, assignments: Sequence[LabelAssignment]) -> 
 
 def load_events(path: str | Path) -> list[CorroborativeEvent]:
     """Read a corroborative feed: one JSON event per line."""
-    events = []
-    for lineno, line in read_lines(path, InputError, "corroborative feed"):
-        try:
-            d = json.loads(line)
-            events.append(
-                CorroborativeEvent(
-                    id=d["id"], ts_start=d["ts_start"], ts_end=d["ts_end"],
-                    lat=d["lat"], lon=d["lon"],
-                    radius_km=DEFAULT_RADIUS_KM if d.get("radius_km") is None else d["radius_km"],
-                    polarity=d["polarity"], source=d.get("source", ""),
-                )
-            )
-        except (KeyError, ValueError, TypeError, InputError) as exc:
-            raise InputError(f"{path}:{lineno}: bad event line: {exc}") from exc
-    return events
+    return [event for _, event in read_jsonl(path, "event", _event_from)]
+
+
+def _event_from(d: dict) -> CorroborativeEvent:
+    return CorroborativeEvent(
+        id=d["id"], ts_start=d["ts_start"], ts_end=d["ts_end"], lat=d["lat"], lon=d["lon"],
+        radius_km=DEFAULT_RADIUS_KM if d.get("radius_km") is None else d["radius_km"],
+        polarity=d["polarity"], source=d.get("source", ""),
+    )
 
 
 def save_events(events: Iterable[CorroborativeEvent], path: str | Path) -> None:

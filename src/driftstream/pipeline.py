@@ -27,7 +27,7 @@ import math
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,8 @@ from .core import (
     check_string,
     check_ts,
     json_line,
+    line_fault,
+    read_jsonl,
     read_lines,
     setting_types,
 )
@@ -195,7 +197,7 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
                 if d.get("label") is not None:
                     truth[point_id] = check_label(d["label"])
             except (KeyError, ValueError, TypeError, InputError) as exc:
-                raise InputError(f"{path}:{lineno}: malformed stream line: {exc}") from exc
+                raise line_fault(path, lineno, "stream", exc) from exc
             if last_ts is not None and ts < last_ts:
                 raise InputError(f"{path}:{lineno}: stream not sorted by ts")
             first = first_line.setdefault(point_id, lineno)
@@ -211,7 +213,7 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
         try:
             points.append(DataPoint(id=point_id, ts=ts, text=text, vec=vec, lat=lat, lon=lon))
         except InputError as exc:
-            raise InputError(f"{path}:{lineno}: malformed stream line: {exc}") from exc
+            raise line_fault(path, lineno, "stream", exc) from exc
     if fault is not None:
         raise fault
     return points, truth
@@ -221,63 +223,44 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
 # Knowledgebase aggregation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DetectedEvent:
-    """Positively classified points grouped by one-degree cell and UTC day."""
-
-    cell_id: str
-    date: str
-    point_ids: list[str]
-    first_ts: int
-    last_ts: int
-    mean_probability: float
-    centroid_geo: tuple[float, float] | None
-
-    def record(self) -> dict:
-        return {
-            "cell": self.cell_id, "date": self.date, "points": self.point_ids,
-            "first_ts": self.first_ts, "last_ts": self.last_ts,
-            "mean_probability": self.mean_probability,
-            "centroid_geo": list(self.centroid_geo) if self.centroid_geo else None,
-        }
-
-
 def _cell_of(point: DataPoint) -> str:
     if point.geo is None:
         return "global"
     return f"{int(math.floor(point.lat))}:{int(math.floor(point.lon))}"
 
 
-def _date_of(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%d")
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
-def aggregate_events(positives: list[tuple[DataPoint, float]]) -> tuple[list[DetectedEvent], dict[int, int]]:
-    """Group positive predictions into detected events plus a posts-per-event
-    histogram (number of events keyed by their post count)."""
-    groups: dict[tuple[str, str], list[tuple[DataPoint, float]]] = {}
+def aggregate_events(positives: list[tuple[DataPoint, float]]) -> tuple[list[dict], dict[int, int]]:
+    """The knowledgebase rows, one per detected event, plus a posts-per-event
+    histogram (number of events keyed by their post count).
+
+    An event is the positives of one 1-degree cell and one UTC day. Rows are
+    sorted by cell, then day, and give the day as an ISO ``YYYY-MM-DD`` date.
+    """
+    groups: dict[tuple[str, int], list[tuple[DataPoint, float]]] = {}
     for point, prob in positives:
-        groups.setdefault((_cell_of(point), _date_of(point.ts)), []).append((point, prob))
-    events = []
-    for (cell, date) in sorted(groups):
-        members = groups[(cell, date)]
+        groups.setdefault((_cell_of(point), point.ts // 86400), []).append((point, prob))
+    rows = []
+    for cell, day in sorted(groups):
+        members = groups[(cell, day)]
         pts = [p for p, _ in members]
         geo_pts = [p for p in pts if p.geo is not None]
         centroid = None
         if geo_pts:
-            centroid = (
+            centroid = [
                 sum(p.lat for p in geo_pts) / len(geo_pts),
                 sum(p.lon for p in geo_pts) / len(geo_pts),
-            )
-        events.append(
-            DetectedEvent(
-                cell_id=cell, date=date, point_ids=[p.id for p in pts],
-                first_ts=min(p.ts for p in pts), last_ts=max(p.ts for p in pts),
-                mean_probability=sum(pr for _, pr in members) / len(members),
-                centroid_geo=centroid,
-            )
-        )
-    return events, dict(Counter(len(e.point_ids) for e in events))
+            ]
+        rows.append({
+            "cell": cell, "date": date.fromordinal(_EPOCH_ORDINAL + day).isoformat(),
+            "points": [p.id for p in pts],
+            "first_ts": min(p.ts for p in pts), "last_ts": max(p.ts for p in pts),
+            "mean_probability": sum(pr for _, pr in members) / len(members),
+            "centroid_geo": centroid,
+        })
+    return rows, dict(Counter(len(row["points"]) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +433,9 @@ def replay(
                               if adaptive.get(p.id)]
                 report_rows += build_reports([stats], adaptive, static, truth)
 
-    detected, histogram = aggregate_events(positives)
+    knowledgebase, histogram = aggregate_events(positives)
     with open(kb_path, "w", encoding="utf-8") as fh:
-        _write_jsonl(fh, (e.record() for e in detected))
+        _write_jsonl(fh, knowledgebase)
     (out / "events_histogram.json").write_text(
         json_line({str(k): histogram[k] for k in sorted(histogram)}), encoding="utf-8")
     write_reports_csv(report_rows, reports_path)
@@ -483,24 +466,14 @@ def evaluate_windows(run_dir: str | Path, truth_path: str | Path) -> list[Window
     a needed key or holds a bad value fails with the file and line.
     """
     run = Path(run_dir)
-    window_stats = [row for _, row in _read_jsonl(run / "window_stats.jsonl", "window stats",
-                                                  _stats_row)]
+    window_stats = [row for _, row in read_jsonl(run / "window_stats.jsonl", "window stats",
+                                                 _stats_row)]
     adaptive_pred = _labels_from(run / "decisions.jsonl", "decision", _decision_row)
     static_pred = _labels_from(run / "baseline_decisions.jsonl", "decision", _decision_row)
     truth = _labels_from(Path(truth_path), "truth", _truth_row)
     reports = build_reports(window_stats, adaptive_pred, static_pred, truth)
     write_reports_csv(reports, run / "reports.csv")
     return reports
-
-
-def _read_jsonl(path: Path, what: str, parse):
-    """(line number, ``parse`` applied to its JSON) for each non-blank line of ``path``."""
-    for lineno, line in read_lines(path, InputError, f"{what} file"):
-        try:
-            yield lineno, parse(json.loads(line))
-        except (KeyError, ValueError, TypeError, InputError) as exc:
-            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise InputError(f"{path}:{lineno}: malformed {what} line: {detail}") from exc
 
 
 def _stats_row(d: dict) -> dict:
@@ -528,7 +501,7 @@ def _labels_from(path: Path, what: str, row) -> dict[str, int]:
     on two lines is an :class:`InputError` naming both."""
     labels: dict[str, int] = {}
     first_line: dict[str, int] = {}
-    for lineno, (pid, label) in _read_jsonl(path, what, row):
+    for lineno, (pid, label) in read_jsonl(path, what, row):
         first = first_line.setdefault(pid, lineno)
         if first != lineno:
             raise InputError(f"{path}:{lineno}: duplicate id {pid!r}, first on line {first}")

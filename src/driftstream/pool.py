@@ -414,8 +414,9 @@ def load_pool(path: str | Path) -> Pool:
     """Read a checkpoint written by :func:`save_pool`; anything else is an
     :class:`InputError` naming the file. That includes vectors stored as float
     lists, a general memory that is not a window record, a count, capacity,
-    omega, band delta or bound, timestamp, id or band kind of the wrong type or
-    range (a bool is no number), a window over its capacity, a non-finite float,
+    omega, band delta or bound, timestamp or id of the wrong type or range (a
+    bool is no number), a band kind other than those the band estimates write
+    (empirical, gaussian), a window over its capacity, a non-finite float,
     a running sum or weights that do not fit the pool's one vector width, and
     two models with one id."""
     try:
@@ -427,7 +428,7 @@ def load_pool(path: str | Path) -> Pool:
         for md in doc["models"]:
             band = DeltaBand(
                 delta=md["band"]["delta"], lo=md["band"]["lo"], hi=md["band"]["hi"],
-                estimate_kind=check_string(md["band"]["kind"], "band kind"),
+                estimate_kind=md["band"]["kind"],
             )
             model = ModelRecord(
                 id=check_string(md["id"], "model id"), weights=_decode_f8(md["weights"]),

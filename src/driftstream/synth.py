@@ -100,15 +100,20 @@ class SynthStream:
     events: int
 
 
-def generate_synthetic(cfg: SynthConfig, out_dir: str | Path) -> SynthStream:
-    """Write stream.jsonl, corroborative.jsonl, and embeddings.tsv."""
+def output_paths(out_dir: str | Path) -> tuple[Path, Path, Path]:
+    """The stream, corroborative feed and embedding table that
+    :func:`generate_synthetic` writes into ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    return out / "stream.jsonl", out / "corroborative.jsonl", out / "embeddings.tsv"
+
+
+def generate_synthetic(cfg: SynthConfig, out_dir: str | Path) -> SynthStream:
+    """Write the :func:`output_paths` of ``out_dir``, creating the directory."""
+    stream_path, corroborative_path, table_path = output_paths(out_dir)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     u, v, moved = _centers(cfg)
 
-    stream_path = out / "stream.jsonl"
-    table_path = out / "embeddings.tsv"
     events: list[CorroborativeEvent] = []
     n_total = cfg.n_windows * cfg.window_size
 
@@ -150,7 +155,6 @@ def generate_synthetic(cfg: SynthConfig, out_dir: str | Path) -> SynthStream:
                     )
                 )
 
-    corroborative_path = out / "corroborative.jsonl"
     save_events(events, corroborative_path)
     return SynthStream(
         stream_path=stream_path, corroborative_path=corroborative_path,

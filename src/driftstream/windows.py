@@ -104,6 +104,8 @@ class DeltaBand:
         if not (all(map(is_number, (self.delta, self.lo, self.hi)))
                 and 0.0 < self.delta <= 1.0 and 0.0 <= self.lo <= self.hi <= 1.0):
             raise InputError(f"bad band: delta {self.delta!r}, bounds [{self.lo!r}, {self.hi!r}]")
+        if self.estimate_kind not in ("empirical", "gaussian"):
+            raise InputError(f"band kind {self.estimate_kind!r} is not empirical or gaussian")
 
 
 @dataclass(frozen=True)

@@ -348,12 +348,21 @@ class TestFeedIO:
                         '"polarity":"relevant"}\n'
                         f'{{"id":"e2","ts_start":{ts},"ts_end":1735787220,"lat":0.0,'
                         '"lon":0.0,"polarity":"relevant"}\n')
-        with pytest.raises(InputError, match=":2: bad event line: .*ts_start"):
+        with pytest.raises(InputError, match=":2: malformed event line: .*ts_start"):
+            load_events(path)
+
+    @pytest.mark.parametrize("source", ["5", "null", '{"a":[1]}', "true"])
+    def test_non_string_source_rejected(self, tmp_path, source):
+        path = tmp_path / "feed.jsonl"
+        path.write_text('{"id":"e1","ts_start":0,"ts_end":1,"lat":0.0,"lon":0.0,'
+                        f'"polarity":"relevant","source":{source}}}\n')
+        with pytest.raises(InputError, match=r":1: malformed event line: event e1: source .* "
+                                             r"is not a string"):
             load_events(path)
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "feed.jsonl"
         path.write_text('{"id":"e1","ts_start":0,"ts_end":1,"lat":0.0,"lon":0.0,'
                         '"polarity":"relevant"}\n{"id":"e2"}\n')
-        with pytest.raises(InputError, match=":2"):
+        with pytest.raises(InputError, match=":2: malformed event line: missing key 'ts_start'$"):
             load_events(path)

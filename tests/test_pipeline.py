@@ -8,7 +8,7 @@ import pytest
 
 import driftstream.pipeline as pipeline
 from driftstream.cli import main as cli_main
-from driftstream.core import ConfigError, DataPoint, Embedder, EmbedderConfig, InputError
+from driftstream.core import MIN_TS, ConfigError, DataPoint, Embedder, EmbedderConfig, InputError
 from driftstream.ensemble import decision_lines
 from driftstream.pipeline import (
     PipelineConfig,
@@ -172,7 +172,7 @@ class TestLoadStream:
     def test_malformed_line_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"id":"p0","ts":1,"text":"x"}\n{"nope":1}\n')
-        with pytest.raises(InputError, match=":2"):
+        with pytest.raises(InputError, match=r":2: malformed stream line: missing key 'ts'$"):
             load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
 
     def test_duplicate_id_rejected_with_both_line_numbers(self, tmp_path):
@@ -286,10 +286,12 @@ class TestAggregateEvents:
 
     def test_single_positive_single_event(self):
         events, histo = aggregate_events([(self._pt("p", 1000, 10.5, 20.5), 0.9)])
-        assert len(events) == 1
-        e = events[0]
-        assert e.cell_id == "10:20" and e.point_ids == ["p"]
-        assert e.mean_probability == 0.9
+        assert events == [{
+            "cell": "10:20", "date": "1970-01-01", "points": ["p"], "first_ts": 1000,
+            "last_ts": 1000, "mean_probability": 0.9, "centroid_geo": [10.5, 20.5],
+        }]
+        assert list(events[0]) == ["cell", "date", "points", "first_ts", "last_ts",
+                                   "mean_probability", "centroid_geo"]
         assert histo == {1: 1}
 
     def test_same_cell_different_days_split(self):
@@ -302,7 +304,7 @@ class TestAggregateEvents:
     def test_geo_less_points_pool_in_global_cell(self):
         p = DataPoint(id="p", ts=500, text="", vec=np.zeros(2))
         events, _ = aggregate_events([(p, 0.7)])
-        assert events[0].cell_id == "global" and events[0].centroid_geo is None
+        assert events[0]["cell"] == "global" and events[0]["centroid_geo"] is None
 
     def test_centroid_and_span(self):
         events, _ = aggregate_events([
@@ -310,9 +312,24 @@ class TestAggregateEvents:
             (self._pt("b", 2000, 10.4, 20.8), 0.6),
         ])
         e = events[0]
-        assert e.first_ts == 1000 and e.last_ts == 2000
-        assert e.centroid_geo == (pytest.approx(10.2), pytest.approx(20.4))
-        assert e.mean_probability == pytest.approx(0.7)
+        assert e["first_ts"] == 1000 and e["last_ts"] == 2000
+        assert e["centroid_geo"] == [pytest.approx(10.2), pytest.approx(20.4)]
+        assert e["mean_probability"] == pytest.approx(0.7)
+
+    def test_dates_are_iso_and_rows_follow_the_day_within_a_cell(self):
+        # 0999-12-31T23:00Z and 1000-01-01T00:00Z: a date string without the
+        # leading zero would sort the later day first
+        late_999, new_1000 = -30610227600, -30610224000
+        events, _ = aggregate_events([
+            (self._pt("first", MIN_TS, 10.5, 20.5), 0.9),
+            (self._pt("new", new_1000, 1.5, 2.5), 0.8),
+            (self._pt("late", late_999, 1.5, 2.5), 0.7),
+        ])
+        assert [(e["cell"], e["date"], e["points"]) for e in events] == [
+            ("10:20", "0001-01-01", ["first"]),
+            ("1:2", "0999-12-31", ["late"]),
+            ("1:2", "1000-01-01", ["new"]),
+        ]
 
 
 class TestReplay:
@@ -601,6 +618,14 @@ class TestCli:
         assert cli_main(["gen", flag, value, "--out", str(out)]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_gen_output_path_the_config_cannot_hold_is_config_error_writing_nothing(
+            self, tmp_path, capsys):
+        parent = tmp_path / "data"
+        assert cli_main(["gen", "--windows", "2", "--window-size", "10", "--dim", "3",
+                         "--out", str(parent / "a\nb")]) == 2
+        assert "config error: table_path=" in capsys.readouterr().err
+        assert not parent.exists()
 
     @pytest.mark.parametrize("delta", ["1.5", "0", "nan"])
     def test_band_delta_out_of_range_is_config_error_before_the_stream_is_read(

@@ -715,6 +715,8 @@ class TestCheckpoint:
         "created_at_string": lambda doc: doc["models"][0].update(created_at="x"),
         "last_evaluated_bool": lambda doc: doc["models"][1].update(last_evaluated=True),
         "band_kind_int": lambda doc: doc["models"][0]["band"].update(kind=7),
+        "band_kind_unknown": lambda doc: doc["models"][1]["band"].update(kind="banana"),
+        "band_kind_null": lambda doc: doc["models"][0]["band"].update(kind=None),
         "model_id_int": lambda doc: doc["models"][0].update(id=5),
         "model_ids_repeat": lambda doc: doc["models"][1].update(id=doc["models"][0]["id"]),
         "weights_short": lambda doc: doc["models"][0].update(weights=_encode_f8(np.ones(3))),
