@@ -9,7 +9,7 @@ Run: python3 demos/04_corroborative_labeling.py
 
 import numpy as np
 
-from driftstream import CorroborativeEvent, DataPoint, assign_labels, haversine_km, label_fraction
+from driftstream import CorroborativeEvent, DataPoint, assign_labels, haversine_km
 
 print("== great-circle distances ==")
 atlanta, austin = (33.749, -84.388), (30.267, -97.743)
@@ -48,7 +48,7 @@ for post in posts:
               f"({a.distance_km:.1f} km away)")
 
 print("\n== how much of the stream gets labeled this way ==")
-fraction = label_fraction(posts, assignments)
+fraction = len(assignments) / len(posts)
 print(f"  {len(assignments)} of {len(posts)} points labeled "
       f"({100 * fraction:.0f}%); the rest rely on the teamed classifiers")
 print("  note the election post: the nearer irrelevant event wins, which is")

@@ -13,7 +13,6 @@ from .corroborate import (
     LabelAssignment,
     assign_labels,
     haversine_km,
-    label_fraction,
 )
 from .drift import (
     DistanceHistogram,

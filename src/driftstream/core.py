@@ -67,6 +67,14 @@ def line_fault(path: str | Path, lineno: int, what: str, exc: Exception) -> Inpu
     return InputError(f"{path}:{lineno}: malformed {what} line: {detail}")
 
 
+def check_unique(first_line: dict, key: str, path: str | Path, lineno: int) -> None:
+    """Note ``key`` on line ``lineno`` of ``path`` in ``first_line``; a key
+    already on an earlier line is an :class:`InputError` naming both lines."""
+    first = first_line.setdefault(key, lineno)
+    if first != lineno:
+        raise InputError(f"{path}:{lineno}: duplicate id {key!r}, first on line {first}")
+
+
 def read_jsonl(path: str | Path, what: str, parse) -> Iterator[tuple[int, object]]:
     """(line number, ``parse`` applied to its JSON) for each non-blank line of
     ``path``. A line that is not JSON, lacks a key or holds a bad value is the

@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
-    DataPoint, InputError, check_coordinates, check_string, check_ts, is_number, json_line,
-    read_jsonl,
+    DataPoint, InputError, check_coordinates, check_string, check_ts, check_unique, is_number,
+    json_line, read_jsonl,
 )
 
 EARTH_RADIUS_KM = 6371.0088
@@ -164,16 +164,13 @@ def _nearest_match(
     return LabelAssignment(point_id=p.id, event_id=e.id, label=e.label, distance_km=dist)
 
 
-def label_fraction(points: Sequence, assignments: Sequence[LabelAssignment]) -> float:
-    """Fraction of all points that received a corroborative label."""
-    if not points:
-        raise InputError("need at least one point")
-    return len(assignments) / len(points)
-
-
 def load_events(path: str | Path) -> list[CorroborativeEvent]:
-    """Read a corroborative feed: one JSON event per line."""
-    return [event for _, event in read_jsonl(path, "event", _event_from)]
+    """Read a corroborative feed: one JSON event per line, each with its own id."""
+    events, first_line = [], {}
+    for lineno, event in read_jsonl(path, "event", _event_from):
+        check_unique(first_line, event.id, path, lineno)
+        events.append(event)
+    return events
 
 
 def _event_from(d: dict) -> CorroborativeEvent:

@@ -39,21 +39,14 @@ class DistanceHistogram:
 
 @dataclass(frozen=True)
 class DriftVerdict:
+    """One verdict; its fields, in order, are its row of the verdict log."""
+
+    ts: int  # the live window's last timestamp
+    prior_id: str
+    live_id: str
     kl: float
     threshold: float
     drifted: bool
-    compared: tuple[str, str]  # (prior window id, live window id)
-
-    def record(self, ts: int) -> dict:
-        """JSONL row for the verdict log."""
-        return {
-            "ts": ts,
-            "prior_id": self.compared[0],
-            "live_id": self.compared[1],
-            "kl": self.kl,
-            "threshold": self.threshold,
-            "drifted": self.drifted,
-        }
 
 
 def histogram(distances, bins: int = DEFAULT_BINS) -> DistanceHistogram:
@@ -139,6 +132,5 @@ def detect_drift(
         histogram(band_distances(live), bins),
     )
     kl = kl_divergence(pa, pb)
-    return DriftVerdict(
-        kl=kl, threshold=threshold, drifted=kl > threshold, compared=(prior.id, live.id)
-    )
+    return DriftVerdict(ts=live.points[-1].ts, prior_id=prior.id, live_id=live.id,
+                        kl=kl, threshold=threshold, drifted=kl > threshold)

@@ -43,6 +43,7 @@ from .core import (
     check_ranges,
     check_string,
     check_ts,
+    check_unique,
     json_line,
     line_fault,
     read_jsonl,
@@ -200,9 +201,7 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
                 raise line_fault(path, lineno, "stream", exc) from exc
             if last_ts is not None and ts < last_ts:
                 raise InputError(f"{path}:{lineno}: stream not sorted by ts")
-            first = first_line.setdefault(point_id, lineno)
-            if first != lineno:
-                raise InputError(f"{path}:{lineno}: duplicate id {point_id!r}, first on line {first}")
+            check_unique(first_line, point_id, path, lineno)
             last_ts = ts
     except InputError as exc:
         fault = exc
@@ -423,7 +422,7 @@ def replay(
             }
             for name, (lines, _) in decided.items():
                 files[name].writelines(lines)
-            _write_jsonl(files["verdicts"], (v.record(ts=window[-1].ts) for v in verdicts.values()))
+            _write_jsonl(files["verdicts"], map(vars, verdicts.values()))
             _write_jsonl(files["window_stats"], [stats])
             if index > 0:
                 # a row's label is int(p >= 0.5) by construction
@@ -502,9 +501,7 @@ def _labels_from(path: Path, what: str, row) -> dict[str, int]:
     labels: dict[str, int] = {}
     first_line: dict[str, int] = {}
     for lineno, (pid, label) in read_jsonl(path, what, row):
-        first = first_line.setdefault(pid, lineno)
-        if first != lineno:
-            raise InputError(f"{path}:{lineno}: duplicate id {pid!r}, first on line {first}")
+        check_unique(first_line, pid, path, lineno)
         if label is not None:
             labels[pid] = label
     return labels

@@ -15,7 +15,7 @@ import base64
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 
@@ -103,7 +103,7 @@ class Pool:
     def __init__(self, general_capacity: int = DEFAULT_WINDOW_SIZE):
         self.models: list[ModelRecord] = []
         self.general = DataWindow(capacity=general_capacity, window_id=GENERAL_ID)
-        self._next_model = 0  # count of generated models, which numbers their ids
+        self._next_model = 0  # number of the last generated model id
 
     def apply_labels(self, labels: dict[str, int]) -> None:
         """Swap labeled copies of points into the model memories and the
@@ -298,7 +298,10 @@ def on_drift(pool: Pool, verdicts: dict, cfg: PoolConfig, window_index: int = 0)
         model.band = empirical_delta_band(centroid_distances(model.memory), cfg.delta)
         retrained.append(model.id)
 
-    model_id = f"m{pool._next_model + 1:04d}"
+    # numbered past every mNNNN id the pool holds, which may come from outside replay
+    number = 1 + max([pool._next_model] + [int(m.id[1:]) for m in pool.models
+                                           if m.id[:1] == "m" and m.id[1:].isdecimal()])
+    model_id = f"m{number:04d}"
     try:
         record = train_classifier(
             pool.general.points, cfg, model_id=model_id,
@@ -307,7 +310,7 @@ def on_drift(pool: Pool, verdicts: dict, cfg: PoolConfig, window_index: int = 0)
     except PoolError as exc:
         log.info("general memory: %s", exc)
     else:
-        pool._next_model += 1
+        pool._next_model = number
         pool.models.append(record)
         pool.general = DataWindow(capacity=pool.general.capacity, window_id=GENERAL_ID)
         generated.append(model_id)
@@ -398,10 +401,7 @@ def save_pool(pool: Pool, path: str | Path) -> None:
                 "omega": m.omega,
                 "created_at": m.created_at,
                 "last_evaluated": m.last_evaluated,
-                "band": {
-                    "delta": m.band.delta, "lo": m.band.lo, "hi": m.band.hi,
-                    "kind": m.band.estimate_kind,
-                },
+                "band": vars(m.band),
                 "memory": _window_to_json(m.memory),
             }
             for m in pool.models
@@ -415,7 +415,8 @@ def load_pool(path: str | Path) -> Pool:
     :class:`InputError` naming the file. That includes vectors stored as float
     lists, a general memory that is not a window record, a count, capacity,
     omega, band delta or bound, timestamp or id of the wrong type or range (a
-    bool is no number), a band kind other than those the band estimates write
+    bool is no number), a band record whose keys are not exactly its fields
+    (delta, lo, hi, kind), a band kind other than those the band estimates write
     (empirical, gaussian), a window over its capacity, a non-finite float,
     a running sum or weights that do not fit the pool's one vector width, and
     two models with one id."""
@@ -425,14 +426,14 @@ def load_pool(path: str | Path) -> Pool:
         pool._next_model = check_int(doc["next_model"], "next_model", 0)
         pool.general = _window_from_json(doc["general"])
         widths = {len(pool.general.centroid)} if pool.general.points else set()
+        keys = [f.name for f in fields(DeltaBand)]  # a band's record is its fields
         for md in doc["models"]:
-            band = DeltaBand(
-                delta=md["band"]["delta"], lo=md["band"]["lo"], hi=md["band"]["hi"],
-                estimate_kind=md["band"]["kind"],
-            )
+            if sorted(md["band"]) != sorted(keys):
+                raise InputError(f"band keys {sorted(md['band'])}, not {keys}")
             model = ModelRecord(
                 id=check_string(md["id"], "model id"), weights=_decode_f8(md["weights"]),
-                memory=_window_from_json(md["memory"]), band=band, omega=md["omega"],
+                memory=_window_from_json(md["memory"]), band=DeltaBand(**md["band"]),
+                omega=md["omega"],
                 created_at=check_int(md["created_at"], "created_at", 0),
                 last_evaluated=check_int(md["last_evaluated"], "last_evaluated", 0),
             )

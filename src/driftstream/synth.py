@@ -30,6 +30,9 @@ BASE_ANGLE_DEG = 50.0
 # component of the new center pushed into the old decision boundary's
 # negative side; makes a stale pool confidently wrong on moved points
 TILT = 0.25
+# fraction of post-drift relevant points still drawn at the old center,
+# so a frozen classifier keeps partial recall and f-scores stay comparable
+CARRYOVER = 0.2
 START_TS = 1735689600  # 2025-01-01T00:00:00Z
 DT_SECONDS = 60
 
@@ -45,9 +48,6 @@ class SynthConfig:
     # jump scales how far the relevant center relocates; 0 keeps the stream
     # stationary regardless of schedule
     jump: float = 1.0
-    # fraction of post-drift relevant points still drawn at the old center,
-    # so a frozen classifier keeps partial recall and f-scores stay comparable
-    carryover: float = 0.2
     step: float = 0.25  # gradual schedule: relocation fraction gained per window
 
     def __post_init__(self):
@@ -59,6 +59,7 @@ class SynthConfig:
             "seed": (lambda v: v >= 0, ">= 0"),
             "corroborative_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
             "jump": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+            "step": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
         })
 
 
@@ -124,7 +125,7 @@ def generate_synthetic(cfg: SynthConfig, out_dir: str | Path) -> SynthStream:
             relocation = _relocation(cfg, window)
             relevant = rng.random() < RELEVANT_FRACTION
             if relevant:
-                if relocation > 0.0 and rng.random() >= cfg.carryover:
+                if relocation > 0.0 and rng.random() >= CARRYOVER:
                     center = _unit((1.0 - relocation) * v + relocation * moved)
                 else:
                     center = v

@@ -60,10 +60,14 @@ class DataWindow:
         return len(self.points)
 
     def append(self, point: DataPoint) -> DataPoint | None:
-        """Add a point, returning the evicted oldest point if at capacity."""
+        """Add a point, returning the evicted oldest point if at capacity; a
+        vector of another width than the window's is an :class:`InputError`."""
         evicted = None
         if self._vec_sum is None:
             self._vec_sum = np.zeros_like(point.vec)
+        elif point.vec.shape != self._vec_sum.shape:
+            raise InputError(f"point {point.id} of width {len(point.vec)} in window "
+                             f"{self.id!r} of width {len(self._vec_sum)}")
         if len(self.points) >= self.capacity:
             evicted = self.points.pop(0)
             self._vec_sum -= evicted.vec
@@ -98,14 +102,14 @@ class DeltaBand:
     delta: float
     lo: float
     hi: float
-    estimate_kind: str = "empirical"
+    kind: str = "empirical"
 
     def __post_init__(self):
         if not (all(map(is_number, (self.delta, self.lo, self.hi)))
                 and 0.0 < self.delta <= 1.0 and 0.0 <= self.lo <= self.hi <= 1.0):
             raise InputError(f"bad band: delta {self.delta!r}, bounds [{self.lo!r}, {self.hi!r}]")
-        if self.estimate_kind not in ("empirical", "gaussian"):
-            raise InputError(f"band kind {self.estimate_kind!r} is not empirical or gaussian")
+        if self.kind not in ("empirical", "gaussian"):
+            raise InputError(f"band kind {self.kind!r} is not empirical or gaussian")
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,7 @@ def empirical_delta_band(distances, delta: float) -> DeltaBand:
     s = np.sort(d)
     lo = _quantile_hazen(s, (1.0 - delta) / 2.0)
     hi = _quantile_hazen(s, (1.0 + delta) / 2.0)
-    return DeltaBand(delta=delta, lo=lo, hi=hi, estimate_kind="empirical")
+    return DeltaBand(delta=delta, lo=lo, hi=hi, kind="empirical")
 
 
 def gaussian_delta_band(est: GaussianBandEstimate, delta: float) -> DeltaBand:
@@ -169,7 +173,7 @@ def gaussian_delta_band(est: GaussianBandEstimate, delta: float) -> DeltaBand:
     z = NormalDist().inv_cdf((1.0 + delta) / 2.0)
     lo = max(0.0, est.mu - z * est.sigma)
     hi = min(1.0, est.mu + z * est.sigma)
-    return DeltaBand(delta=delta, lo=lo, hi=hi, estimate_kind="gaussian")
+    return DeltaBand(delta=delta, lo=lo, hi=hi, kind="gaussian")
 
 
 def unit_hypersphere_volume(d: int) -> float:

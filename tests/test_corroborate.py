@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,6 @@ from driftstream.corroborate import (
     CorroborativeEvent,
     assign_labels,
     haversine_km,
-    label_fraction,
     load_events,
     save_events,
 )
@@ -289,20 +289,6 @@ class TestPrefilterMatchesReference:
         assert assign_labels([point("p", 0.0, 0.0)], [], 0) == []
 
 
-class TestLabelFraction:
-    def test_none_assigned(self):
-        assert label_fraction([point("p")], []) == 0.0
-
-    def test_all_assigned(self):
-        pts = [point("p1", 0.0, 0.0), point("p2", 0.0, 0.0)]
-        got = assign_labels(pts, [event("e", 0.0, 0.0)], 0)
-        assert label_fraction(pts, got) == 1.0
-
-    def test_empty_points_rejected(self):
-        with pytest.raises(InputError):
-            label_fraction([], [])
-
-
 class TestFeedIO:
     def test_round_trip(self, tmp_path):
         events = [event("e1", 1.0, 2.0), event("e2", -3.0, 4.0, polarity="irrelevant")]
@@ -310,6 +296,13 @@ class TestFeedIO:
         save_events(events, path)
         loaded = load_events(path)
         assert loaded == events
+
+    def test_repeated_id_is_refused_naming_both_lines(self, tmp_path):
+        path = tmp_path / "feed.jsonl"
+        save_events([event("e1", 1.0, 2.0), event("e1", 1.0, 2.0, polarity="irrelevant")], path)
+        message = f"{path}:2: duplicate id 'e1', first on line 1"
+        with pytest.raises(InputError, match=re.escape(message)):
+            load_events(path)
 
     def test_default_radius_applied(self, tmp_path):
         path = tmp_path / "feed.jsonl"

@@ -191,10 +191,11 @@ class TestDetectDrift:
         w1 = make_window(cluster(rng, np.array([1.0, 0.0]), 50), wid="prior")
         w2 = make_window(cluster(rng, np.array([1.0, 0.0]), 50), wid="live")
         verdict = detect_drift(w1, w2, 0.6, 0.05)
-        assert verdict.compared == ("prior", "live")
+        assert (verdict.prior_id, verdict.live_id) == ("prior", "live")
+        assert verdict.ts == w2.points[-1].ts
         assert verdict.drifted == (verdict.kl > verdict.threshold)
-        record = verdict.record(ts=123)
-        assert record["ts"] == 123 and record["prior_id"] == "prior"
+        # the fields, in order, are the verdict-log row replay writes
+        assert list(vars(verdict)) == ["ts", "prior_id", "live_id", "kl", "threshold", "drifted"]
 
     def test_smoothing_period_withholds_verdict(self):
         rng = np.random.default_rng(8)

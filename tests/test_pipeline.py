@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import shutil
 import weakref
 
@@ -557,7 +558,7 @@ class TestGenerator:
         assert float(np.linalg.norm(first - last)) < 0.05
 
     def test_sudden_jump_moves_relevant_centroid(self, tmp_path):
-        scfg = SynthConfig(n_windows=4, window_size=300, dim=8, seed=8, jump=1.0, carryover=0.0)
+        scfg = SynthConfig(n_windows=4, window_size=300, dim=8, seed=8, jump=1.0)
         gen = generate_synthetic(scfg, tmp_path)
         table = {}
         for line in gen.table_path.read_text().splitlines():
@@ -579,6 +580,12 @@ class TestGenerator:
     def test_rejects_single_window(self, tmp_path):
         with pytest.raises(ConfigError, match=r"^n_windows=1 out of range: must be >= 2$"):
             SynthConfig(n_windows=1)
+
+    @pytest.mark.parametrize("step", [math.nan, -1.0, math.inf])
+    def test_rejects_step_that_is_not_finite_and_nonnegative(self, step):
+        with pytest.raises(ConfigError, match=rf"^step={step!r} out of range: "
+                                              r"must be finite and >= 0$"):
+            SynthConfig(schedule="gradual", step=step)
 
 
 class TestCli:

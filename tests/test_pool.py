@@ -232,6 +232,13 @@ class TestScoreColumns:
 
 
 class TestProcessPoint:
+    def test_point_of_another_width_is_refused_by_the_general_memory(self):
+        pool = Pool()
+        process_point(pool, point("a", np.array([1.0, 0.0, 0.0])), PoolConfig())
+        with pytest.raises(InputError, match=r"width 1 in window 'general' of width 3"):
+            process_point(pool, point("b", np.array([2.0])), PoolConfig())
+        assert [p.id for p in pool.general.points] == ["a"]
+
     def test_inside_band_appends_and_owns(self):
         pool = Pool()
         pool.models.append(make_model("m1", np.array([1.0, 0.0]), DeltaBand(0.6, 0.4, 0.6)))
@@ -379,7 +386,8 @@ class TestApplyLabels:
 
 class TestOnDrift:
     def _drifted(self, mid):
-        return DriftVerdict(kl=1.0, threshold=0.05, drifted=True, compared=(mid, "live"))
+        return DriftVerdict(ts=0, prior_id=mid, live_id="live", kl=1.0, threshold=0.05,
+                            drifted=True)
 
     def test_noop_without_drift_or_general_memory(self):
         pool = Pool()
@@ -438,6 +446,18 @@ class TestOnDrift:
         for p in two_cluster_points(rng, n=100):
             pool.general.append(p)
         assert on_drift(pool, {}, PoolConfig(min_train=50)).generated == ("m0001",)
+
+    def test_generated_id_is_past_every_held_id(self, tmp_path):
+        rng = np.random.default_rng(12)
+        cfg = PoolConfig()
+        pool = Pool()
+        pool.models.append(train_classifier(two_cluster_points(rng, n=100), cfg))  # m0001
+        for p in two_cluster_points(rng, n=100):
+            pool.general.append(p)
+        assert on_drift(pool, {}, cfg, 1).generated == ("m0002",)
+        assert pool._next_model == 2
+        save_pool(pool, tmp_path / "pool.json")
+        assert [m.id for m in load_pool(tmp_path / "pool.json").models] == ["m0001", "m0002"]
 
 
 class TestEvaluateModels:
@@ -563,7 +583,7 @@ class TestCheckpoint:
             weights[: len(self.SPECIAL)] = self.SPECIAL
             pool.models.append(ModelRecord(
                 id=mid, weights=weights, memory=memory,
-                band=DeltaBand(delta=0.6, lo=0.1 * j, hi=0.4, estimate_kind="empirical"),
+                band=DeltaBand(delta=0.6, lo=0.1 * j, hi=0.4, kind="empirical"),
                 omega=0.75, created_at=j, last_evaluated=j + 1,
             ))
         for i in range(45):
@@ -717,6 +737,8 @@ class TestCheckpoint:
         "band_kind_int": lambda doc: doc["models"][0]["band"].update(kind=7),
         "band_kind_unknown": lambda doc: doc["models"][1]["band"].update(kind="banana"),
         "band_kind_null": lambda doc: doc["models"][0]["band"].update(kind=None),
+        "band_kind_missing": lambda doc: doc["models"][0]["band"].pop("kind"),
+        "band_extra_key": lambda doc: doc["models"][1]["band"].update(estimate_kind="empirical"),
         "model_id_int": lambda doc: doc["models"][0].update(id=5),
         "model_ids_repeat": lambda doc: doc["models"][1].update(id=doc["models"][0]["id"]),
         "weights_short": lambda doc: doc["models"][0].update(weights=_encode_f8(np.ones(3))),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream.core import ConfigError, DataPoint, cosine_distance
+from driftstream.core import ConfigError, DataPoint, InputError, cosine_distance
 from driftstream.windows import (
     DataWindow,
     DeltaBand,
@@ -68,6 +68,15 @@ class TestDataWindow:
         assert w.centroid.tolist() == [0.0, 4.0] and w.centroid_and_norm()[1] == 4.0
         restored = DataWindow.restore(w.points, [0.0, 8.0], capacity=4, window_id="r")
         assert restored.centroid.tolist() == [0.0, 4.0] and restored.centroid_and_norm()[1] == 4.0
+
+    @pytest.mark.parametrize("capacity", [1, 4])
+    def test_point_of_another_width_is_refused(self, capacity):
+        w = make_window([[1.0, 0.0, 0.0]], capacity=capacity)
+        narrow = DataPoint(id="narrow", ts=9, text="", vec=np.array([2.0]))
+        with pytest.raises(InputError, match=r"point narrow of width 1 in window 'w' of width 3"):
+            w.append(narrow)
+        # the refused point changed nothing
+        assert [p.id for p in w.points] == ["w0"] and w.centroid.tolist() == [1.0, 0.0, 0.0]
 
 
 class TestCentroidDistances:
