@@ -44,9 +44,9 @@ print(f"  classifier window: {len(prior_d)} distances, 0.6-band "
 pa = histogram(kept, bins=32)
 pb = histogram(centroid_distances(live_same), bins=32)
 pa_s, pb_s = smooth_zero_bins(pa, pb)
-print(f"  zero bins before smoothing: prior {int(np.sum(pa.bins == 0))}, "
-      f"live {int(np.sum(pb.bins == 0))}; after: "
-      f"{int(np.sum(pa_s.bins == 0))} and {int(np.sum(pb_s.bins == 0))}")
+print(f"  zero bins before smoothing: prior {int(np.sum(pa == 0))}, "
+      f"live {int(np.sum(pb == 0))}; after: "
+      f"{int(np.sum(pa_s == 0))} and {int(np.sum(pb_s == 0))}")
 print(f"  raw KL on those histograms: {kl_divergence(pa_s, pb_s):.4f} nats")
 
 print("\n== verdicts at the default threshold (0.05 nats) ==")
@@ -56,7 +56,14 @@ for live in (live_same, live_drift):
     print(f"  vs {live.id:<16s} kl={verdict.kl:8.4f}  -> {flag}")
 
 print("\n== the smoothing period after a window rollover ==")
-young = detect_drift(classifier_window, live_drift, 0.6, 0.05, since_rollover=50)
-mature = detect_drift(classifier_window, live_drift, 0.6, 0.05, since_rollover=500)
+
+
+def prefix(n):
+    """The first n points of the drifted window, in a window of its full capacity."""
+    return DataWindow(live_drift.points[:n], capacity=live_drift.capacity, window_id=live_drift.id)
+
+
+young = detect_drift(classifier_window, prefix(50), 0.6, 0.05)
+mature = detect_drift(classifier_window, prefix(500), 0.6, 0.05)
 print(f"  50 points into a fresh window : verdict withheld -> {young}")
 print(f"  500 points in                 : kl={mature.kl:.3f} drifted={mature.drifted}")

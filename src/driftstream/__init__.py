@@ -15,7 +15,6 @@ from .corroborate import (
     haversine_km,
 )
 from .drift import (
-    DistanceHistogram,
     DriftVerdict,
     detect_drift,
     histogram,

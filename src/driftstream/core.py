@@ -50,11 +50,14 @@ def read_lines(path: str | Path, error: type[Exception], what: str) -> Iterator[
     """(line number, line) of each non-blank line of a UTF-8 file, read lazily.
 
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, never at U+2028, U+0085 or
-    other Unicode separators; an unreadable file raises ``error`` naming it.
+    other Unicode separators; an unreadable file, or one that starts with a
+    byte-order mark, raises ``error`` naming it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
+                if lineno == 1 and line.startswith("\ufeff"):
+                    raise error(f"{path}:1: {what} starts with a UTF-8 byte-order mark")
                 if line.strip():
                     yield lineno, line
     except (OSError, UnicodeDecodeError) as exc:
@@ -283,7 +286,8 @@ def _read_table_blocks(path: str | Path, dim: int) -> dict[str, np.ndarray] | No
         return None
     vecs = np.frombuffer(flat).reshape(-1, dim)
     if (len(vecs) != len(tokens) or len(set(tokens)) != len(tokens)
-            or not np.isfinite(vecs).all() or any(t.split() != [t] for t in tokens)):
+            or not np.isfinite(vecs).all() or any(t.split() != [t] for t in tokens)
+            or tokens[:1] and tokens[0].startswith("\ufeff")):  # the line reader refuses it
         return None
     return dict(zip(tokens, vecs))
 

@@ -12,29 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError
+from .core import InputError, check_int
 from .windows import DataWindow, centroid_distances, empirical_delta_band
 
 DEFAULT_BINS = 32
 DEFAULT_KL_THRESHOLD = 0.05  # nats; calibrated on stationary streams
-
-
-@dataclass(frozen=True)
-class DistanceHistogram:
-    """Probabilities over B uniform bins spanning [0, 1]."""
-
-    bins: np.ndarray
-    count: int
-
-    def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=np.float64)
-        object.__setattr__(self, "bins", bins)
-        if bins.ndim != 1 or len(bins) < 2:
-            raise InputError("histogram needs at least 2 bins")
-        if np.any(bins < 0.0):
-            raise InputError("negative bin probability")
-        if abs(float(bins.sum()) - 1.0) > 1e-9:
-            raise InputError(f"bin probabilities sum to {bins.sum()}, not 1")
 
 
 @dataclass(frozen=True)
@@ -49,46 +31,52 @@ class DriftVerdict:
     drifted: bool
 
 
-def histogram(distances, bins: int = DEFAULT_BINS) -> DistanceHistogram:
-    """Uniform-bin histogram of distances in [0, 1]; 1.0 lands in the last bin."""
+def histogram(distances, bins: int = DEFAULT_BINS) -> np.ndarray:
+    """Probabilities over ``bins`` uniform bins spanning [0, 1]; 1.0 lands in
+    the last bin."""
     d = np.asarray(distances, dtype=np.float64)
     if d.size == 0:
         raise InputError("need at least one distance")
-    if bins < 2:
-        raise InputError(f"need at least 2 bins, got {bins}")
-    if np.any(d < 0.0) or np.any(d > 1.0):
+    check_int(bins, "bins", 2)
+    if not np.all((d >= 0.0) & (d <= 1.0)):  # NaN fails too
         raise InputError("distance outside [0, 1]")
     idx = np.minimum((d * bins).astype(np.int64), bins - 1)
-    counts = np.bincount(idx, minlength=bins).astype(np.float64)
-    return DistanceHistogram(bins=counts / d.size, count=int(d.size))
+    return np.bincount(idx, minlength=bins) / d.size
 
 
-def smooth_zero_bins(
-    pa: DistanceHistogram, pb: DistanceHistogram
-) -> tuple[DistanceHistogram, DistanceHistogram]:
+def _probabilities(pa, pb) -> tuple[np.ndarray, np.ndarray]:
+    """``pa`` and ``pb`` as float64 arrays, refused unless each holds at least
+    2 nonnegative bin probabilities summing to 1 within 1e-9, and both as many."""
+    pair = tuple(np.asarray(p, dtype=np.float64) for p in (pa, pb))
+    for p in pair:
+        if p.ndim != 1 or len(p) < 2:
+            raise InputError("histogram needs at least 2 bins")
+        if not np.all(p >= 0.0):
+            raise InputError("negative or NaN bin probability")
+        if not abs(float(p.sum()) - 1.0) <= 1e-9:
+            raise InputError(f"bin probabilities sum to {p.sum()}, not 1")
+    if len(pair[0]) != len(pair[1]):
+        raise InputError("histograms have different bin counts")
+    return pair
+
+
+def smooth_zero_bins(pa, pb) -> tuple[np.ndarray, np.ndarray]:
     """Replace zero bins in either histogram with the smallest nonzero
     probability seen across both, then renormalize each to sum 1."""
-    if len(pa.bins) != len(pb.bins):
-        raise InputError("histograms have different bin counts")
-    stacked = np.concatenate([pa.bins, pb.bins])
-    positive = stacked[stacked > 0.0]
-    if positive.size == 0:
-        raise InputError("both histograms are all-zero")
-    floor = float(positive.min())
+    pa, pb = _probabilities(pa, pb)
+    stacked = np.concatenate([pa, pb])
+    floor = float(stacked[stacked > 0.0].min())
 
-    def patch(h: DistanceHistogram) -> DistanceHistogram:
-        bins = np.where(h.bins == 0.0, floor, h.bins)
-        return DistanceHistogram(bins=bins / bins.sum(), count=h.count)
+    def patch(h: np.ndarray) -> np.ndarray:
+        bins = np.where(h == 0.0, floor, h)
+        return bins / bins.sum()
 
     return patch(pa), patch(pb)
 
 
-def kl_divergence(pa: DistanceHistogram, pb: DistanceHistogram) -> float:
+def kl_divergence(pa, pb) -> float:
     """KL(P_A || P_B) in nats; expects smoothed histograms (no one-sided zeros)."""
-    if len(pa.bins) != len(pb.bins):
-        raise InputError("histograms have different bin counts")
-    a = pa.bins
-    b = pb.bins
+    a, b = _probabilities(pa, pb)
     if np.any((a == 0.0) != (b == 0.0)):
         raise InputError("one-sided zero bin; apply smooth_zero_bins first")
     mask = a > 0.0
@@ -97,7 +85,7 @@ def kl_divergence(pa: DistanceHistogram, pb: DistanceHistogram) -> float:
 
 
 def smoothing_points(window_capacity: int) -> int:
-    """Grace period after a window rollover during which verdicts are withheld."""
+    """Points a live window needs before its verdicts are given."""
     return window_capacity // 10
 
 
@@ -107,18 +95,21 @@ def detect_drift(
     delta: float,
     threshold: float = DEFAULT_KL_THRESHOLD,
     bins: int = DEFAULT_BINS,
-    since_rollover: int | None = None,
 ) -> DriftVerdict | None:
-    """Compare the dense distance bands of two windows.
+    """Compare the dense distance bands of two windows of one width.
 
     Both windows are reduced to centroid distances within their own empirical
     delta band, histogrammed, smoothed, and scored with KL divergence. Returns
-    None (verdict withheld) while the live window is still inside the
-    smoothing period after a rollover.
+    None (verdict withheld) while the live window holds fewer points than the
+    smoothing period of its capacity.
     """
     if len(prior) == 0 or len(live) == 0:
         raise InputError("both windows must be nonempty")
-    if since_rollover is not None and since_rollover < smoothing_points(live.capacity):
+    widths = (prior.points[0].vec.size, live.points[0].vec.size)
+    if widths[0] != widths[1]:
+        raise InputError(f"window {prior.id!r} of width {widths[0]} against "
+                         f"window {live.id!r} of width {widths[1]}")
+    if len(live) < smoothing_points(live.capacity):
         return None
 
     def band_distances(window: DataWindow) -> np.ndarray:

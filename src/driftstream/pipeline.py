@@ -399,10 +399,7 @@ def replay(
             live = DataWindow(window, capacity=cfg.window_size, window_id=f"w{index:04d}")
             verdicts = {}
             for model in pool.models:
-                verdict = detect_drift(
-                    model.memory, live, cfg.delta, cfg.kl_threshold, cfg.bins,
-                    since_rollover=len(live),
-                )
+                verdict = detect_drift(model.memory, live, cfg.delta, cfg.kl_threshold, cfg.bins)
                 if verdict is not None:
                     verdicts[model.id] = verdict
             on_drift(pool, verdicts, cfg, index)
@@ -465,8 +462,11 @@ def evaluate_windows(run_dir: str | Path, truth_path: str | Path) -> list[Window
     a needed key or holds a bad value fails with the file and line.
     """
     run = Path(run_dir)
-    window_stats = [row for _, row in read_jsonl(run / "window_stats.jsonl", "window stats",
-                                                 _stats_row)]
+    window_stats = []
+    first_line: dict[int, int] = {}
+    for lineno, row in read_jsonl(run / "window_stats.jsonl", "window stats", _stats_row):
+        check_unique(first_line, row["window"], run / "window_stats.jsonl", lineno)
+        window_stats.append(row)
     adaptive_pred = _labels_from(run / "decisions.jsonl", "decision", _decision_row)
     static_pred = _labels_from(run / "baseline_decisions.jsonl", "decision", _decision_row)
     truth = _labels_from(Path(truth_path), "truth", _truth_row)

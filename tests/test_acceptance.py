@@ -7,7 +7,7 @@ import numpy as np
 from helpers import cone_window, oracle_route, random_routing_fixture
 
 from driftstream.corroborate import CorroborativeEvent, assign_labels, haversine_km
-from driftstream.drift import DistanceHistogram, detect_drift, kl_divergence
+from driftstream.drift import detect_drift, kl_divergence
 from driftstream.ensemble import _softmax
 from driftstream.pipeline import PipelineConfig, replay
 from driftstream.pool import logistic_loss_and_grad, process_point
@@ -111,8 +111,8 @@ def test_05_kl_properties():
     for _ in range(n):
         a = rng.random(8) + 1e-9
         b = rng.random(8) + 1e-9
-        pa = DistanceHistogram(bins=a / a.sum(), count=8)
-        pb = DistanceHistogram(bins=b / b.sum(), count=8)
+        pa = a / a.sum()
+        pb = b / b.sum()
         kl = kl_divergence(pa, pb)
         worst = min(worst, kl)
         if kl < 0.0:
@@ -122,12 +122,12 @@ def test_05_kl_properties():
     ident_worst = 0.0
     for _ in range(1000):
         a = rng.random(16) + 1e-9
-        pa = DistanceHistogram(bins=a / a.sum(), count=16)
+        pa = a / a.sum()
         ident_worst = max(ident_worst, abs(kl_divergence(pa, pa)))
     ident_ok = ident_worst <= 1e-9
 
-    pa = DistanceHistogram(bins=np.array([0.5, 0.5]), count=2)
-    pb = DistanceHistogram(bins=np.array([0.9, 0.1]), count=2)
+    pa = np.array([0.5, 0.5])
+    pb = np.array([0.9, 0.1])
     worked = kl_divergence(pa, pb)
     worked_ok = abs(worked - 0.51083) <= 1e-5
 

@@ -121,6 +121,14 @@ class TestEmbed:
                                               r"first on line 1"):
             Embedder(EmbedderConfig(dim=2, embed_mode="table", table_path=str(table)))
 
+    def test_table_with_byte_order_mark_is_config_error(self, tmp_path):
+        # the mark would join the first token, whose row no text can then reach
+        table = tmp_path / "emb.tsv"
+        table.write_bytes(b"\xef\xbb\xbfflood 1.0 0.0\nrain 0.0 1.0\n")
+        with pytest.raises(ConfigError, match=r"emb\.tsv:1: embedding table starts with a "
+                                              r"UTF-8 byte-order mark"):
+            Embedder(EmbedderConfig(dim=2, embed_mode="table", table_path=str(table)))
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_table_lines_end_only_at_newlines(self, tmp_path, newline):
         # a trailing U+2028 or U+0085 is whitespace in its row, not a line end,

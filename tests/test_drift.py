@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftstream import drift
 from driftstream.core import DataPoint, InputError
 from driftstream.drift import (
-    DistanceHistogram,
     detect_drift,
     histogram,
     kl_divergence,
@@ -17,10 +17,10 @@ from driftstream.drift import (
 from driftstream.windows import DataWindow, centroid_distances, empirical_delta_band, in_band
 
 
-def make_window(vectors, wid="w"):
+def make_window(vectors, wid="w", capacity=None):
     pts = [DataPoint(id=f"{wid}{i}", ts=i, text="", vec=np.asarray(v, dtype=float))
            for i, v in enumerate(vectors)]
-    return DataWindow(pts, capacity=len(pts), window_id=wid)
+    return DataWindow(pts, capacity=capacity or len(pts), window_id=wid)
 
 
 def cluster(rng, center, n, noise=0.05):
@@ -30,15 +30,15 @@ def cluster(rng, center, n, noise=0.05):
 class TestHistogram:
     def test_all_zero_distances(self):
         h = histogram([0.0, 0.0, 0.0], bins=4)
-        np.testing.assert_allclose(h.bins, [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(h, [1.0, 0.0, 0.0, 0.0])
 
     def test_symmetric_split(self):
         h = histogram([0.1, 0.9], bins=2)
-        np.testing.assert_allclose(h.bins, [0.5, 0.5])
+        np.testing.assert_allclose(h, [0.5, 0.5])
 
     def test_edge_rule_one_in_last_bin(self):
         h = histogram([0.0, 0.25, 0.5, 1.0], bins=4)
-        np.testing.assert_allclose(h.bins, [0.25, 0.25, 0.25, 0.25])
+        np.testing.assert_allclose(h, [0.25, 0.25, 0.25, 0.25])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InputError):
@@ -46,20 +46,34 @@ class TestHistogram:
         with pytest.raises(InputError):
             histogram([-0.1], bins=4)
 
+    @pytest.mark.parametrize("bins", [1, 2.5, 3.0, True])
+    def test_bins_not_an_integer_of_at_least_2_rejected(self, bins):
+        with pytest.raises(InputError, match=r"bins .* is not an integer >= 2"):
+            histogram([0.5, 0.9], bins)
+
+    def test_nan_rejected(self):
+        with pytest.raises(InputError, match=r"distance outside \[0, 1\]"):
+            histogram([0.5, float("nan")], bins=4)
+
+    def test_is_a_float64_probability_array(self):
+        h = histogram([0.1, 0.2, 0.9], bins=4)
+        assert h.dtype == np.float64 and h.shape == (4,)
+        np.testing.assert_array_equal(h, np.array([2, 0, 0, 1]) / 3)
+
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=100), st.randoms())
     @settings(max_examples=100, deadline=None)
     def test_permutation_invariance(self, distances, rnd):
         shuffled = list(distances)
         rnd.shuffle(shuffled)
         np.testing.assert_allclose(
-            histogram(distances, 16).bins, histogram(shuffled, 16).bins, atol=1e-12
+            histogram(distances, 16), histogram(shuffled, 16), atol=1e-12
         )
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=200))
     @settings(max_examples=100, deadline=None)
     def test_probabilities_sum_to_one(self, distances):
         h = histogram(distances, 8)
-        assert float(h.bins.sum()) == pytest.approx(1.0, abs=1e-9)
+        assert float(h.sum()) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSmoothZeroBins:
@@ -67,27 +81,46 @@ class TestSmoothZeroBins:
         pa = histogram([0.1, 0.4, 0.6, 0.9], bins=2)
         pb = histogram([0.2, 0.8], bins=2)
         sa, sb = smooth_zero_bins(pa, pb)
-        np.testing.assert_allclose(sa.bins, pa.bins)
-        np.testing.assert_allclose(sb.bins, pb.bins)
+        np.testing.assert_allclose(sa, pa)
+        np.testing.assert_allclose(sb, pb)
 
     def test_worked_substitution(self):
-        pa = DistanceHistogram(bins=np.array([0.5, 0.5, 0.0, 0.0]), count=4)
-        pb = DistanceHistogram(bins=np.array([0.25, 0.25, 0.25, 0.25]), count=4)
+        pa = np.array([0.5, 0.5, 0.0, 0.0])
+        pb = np.array([0.25, 0.25, 0.25, 0.25])
         sa, sb = smooth_zero_bins(pa, pb)
-        np.testing.assert_allclose(sa.bins, [1 / 3, 1 / 3, 1 / 6, 1 / 6])
-        np.testing.assert_allclose(sb.bins, [0.25, 0.25, 0.25, 0.25])
+        np.testing.assert_allclose(sa, [1 / 3, 1 / 3, 1 / 6, 1 / 6])
+        np.testing.assert_allclose(sb, [0.25, 0.25, 0.25, 0.25])
 
     def test_identical_inputs_stay_identical(self):
-        pa = DistanceHistogram(bins=np.array([0.7, 0.0, 0.3, 0.0]), count=10)
+        pa = np.array([0.7, 0.0, 0.3, 0.0])
         sa, sb = smooth_zero_bins(pa, pa)
-        np.testing.assert_allclose(sa.bins, sb.bins)
+        np.testing.assert_allclose(sa, sb)
 
     def test_outputs_sum_to_one(self):
-        pa = DistanceHistogram(bins=np.array([1.0, 0.0, 0.0]), count=5)
-        pb = DistanceHistogram(bins=np.array([0.0, 0.5, 0.5]), count=5)
+        pa = np.array([1.0, 0.0, 0.0])
+        pb = np.array([0.0, 0.5, 0.5])
         sa, sb = smooth_zero_bins(pa, pb)
-        assert float(sa.bins.sum()) == pytest.approx(1.0, abs=1e-9)
-        assert float(sb.bins.sum()) == pytest.approx(1.0, abs=1e-9)
+        assert float(sa.sum()) == pytest.approx(1.0, abs=1e-9)
+        assert float(sb.sum()) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestHistogramChecks:
+    """smooth_zero_bins and kl_divergence refuse a bad histogram on either side."""
+
+    @pytest.mark.parametrize("bad,message", [
+        ([1.2, -0.2], "negative or NaN bin probability"),
+        ([0.5, float("nan"), 0.5], "negative or NaN bin probability"),
+        ([0.5, 0.4], "sum to 0.9"),
+        ([0.5, float("inf")], "sum to inf"),
+        ([[0.25, 0.25], [0.25, 0.25]], "at least 2 bins"),
+        ([1.0], "at least 2 bins"),
+        ([1 / 3, 1 / 3, 1 / 3], "different bin counts"),
+    ])
+    @pytest.mark.parametrize("fn", [smooth_zero_bins, kl_divergence])
+    def test_refused(self, fn, bad, message):
+        for pair in ((bad, [0.5, 0.5]), ([0.5, 0.5], bad)):
+            with pytest.raises(InputError, match=message):
+                fn(*map(np.array, pair))
 
 
 class TestKLDivergence:
@@ -96,28 +129,28 @@ class TestKLDivergence:
         assert kl_divergence(h, h) == pytest.approx(0.0, abs=1e-12)
 
     def test_worked_pair(self):
-        pa = DistanceHistogram(bins=np.array([0.5, 0.5]), count=2)
-        pb = DistanceHistogram(bins=np.array([0.9, 0.1]), count=2)
+        pa = np.array([0.5, 0.5])
+        pb = np.array([0.9, 0.1])
         expected = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
         assert expected == pytest.approx(0.51083, abs=1e-5)
         assert kl_divergence(pa, pb) == pytest.approx(expected, abs=1e-12)
 
     def test_asymmetry(self):
-        pa = DistanceHistogram(bins=np.array([0.5, 0.5]), count=2)
-        pb = DistanceHistogram(bins=np.array([0.9, 0.1]), count=2)
+        pa = np.array([0.5, 0.5])
+        pb = np.array([0.9, 0.1])
         expected = 0.9 * math.log(0.9 / 0.5) + 0.1 * math.log(0.1 / 0.5)
         assert expected == pytest.approx(0.36807, abs=1e-5)
         assert kl_divergence(pb, pa) == pytest.approx(expected, abs=1e-12)
 
     def test_one_sided_zero_is_contract_violation(self):
-        pa = DistanceHistogram(bins=np.array([1.0, 0.0]), count=2)
-        pb = DistanceHistogram(bins=np.array([0.5, 0.5]), count=2)
+        pa = np.array([1.0, 0.0])
+        pb = np.array([0.5, 0.5])
         with pytest.raises(InputError):
             kl_divergence(pa, pb)
 
     def test_shared_zero_bins_allowed(self):
-        pa = DistanceHistogram(bins=np.array([0.6, 0.4, 0.0]), count=5)
-        pb = DistanceHistogram(bins=np.array([0.2, 0.8, 0.0]), count=5)
+        pa = np.array([0.6, 0.4, 0.0])
+        pb = np.array([0.2, 0.8, 0.0])
         assert kl_divergence(pa, pb) > 0.0
 
     @given(st.integers(0, 2**32 - 1))
@@ -126,8 +159,8 @@ class TestKLDivergence:
         rng = np.random.default_rng(seed)
         a = rng.random(16) + 1e-6
         b = rng.random(16) + 1e-6
-        pa = DistanceHistogram(bins=a / a.sum(), count=16)
-        pb = DistanceHistogram(bins=b / b.sum(), count=16)
+        pa = a / a.sum()
+        pb = b / b.sum()
         assert kl_divergence(pa, pb) >= 0.0
 
 
@@ -200,10 +233,22 @@ class TestDetectDrift:
     def test_smoothing_period_withholds_verdict(self):
         rng = np.random.default_rng(8)
         w1 = make_window(cluster(rng, np.array([1.0, 0.0]), 100), wid="p")
-        w2 = make_window(cluster(rng, np.array([0.0, 1.0]), 100), wid="l")
-        assert smoothing_points(w2.capacity) == 10
-        assert detect_drift(w1, w2, 0.6, 0.05, since_rollover=9) is None
-        assert detect_drift(w1, w2, 0.6, 0.05, since_rollover=10) is not None
+        live = cluster(rng, np.array([0.0, 1.0]), 100)
+        assert smoothing_points(100) == 10
+        assert detect_drift(w1, make_window(live[:9], "l", capacity=100), 0.6, 0.05) is None
+        assert detect_drift(w1, make_window(live[:10], "l", capacity=100), 0.6, 0.05) is not None
+
+    def test_windows_of_different_widths_rejected(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        prior = make_window(cluster(rng, np.array([1.0, 0.0]), 50), wid="p")
+        live = make_window(cluster(rng, np.eye(7)[0], 50), wid="l")
+
+        def no_distance(window):
+            raise AssertionError("a distance was computed")
+
+        monkeypatch.setattr(drift, "centroid_distances", no_distance)
+        with pytest.raises(InputError, match="window 'p' of width 2 against window 'l' of width 7"):
+            detect_drift(prior, live, 0.6, 0.05)
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)

@@ -182,6 +182,14 @@ class TestLoadStream:
         with pytest.raises(InputError, match=r":3: duplicate id 'p0', first on line 1"):
             load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
 
+    def test_byte_order_mark_rejected(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_stream(path, [stream_row(0, 1), stream_row(1, 2)])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        with pytest.raises(InputError, match=r"s\.jsonl:1: stream starts with a UTF-8 "
+                                             r"byte-order mark"):
+            load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+
     def test_truth_labels_stay_out_of_points(self, tmp_path):
         path = tmp_path / "s.jsonl"
         write_stream(path, [stream_row(0, 1, label=1), stream_row(1, 2, label=0)])
@@ -781,6 +789,18 @@ class TestCli:
         assert (f"{path.name}:{len(lines) + 2}: duplicate id {rows[first][key]!r}, "
                 f"first on line {first + 1}") in capsys.readouterr().err
 
+    def test_eval_rejects_repeated_window(self, small_run, tmp_path, capsys):
+        gen, _, result = small_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(result.knowledgebase.parent, run_dir)
+        path = run_dir / "window_stats.jsonl"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[1]]) + "\n")
+        assert cli_main(["eval", "--run", str(run_dir), "--truth", str(gen.stream_path)]) == 1
+        assert (f"window_stats.jsonl:{len(lines) + 1}: duplicate id 1, first on line 2"
+                in capsys.readouterr().err)
+        assert (run_dir / "reports.csv").read_bytes() == result.reports.read_bytes()
+
     def test_eval_line_numbers_count_blank_lines(self, small_run, tmp_path, capsys):
         truth = tmp_path / "truth.jsonl"
         truth.write_text('{"id":"p000000","ts":1,"label":1}\n\n{"id":"p000001","ts":2,"label":5}\n')
@@ -800,6 +820,18 @@ class TestCli:
                          "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert f"embeddings.tsv:{len(lines)}: duplicate token 'tok000002', first on line 3" in err
+
+    @pytest.mark.parametrize("name,code", [("embeddings.tsv", 2), ("stream.jsonl", 1)])
+    def test_byte_order_mark_exit_code(self, tmp_path, name, code, capsys):
+        out = tmp_path / "data"
+        assert cli_main(["gen", "--windows", "2", "--seed", "4", "--out", str(out),
+                         "--window-size", "50", "--dim", "4"]) == 0
+        path = out / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert cli_main(["replay", "--config", str(out / "config.txt"),
+                         "--out", str(tmp_path / "run")]) == code
+        err = capsys.readouterr().err
+        assert f"{name}:1: " in err and "byte-order mark" in err
 
     def test_bad_embedding_table_value_exit_code(self, tmp_path, capsys):
         out = tmp_path / "data"
