@@ -14,8 +14,8 @@ The knowledgebase, event histogram, reports and final checkpoint wait for the
 end of the stream; replay first deletes these and the static checkpoint of an
 earlier run.
 
-Everything is deterministic given the input files and the seed; two replays
-of the same inputs produce byte-identical artifacts.
+Replay draws no random numbers: two replays of the same inputs produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -245,13 +245,9 @@ def aggregate_events(positives: list[tuple[DataPoint, float]]) -> tuple[list[dic
     for cell, day in sorted(groups):
         members = groups[(cell, day)]
         pts = [p for p, _ in members]
-        geo_pts = [p for p in pts if p.geo is not None]
-        centroid = None
-        if geo_pts:
-            centroid = [
-                sum(p.lat for p in geo_pts) / len(geo_pts),
-                sum(p.lon for p in geo_pts) / len(geo_pts),
-            ]
+        # _cell_of puts every post without coordinates, and only those, in "global"
+        centroid = None if cell == "global" else [
+            sum(p.lat for p in pts) / len(pts), sum(p.lon for p in pts) / len(pts)]
         rows.append({
             "cell": cell, "date": date.fromordinal(_EPOCH_ORDINAL + day).isoformat(),
             "points": [p.id for p in pts],
@@ -462,10 +458,12 @@ def evaluate_windows(run_dir: str | Path, truth_path: str | Path) -> list[Window
     a needed key or holds a bad value fails with the file and line.
     """
     run = Path(run_dir)
+    stats_path = run / "window_stats.jsonl"
     window_stats = []
-    first_line: dict[int, int] = {}
-    for lineno, row in read_jsonl(run / "window_stats.jsonl", "window stats", _stats_row):
-        check_unique(first_line, row["window"], run / "window_stats.jsonl", lineno)
+    first_line: dict[int | str, int] = {}  # window index or point id -> its first line
+    for lineno, row in read_jsonl(stats_path, "window stats", _stats_row):
+        for key in (row["window"], *row["point_ids"]):
+            check_unique(first_line, key, stats_path, lineno)
         window_stats.append(row)
     adaptive_pred = _labels_from(run / "decisions.jsonl", "decision", _decision_row)
     static_pred = _labels_from(run / "baseline_decisions.jsonl", "decision", _decision_row)
@@ -476,13 +474,23 @@ def evaluate_windows(run_dir: str | Path, truth_path: str | Path) -> list[Window
 
 
 def _stats_row(d: dict) -> dict:
+    """A window-stats row as replay writes it: its point ids are distinct strings,
+    and its corroborative and unlabeled counts are >= 0 and add up to their number."""
     for key in ("window", "corroborative", "unlabeled"):
         if type(d[key]) is not int:
             raise ValueError(f"{key} {d[key]!r} is not an integer")
-    if type(d["point_ids"]) is not list:
+    ids = d["point_ids"]
+    if type(ids) is not list:
         raise ValueError("point_ids is not a list")
-    for pid in d["point_ids"]:
+    for pid in ids:
         check_string(pid, "point id")
+    repeated = [pid for pid, n in Counter(ids).items() if n > 1]
+    if repeated:
+        raise ValueError(f"point id {repeated[0]!r} is listed twice")
+    counts = d["corroborative"], d["unlabeled"]
+    if min(counts) < 0 or sum(counts) != len(ids):
+        raise ValueError(f"corroborative {counts[0]} and unlabeled {counts[1]} do not "
+                         f"split {len(ids)} points")
     return d
 
 

@@ -138,31 +138,20 @@ def centroid_distances(window: DataWindow) -> np.ndarray:
     return centroid_cosine_distances(window.vectors(), window.centroid)
 
 
-def _quantile_hazen(sorted_values: np.ndarray, p: float) -> float:
-    # Hazen plotting positions (h = N*p + 0.5) interpolated between order
-    # statistics keep closed-band mass within 1/N of the target for
-    # tie-free samples; plain (N-1)*p positions do not.
-    n = len(sorted_values)
-    h = n * p - 0.5
-    if h <= 0.0:
-        return float(sorted_values[0])
-    if h >= n - 1:
-        return float(sorted_values[-1])
-    k = int(math.floor(h))
-    g = h - k
-    return float(sorted_values[k] + g * (sorted_values[k + 1] - sorted_values[k]))
-
-
 def empirical_delta_band(distances, delta: float) -> DeltaBand:
-    """Band between the (1-delta)/2 and (1+delta)/2 sample quantiles."""
+    """Band between the (1-delta)/2 and (1+delta)/2 sample quantiles; a
+    distance outside [0, 1], NaN included, is refused."""
     d = np.asarray(distances, dtype=np.float64)
     if d.size == 0:
         raise InputError("need at least one distance")
     if not (0.0 < delta <= 1.0):
         raise InputError(f"delta must be in (0, 1], got {delta}")
-    s = np.sort(d)
-    lo = _quantile_hazen(s, (1.0 - delta) / 2.0)
-    hi = _quantile_hazen(s, (1.0 + delta) / 2.0)
+    if not np.all((d >= 0.0) & (d <= 1.0)):
+        raise InputError("distance outside [0, 1]")
+    # Hazen plotting positions (h = N*p + 0.5) interpolated between order
+    # statistics keep closed-band mass within 1/N of the target for
+    # tie-free samples; plain (N-1)*p positions do not.
+    lo, hi = np.quantile(d, [(1.0 - delta) / 2.0, (1.0 + delta) / 2.0], method="hazen").tolist()
     return DeltaBand(delta=delta, lo=lo, hi=hi, kind="empirical")
 
 

@@ -753,6 +753,13 @@ class TestCli:
         ("window_stats.jsonl", 1, lambda d: {**d, "unlabeled": "3"}),
         ("window_stats.jsonl", 2, lambda d: {**d, "point_ids": [["a"], *d["point_ids"][1:]]}),
         ("window_stats.jsonl", 3, lambda d: {**d, "point_ids": [*d["point_ids"][:-1], 7]}),
+        # every replay row splits its distinct point ids into corroborative and unlabeled
+        ("window_stats.jsonl", 2,
+         lambda d: {**d, "corroborative": -3, "unlabeled": len(d["point_ids"]) + 3}),
+        ("window_stats.jsonl", 2, lambda d: {**d, "corroborative": d["corroborative"] + 1}),
+        ("window_stats.jsonl", 3, lambda d: {**d, "unlabeled": d["unlabeled"] - 1}),
+        ("window_stats.jsonl", 2, lambda d: {**d, "point_ids": d["point_ids"] + d["point_ids"][:1],
+                                             "unlabeled": d["unlabeled"] + 1}),
         ("decisions.jsonl", 2, None),
         ("window_stats.jsonl", 3, None),
     ])
@@ -768,6 +775,7 @@ class TestCli:
         path.write_text("\n".join(lines) + "\n")
         assert cli_main(["eval", "--run", str(run_dir), "--truth", str(gen.stream_path)]) == 1
         assert f"{name}:{lineno}: malformed" in capsys.readouterr().err
+        assert (run_dir / "reports.csv").read_bytes() == result.reports.read_bytes()
 
     @pytest.mark.parametrize("name", ["truth", "decisions.jsonl", "baseline_decisions.jsonl"])
     def test_eval_rejects_repeated_id(self, small_run, tmp_path, name, capsys):
@@ -798,6 +806,21 @@ class TestCli:
         path.write_text("\n".join(lines + [lines[1]]) + "\n")
         assert cli_main(["eval", "--run", str(run_dir), "--truth", str(gen.stream_path)]) == 1
         assert (f"window_stats.jsonl:{len(lines) + 1}: duplicate id 1, first on line 2"
+                in capsys.readouterr().err)
+        assert (run_dir / "reports.csv").read_bytes() == result.reports.read_bytes()
+
+    def test_eval_rejects_point_in_two_windows(self, small_run, tmp_path, capsys):
+        gen, _, result = small_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(result.knowledgebase.parent, run_dir)
+        path = run_dir / "window_stats.jsonl"
+        rows = jsonl_rows(path)
+        shared = rows[1]["point_ids"][0]
+        rows[2] = {**rows[2], "point_ids": rows[2]["point_ids"] + [shared],
+                   "unlabeled": rows[2]["unlabeled"] + 1}
+        path.write_text("".join(json.dumps(d) + "\n" for d in rows))
+        assert cli_main(["eval", "--run", str(run_dir), "--truth", str(gen.stream_path)]) == 1
+        assert (f"window_stats.jsonl:3: duplicate id {shared!r}, first on line 2"
                 in capsys.readouterr().err)
         assert (run_dir / "reports.csv").read_bytes() == result.reports.read_bytes()
 

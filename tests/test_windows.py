@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftstream.core import ConfigError, DataPoint, InputError, cosine_distance
@@ -103,14 +103,23 @@ class TestEmpiricalBand:
         band = empirical_delta_band(d, 1.0)
         assert (band.lo, band.hi) == (0.05, 0.77)
 
-    def test_decile_sample_matches_brute_force_quantiles(self):
-        d = [round(0.1 * i, 1) for i in range(1, 11)]
-        band = empirical_delta_band(d, 0.6)
+    def test_decile_sample_band(self):
+        band = empirical_delta_band([round(0.1 * i, 1) for i in range(1, 11)], 0.6)
+        assert (band.lo, band.hi) == (pytest.approx(0.25), pytest.approx(0.85))
 
+    @given(
+        # a coarse grid draws ties as often as distinct values
+        st.lists(st.one_of(st.floats(0.0, 1.0), st.integers(0, 20).map(lambda i: i / 20)),
+                 min_size=1, max_size=400),
+        st.floats(0.0, 1.0, exclude_min=True),
+    )
+    @example([round(0.1 * i, 1) for i in range(1, 11)], 0.6)
+    @settings(max_examples=300, deadline=None)
+    def test_band_ends_match_brute_force_quantiles(self, d, delta):
         def brute_quantile(sample, p):
             s = sorted(sample)
             n = len(s)
-            h = n * p + 0.5  # same plotting positions, evaluated independently
+            h = n * p + 0.5  # 1-based Hazen plotting position, evaluated independently
             if h <= 1.0:
                 return s[0]
             if h >= n:
@@ -119,9 +128,17 @@ class TestEmpiricalBand:
             g = h - k
             return s[k - 1] + g * (s[k] - s[k - 1])
 
-        assert band.lo == pytest.approx(brute_quantile(d, 0.2), abs=1e-12)
-        assert band.hi == pytest.approx(brute_quantile(d, 0.8), abs=1e-12)
-        assert (band.lo, band.hi) == (pytest.approx(0.25), pytest.approx(0.85))
+        band = empirical_delta_band(d, delta)
+        assert abs(band.lo - brute_quantile(d, (1.0 - delta) / 2.0)) <= 1e-15
+        assert abs(band.hi - brute_quantile(d, (1.0 + delta) / 2.0)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [
+        [0.1, 0.2, 0.3, 0.4, math.nan], [0.2, 0.3, 1.5], [-0.1, 0.5], [0.5, math.inf],
+    ])
+    @pytest.mark.parametrize("delta", [0.2, 0.9])
+    def test_refuses_distance_outside_unit_interval(self, d, delta):
+        with pytest.raises(InputError, match=r"distance outside \[0, 1\]"):
+            empirical_delta_band(d, delta)
 
     def test_constant_sample_degenerate_band(self):
         band = empirical_delta_band([0.4] * 7, 0.6)
