@@ -11,8 +11,8 @@ evaluation, per-model drift verdicts, then retraining and generation.
 Each window is one step: it is predicted, its points are routed, its boundary
 runs, and its decision, baseline, verdict and window-stats rows are appended.
 The knowledgebase, event histogram, reports and final checkpoint wait for the
-end of the stream; replay first deletes these and the static checkpoint of an
-earlier run.
+end of the stream, and each knowledgebase row is written as it is formed;
+replay first deletes these and the static checkpoint of an earlier run.
 
 Replay draws no random numbers: two replays of the same inputs produce
 byte-identical artifacts.
@@ -25,6 +25,7 @@ import io
 import json
 import math
 from collections import Counter
+from collections.abc import Iterator
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from datetime import date
@@ -231,31 +232,29 @@ def _cell_of(point: DataPoint) -> str:
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
-def aggregate_events(positives: list[tuple[DataPoint, float]]) -> tuple[list[dict], dict[int, int]]:
-    """The knowledgebase rows, one per detected event, plus a posts-per-event
-    histogram (number of events keyed by their post count).
+def aggregate_events(positives: list[tuple[DataPoint, float]]) -> Iterator[dict]:
+    """The knowledgebase rows, one per detected event, each formed as it is taken.
 
-    An event is the positives of one 1-degree cell and one UTC day. Rows are
-    sorted by cell, then day, and give the day as an ISO ``YYYY-MM-DD`` date.
+    An event is the positives of one 1-degree cell and one UTC day. Rows come
+    sorted by cell, then day, and give the day as an ISO ``YYYY-MM-DD`` date;
+    each group is dropped once its row is yielded.
     """
     groups: dict[tuple[str, int], list[tuple[DataPoint, float]]] = {}
     for point, prob in positives:
         groups.setdefault((_cell_of(point), point.ts // 86400), []).append((point, prob))
-    rows = []
     for cell, day in sorted(groups):
-        members = groups[(cell, day)]
+        members = groups.pop((cell, day))
         pts = [p for p, _ in members]
         # _cell_of puts every post without coordinates, and only those, in "global"
         centroid = None if cell == "global" else [
             sum(p.lat for p in pts) / len(pts), sum(p.lon for p in pts) / len(pts)]
-        rows.append({
+        yield {
             "cell": cell, "date": date.fromordinal(_EPOCH_ORDINAL + day).isoformat(),
             "points": [p.id for p in pts],
             "first_ts": min(p.ts for p in pts), "last_ts": max(p.ts for p in pts),
             "mean_probability": sum(pr for _, pr in members) / len(members),
             "centroid_geo": centroid,
-        })
-    return rows, dict(Counter(len(row["points"]) for row in rows))
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +424,11 @@ def replay(
                               if adaptive.get(p.id)]
                 report_rows += build_reports([stats], adaptive, static, truth)
 
-    knowledgebase, histogram = aggregate_events(positives)
+    histogram: Counter = Counter()  # number of events keyed by their post count
     with open(kb_path, "w", encoding="utf-8") as fh:
-        _write_jsonl(fh, knowledgebase)
+        for row in aggregate_events(positives):
+            histogram[len(row["points"])] += 1
+            _write_jsonl(fh, [row])
     (out / "events_histogram.json").write_text(
         json_line({str(k): histogram[k] for k in sorted(histogram)}), encoding="utf-8")
     write_reports_csv(report_rows, reports_path)

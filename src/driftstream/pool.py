@@ -15,6 +15,7 @@ import base64
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
@@ -343,16 +344,39 @@ def evaluate_models(pool: Pool, labeled: list[DataPoint], window_index: int | No
 # row-major into one n x d matrix, its running sum, model weights) is one
 # block {"shape": [...], "f8": base64 of its little-endian bytes}, so vectors
 # come back bit-exact without a decimal round trip. An empty window stores a
-# [0, 0] block.
+# [0, 0] block. The document is written piece by piece, a window record at a
+# time, and its bytes are json_line of the whole document.
 # ---------------------------------------------------------------------------
 
-def _encode_f8(a: np.ndarray) -> dict:
+def _json(obj) -> bytes:
+    """``obj`` as compact ASCII JSON, without the newline."""
+    return json_line(obj)[:-1].encode("ascii")
+
+
+def _write_f8(fh, a: np.ndarray) -> None:
+    """Write ``a`` as one block, base64-encoded straight from its buffer."""
     a = np.ascontiguousarray(a, dtype="<f8")
-    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+    fh.write(b'{"shape":%s,"f8":"' % _json(list(a.shape)))
+    fh.write(base64.b64encode(a))
+    fh.write(b'"}')
+
+
+def _write_window(fh, w: DataWindow) -> None:
+    fh.write(b'{"capacity":%s,"id":%s,"vec_sum":' % (_json(w.capacity), _json(w.id)))
+    if w._vec_sum is None:
+        fh.write(b"null")
+    else:
+        _write_f8(fh, w._vec_sum)
+    fh.write(b',"points":%s,"vecs":' % _json([
+        {"id": p.id, "ts": p.ts, "lat": p.lat, "lon": p.lon, "text": p.text, "label": p.label}
+        for p in w.points
+    ]))
+    _write_f8(fh, np.stack([p.vec for p in w.points]) if w.points else np.empty((0, 0)))
+    fh.write(b"}")
 
 
 def _decode_f8(block: dict) -> np.ndarray:
-    """An owned, writable native float64 copy of an :func:`_encode_f8` block of finite values."""
+    """An owned, writable native float64 copy of a block of finite values."""
     shape = tuple(block["shape"])
     raw = base64.b64decode(block["f8"], validate=True)
     if any(type(n) is not int or n < 0 for n in shape) or len(raw) != 8 * math.prod(shape):
@@ -361,18 +385,6 @@ def _decode_f8(block: dict) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"block of shape {list(shape)} holds non-finite values")
     return a
-
-
-def _window_to_json(w: DataWindow) -> dict:
-    return {
-        "capacity": w.capacity, "id": w.id,
-        "vec_sum": None if w._vec_sum is None else _encode_f8(w._vec_sum),
-        "points": [
-            {"id": p.id, "ts": p.ts, "lat": p.lat, "lon": p.lon, "text": p.text, "label": p.label}
-            for p in w.points
-        ],
-        "vecs": _encode_f8(np.stack([p.vec for p in w.points]) if w.points else np.empty((0, 0))),
-    }
 
 
 def _window_from_json(d: dict) -> DataWindow:
@@ -391,23 +403,30 @@ def _window_from_json(d: dict) -> DataWindow:
 
 
 def save_pool(pool: Pool, path: str | Path) -> None:
-    doc = {
-        "next_model": pool._next_model,
-        "general": _window_to_json(pool.general),
-        "models": [
-            {
-                "id": m.id,
-                "weights": _encode_f8(m.weights),
-                "omega": m.omega,
-                "created_at": m.created_at,
-                "last_evaluated": m.last_evaluated,
-                "band": vars(m.band),
-                "memory": _window_to_json(m.memory),
-            }
-            for m in pool.models
-        ],
-    }
-    Path(path).write_text(json_line(doc), encoding="utf-8")
+    """Write the checkpoint to a sibling temporary file, then rename it to
+    ``path``; a save that fails part-way leaves whatever ``path`` held."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b'{"next_model":%s,"general":' % _json(pool._next_model))
+            _write_window(fh, pool.general)
+            fh.write(b',"models":[')
+            for i, m in enumerate(pool.models):
+                if i:
+                    fh.write(b",")
+                fh.write(b'{"id":%s,"weights":' % _json(m.id))
+                _write_f8(fh, m.weights)
+                fh.write(b',"omega":%s,"created_at":%s,"last_evaluated":%s,"band":%s,"memory":'
+                         % (_json(m.omega), _json(m.created_at), _json(m.last_evaluated),
+                            _json(vars(m.band))))
+                _write_window(fh, m.memory)
+                fh.write(b"}")
+            fh.write(b"]}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_pool(path: str | Path) -> Pool:

@@ -1,9 +1,11 @@
 """Shared fixtures-by-hand for the test suite: geometry builders, the
 independent routing oracle, the pair-by-pair labeling reference, the
 scalar classifier with the point-by-point team prediction and model
-evaluation references built on it, the text-by-text embedding reference and
-the numpy-call cosine distance the lean one must equal."""
+evaluation references built on it, the text-by-text embedding reference,
+the numpy-call cosine distance the lean one must equal, and the checkpoint
+document whose json_line save_pool's bytes must equal."""
 
+import base64
 import math
 
 import numpy as np
@@ -215,3 +217,42 @@ def reference_cosine_distance(a, b, na=None, nb=None):
     sim = float(np.dot(a, b) / (na * nb))
     sim = max(-1.0, min(1.0, sim))
     return (1.0 - sim) / 2.0
+
+
+def encode_f8(a):
+    """A checkpoint block: the shape and the base64 of the array's little-endian float64 bytes."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def window_to_json(w):
+    """A window's checkpoint record, built whole."""
+    return {
+        "capacity": w.capacity, "id": w.id,
+        "vec_sum": None if w._vec_sum is None else encode_f8(w._vec_sum),
+        "points": [
+            {"id": p.id, "ts": p.ts, "lat": p.lat, "lon": p.lon, "text": p.text, "label": p.label}
+            for p in w.points
+        ],
+        "vecs": encode_f8(np.stack([p.vec for p in w.points]) if w.points else np.empty((0, 0))),
+    }
+
+
+def reference_checkpoint(pool):
+    """The whole checkpoint document of ``pool``; save_pool writes json_line of it."""
+    return {
+        "next_model": pool._next_model,
+        "general": window_to_json(pool.general),
+        "models": [
+            {
+                "id": m.id,
+                "weights": encode_f8(m.weights),
+                "omega": m.omega,
+                "created_at": m.created_at,
+                "last_evaluated": m.last_evaluated,
+                "band": vars(m.band),
+                "memory": window_to_json(m.memory),
+            }
+            for m in pool.models
+        ],
+    }

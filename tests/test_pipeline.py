@@ -294,32 +294,40 @@ class TestAggregateEvents:
         return DataPoint(id=pid, ts=ts, text="", vec=np.zeros(2), lat=lat, lon=lon)
 
     def test_single_positive_single_event(self):
-        events, histo = aggregate_events([(self._pt("p", 1000, 10.5, 20.5), 0.9)])
+        events = list(aggregate_events([(self._pt("p", 1000, 10.5, 20.5), 0.9)]))
         assert events == [{
             "cell": "10:20", "date": "1970-01-01", "points": ["p"], "first_ts": 1000,
             "last_ts": 1000, "mean_probability": 0.9, "centroid_geo": [10.5, 20.5],
         }]
         assert list(events[0]) == ["cell", "date", "points", "first_ts", "last_ts",
                                    "mean_probability", "centroid_geo"]
-        assert histo == {1: 1}
+
+    def test_rows_are_formed_as_they_are_taken(self):
+        a, b = self._pt("a", 1000, 10.5, 20.5), self._pt("b", 1000, 1.5, 2.5)
+        rows = aggregate_events([(a, 0.9), (b, 0.8)])
+        # an iterator, not a list of rows: each row is built when it is taken
+        assert iter(rows) is rows
+        assert next(rows)["points"] == ["a"]  # cell "10:20" sorts before "1:2"
+        assert next(rows)["points"] == ["b"]
+        assert next(rows, None) is None
 
     def test_same_cell_different_days_split(self):
-        events, _ = aggregate_events([
+        events = list(aggregate_events([
             (self._pt("a", 1000, 10.5, 20.5), 0.8),
             (self._pt("b", 1000 + 86400, 10.5, 20.5), 0.6),
-        ])
+        ]))
         assert len(events) == 2
 
     def test_geo_less_points_pool_in_global_cell(self):
         p = DataPoint(id="p", ts=500, text="", vec=np.zeros(2))
-        events, _ = aggregate_events([(p, 0.7)])
+        events = list(aggregate_events([(p, 0.7)]))
         assert events[0]["cell"] == "global" and events[0]["centroid_geo"] is None
 
     def test_centroid_and_span(self):
-        events, _ = aggregate_events([
+        events = list(aggregate_events([
             (self._pt("a", 1000, 10.0, 20.0), 0.8),
             (self._pt("b", 2000, 10.4, 20.8), 0.6),
-        ])
+        ]))
         e = events[0]
         assert e["first_ts"] == 1000 and e["last_ts"] == 2000
         assert e["centroid_geo"] == [pytest.approx(10.2), pytest.approx(20.4)]
@@ -329,11 +337,11 @@ class TestAggregateEvents:
         # 0999-12-31T23:00Z and 1000-01-01T00:00Z: a date string without the
         # leading zero would sort the later day first
         late_999, new_1000 = -30610227600, -30610224000
-        events, _ = aggregate_events([
+        events = list(aggregate_events([
             (self._pt("first", MIN_TS, 10.5, 20.5), 0.9),
             (self._pt("new", new_1000, 1.5, 2.5), 0.8),
             (self._pt("late", late_999, 1.5, 2.5), 0.7),
-        ])
+        ]))
         assert [(e["cell"], e["date"], e["points"]) for e in events] == [
             ("10:20", "0001-01-01", ["first"]),
             ("1:2", "0999-12-31", ["late"]),
@@ -381,6 +389,14 @@ class TestReplay:
         # window 0 holds p000000..p000399
         assert not any(f"p{i:06d}" in decided for i in range(400))
         assert f"p{400:06d}" in decided
+
+    def test_events_histogram_counts_the_knowledgebase_rows(self, small_run):
+        _, _, result = small_run
+        sizes = [len(json.loads(l)["points"])
+                 for l in result.knowledgebase.read_text().splitlines()]
+        assert sizes
+        assert result.events_histogram.read_text() == json.dumps(
+            {str(n): sizes.count(n) for n in sorted(set(sizes))}, separators=(",", ":")) + "\n"
 
     def test_knowledgebase_rows_schema(self, small_run):
         _, _, result = small_run

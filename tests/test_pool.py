@@ -3,16 +3,20 @@ import copy
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import (
+    encode_f8,
     make_model,
     oracle_route,
     point,
     random_routing_fixture,
+    reference_checkpoint,
     reference_evaluate_models,
     vec_at_distance,
+    window_to_json,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,8 +30,6 @@ from driftstream.pool import (
     Pool,
     PoolConfig,
     PoolError,
-    _encode_f8,
-    _window_to_json,
     evaluate_models,
     f_score,
     load_pool,
@@ -517,14 +519,14 @@ class TestEvaluateModels:
 def _narrow_model(doc):
     """Model 1 of a checkpoint swapped for one whose memory and weights have width 4."""
     memory = DataWindow([point("n0", [1.0, 0.0, 0.0, 0.0])], capacity=4, window_id="n")
-    doc["models"][1].update(memory=_window_to_json(memory), weights=_encode_f8(np.zeros(5)))
+    doc["models"][1].update(memory=window_to_json(memory), weights=encode_f8(np.zeros(5)))
 
 
 def _spoiled(block, value):
-    """An ``_encode_f8`` block equal to ``block`` but for ``value`` as its first component."""
+    """An ``encode_f8`` block equal to ``block`` but for ``value`` as its first component."""
     a = np.frombuffer(base64.b64decode(block["f8"]), dtype="<f8").reshape(block["shape"]).copy()
     a.flat[0] = value
-    return _encode_f8(a)
+    return encode_f8(a)
 
 
 class TestCheckpoint:
@@ -730,7 +732,7 @@ class TestCheckpoint:
         "point_id_int": lambda doc: doc["general"]["points"][0].update(id=5),
         "point_text_int": lambda doc: doc["models"][0]["memory"]["points"][0].update(text=5),
         "vec_sum_missing": lambda doc: doc["general"].update(vec_sum=None),
-        "vec_sum_narrow": lambda doc: doc["general"].update(vec_sum=_encode_f8(np.zeros(3))),
+        "vec_sum_narrow": lambda doc: doc["general"].update(vec_sum=encode_f8(np.zeros(3))),
         "omega_bool": lambda doc: doc["models"][0].update(omega=True),
         "created_at_string": lambda doc: doc["models"][0].update(created_at="x"),
         "last_evaluated_bool": lambda doc: doc["models"][1].update(last_evaluated=True),
@@ -741,9 +743,9 @@ class TestCheckpoint:
         "band_extra_key": lambda doc: doc["models"][1]["band"].update(estimate_kind="empirical"),
         "model_id_int": lambda doc: doc["models"][0].update(id=5),
         "model_ids_repeat": lambda doc: doc["models"][1].update(id=doc["models"][0]["id"]),
-        "weights_short": lambda doc: doc["models"][0].update(weights=_encode_f8(np.ones(3))),
+        "weights_short": lambda doc: doc["models"][0].update(weights=encode_f8(np.ones(3))),
         "memory_empty": lambda doc: doc["models"][0].update(
-            memory=_window_to_json(DataWindow(capacity=4, window_id="m0003"))),
+            memory=window_to_json(DataWindow(capacity=4, window_id="m0003"))),
         "widths_differ": _narrow_model,
         "band_delta_string": lambda doc: doc["models"][0]["band"].update(delta="x"),
         "band_delta_null": lambda doc: doc["models"][0]["band"].update(delta=None),
@@ -788,3 +790,121 @@ class TestCheckpoint:
         (tmp_path / "cut.json").write_bytes(raw[: len(raw) // 2])
         with pytest.raises(InputError, match=r"cut\.json: unreadable checkpoint"):
             load_pool(tmp_path / "cut.json")
+
+
+# -- save_pool writes the document piece by piece: its bytes, its memory, its failure --
+
+_AWKWARD_CHARS = ('"', "\\", "\x00", "\n", "\x1f", "\x7f",  # JSON escapes
+                  "é", "☔", "\U0001f30a", "\ud800", "\udfff")  # non-ASCII, lone surrogates
+_AWKWARD_TEXT = st.text(st.one_of(st.sampled_from(_AWKWARD_CHARS),
+                                  st.characters(exclude_categories=())), max_size=6)
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e300, -1e300)
+
+
+@st.composite
+def checkpoint_windows(draw, dim, window_id):
+    """A window of 0-4 points of width ``dim``, some evicted, with awkward ids,
+    texts, components, coordinates and labels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    window = DataWindow(capacity=draw(st.integers(1, 5)), window_id=window_id)
+    for _ in range(draw(st.integers(0, 4))):
+        vec = rng.standard_normal(dim)
+        vec[0] = draw(st.sampled_from(_SPECIAL_FLOATS))
+        lat, lon = draw(st.one_of(st.just((None, None)),
+                                  st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))))
+        window.append(DataPoint(
+            id=draw(_AWKWARD_TEXT), ts=draw(st.integers(core.MIN_TS, core.MAX_TS)),
+            text=draw(_AWKWARD_TEXT), vec=vec, lat=lat, lon=lon,
+            label=draw(st.sampled_from([None, 0, 1])),
+        ))
+    return window
+
+
+@st.composite
+def checkpoint_pools(draw):
+    """A pool of width 1, 3 or 300 with 0-3 models; memories may be empty."""
+    dim = draw(st.sampled_from([1, 3, 300]))
+    pool = Pool()
+    pool._next_model = draw(st.integers(0, 10**6))
+    pool.general = draw(checkpoint_windows(dim, "general"))
+    for _ in range(draw(st.integers(0, 3))):
+        lo = draw(st.floats(0.0, 1.0))
+        weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(dim + 1)
+        pool.models.append(ModelRecord(
+            id=draw(_AWKWARD_TEXT), weights=weights,
+            memory=draw(checkpoint_windows(dim, draw(_AWKWARD_TEXT))),
+            band=DeltaBand(draw(st.floats(0.0, 1.0, exclude_min=True)), lo, draw(st.floats(lo, 1.0)),
+                           draw(st.sampled_from(["empirical", "gaussian"]))),
+            omega=draw(st.floats(0.0, 1.0)), created_at=draw(st.integers(0, 10**6)),
+            last_evaluated=draw(st.integers(0, 10**6)),
+        ))
+    return pool
+
+
+class TestSaveByParts:
+    @given(checkpoint_pools())
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_the_whole_document(self, tmp_path_factory, pool):
+        path = tmp_path_factory.getbasetemp() / "parts.json"
+        save_pool(pool, path)
+        assert path.read_bytes() == core.json_line(reference_checkpoint(pool)).encode("ascii")
+
+    def test_traced_peak_is_one_window_not_the_document(self, tmp_path):
+        rng = np.random.default_rng(31)
+        pool = Pool(general_capacity=1500)
+        for j in range(4):
+            memory = DataWindow(capacity=1500, window_id=f"m{j:04d}")
+            for i, vec in enumerate(rng.standard_normal((1500, 300))):
+                memory.append(DataPoint(id=f"m{j}-{i}", ts=i, text="rain", vec=vec, label=i % 2))
+            pool.models.append(ModelRecord(
+                id=f"m{j:04d}", weights=rng.standard_normal(301), memory=memory,
+                band=DeltaBand(0.6, 0.2, 0.4), omega=0.5, created_at=j, last_evaluated=j))
+        tracemalloc.start()
+        try:
+            save_pool(pool, tmp_path / "big.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # each 1500 x 300 block is 3.6 MB and its base64 4.8 MB, and the file holds
+        # four; one block plus the 7.2 MB that b64encode reserves for its output is
+        # 10.8 MB, where a document built whole peaks at about 60 MB
+        assert (tmp_path / "big.json").stat().st_size > 19e6
+        assert peak < 12e6, peak
+
+    @staticmethod
+    def _fail_second_block(monkeypatch):
+        """Make the second base64 encoding raise: the general memory's vectors,
+        after its running sum is written."""
+        encode, calls = base64.b64encode, []
+
+        def b64encode(data):
+            calls.append(len(data))
+            if len(calls) == 2:
+                raise OSError("disk gone")
+            return encode(data)
+
+        monkeypatch.setattr(base64, "b64encode", b64encode)
+        return calls
+
+    @staticmethod
+    def _pool():
+        pool = Pool()
+        for i in range(3):
+            pool.general.append(point(f"g{i}", [1.0, float(i)], ts=i))
+        return pool
+
+    def test_failed_save_leaves_no_file_at_a_fresh_path(self, tmp_path, monkeypatch):
+        calls = self._fail_second_block(monkeypatch)
+        with pytest.raises(OSError, match="disk gone"):
+            save_pool(self._pool(), tmp_path / "pool.json")
+        assert len(calls) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_save_leaves_an_earlier_checkpoint_intact(self, tmp_path, monkeypatch):
+        save_pool(Pool(), tmp_path / "pool.json")
+        before = (tmp_path / "pool.json").read_bytes()
+        self._fail_second_block(monkeypatch)
+        with pytest.raises(OSError, match="disk gone"):
+            save_pool(self._pool(), tmp_path / "pool.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["pool.json"]
+        assert (tmp_path / "pool.json").read_bytes() == before
