@@ -42,12 +42,9 @@ from .synth import SynthConfig, generate_synthetic
 from .windows import (
     DataWindow,
     DeltaBand,
-    GaussianBandEstimate,
     band_membership,
     centroid_distances,
     empirical_delta_band,
-    gaussian_delta_band,
-    unit_hypersphere_volume,
 )
 
 __version__ = "0.1.0"

@@ -19,15 +19,7 @@ from .pipeline import (
     save_config,
 )
 from .synth import SCHEDULES, SynthConfig, generate_synthetic, output_paths
-from .windows import (
-    DEFAULT_DELTA,
-    DataWindow,
-    GaussianBandEstimate,
-    centroid_distances,
-    empirical_delta_band,
-    gaussian_delta_band,
-    unit_hypersphere_volume,
-)
+from .windows import DEFAULT_DELTA, DataWindow, centroid_distances, empirical_delta_band
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,21 +107,13 @@ def _cmd_band(args) -> int:
     embedder = Embedder(load_config(args.config) if args.config else EmbedderConfig())
     points, _ = load_stream(args.window, embedder)
     if not points:
-        raise InputError("window file has no points")
-    window = DataWindow(points, capacity=max(len(points), 1))
-    distances = centroid_distances(window)
-    est = GaussianBandEstimate.fit(distances)
-    empirical = empirical_delta_band(distances, args.delta)
+        raise InputError(f"{args.window}: no points")
+    distances = centroid_distances(DataWindow(points, capacity=len(points)))
+    band = empirical_delta_band(distances, args.delta)
     print(f"points              {len(points)}")
-    print(f"mu                  {est.mu:.6f}")
-    print(f"sigma               {est.sigma:.6f}")
-    print(f"empirical band      [{empirical.lo:.6f}, {empirical.hi:.6f}]  delta={args.delta}")
-    if 0.0 < args.delta < 1.0:
-        gaussian = gaussian_delta_band(est, args.delta)
-        print(f"gaussian band       [{gaussian.lo:.6f}, {gaussian.hi:.6f}]  delta={args.delta}")
-    print("unit hypersphere volume by dimension")
-    for d in (1, 2, 3, 5, 10, 20, 50, 100, 300):
-        print(f"  d={d:<4d} {unit_hypersphere_volume(d):.3e}")
+    print(f"distance mean       {distances.mean():.6f}")
+    print(f"distance sd         {distances.std():.6f}")
+    print(f"empirical band      [{band.lo:.6f}, {band.hi:.6f}]  delta={args.delta}")
     return 0
 
 

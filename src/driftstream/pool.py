@@ -354,10 +354,14 @@ def _json(obj) -> bytes:
 
 
 def _write_f8(fh, a: np.ndarray) -> None:
-    """Write ``a`` as one block, base64-encoded straight from its buffer."""
+    """Write ``a`` as one block, base64-encoded straight from its buffer in
+    slices of a multiple of 3 bytes, so the encoding costs one slice, not
+    twice the block, and the bytes are those of one encode."""
     a = np.ascontiguousarray(a, dtype="<f8")
     fh.write(b'{"shape":%s,"f8":"' % _json(list(a.shape)))
-    fh.write(base64.b64encode(a))
+    raw = a.reshape(-1).view(np.uint8)
+    for i in range(0, raw.size, 3 << 16):
+        fh.write(base64.b64encode(raw[i:i + (3 << 16)]))
     fh.write(b'"}')
 
 
@@ -435,10 +439,9 @@ def load_pool(path: str | Path) -> Pool:
     lists, a general memory that is not a window record, a count, capacity,
     omega, band delta or bound, timestamp or id of the wrong type or range (a
     bool is no number), a band record whose keys are not exactly its fields
-    (delta, lo, hi, kind), a band kind other than those the band estimates write
-    (empirical, gaussian), a window over its capacity, a non-finite float,
-    a running sum or weights that do not fit the pool's one vector width, and
-    two models with one id."""
+    (delta, lo, hi), a window over its capacity, a non-finite float, a running
+    sum or weights that do not fit the pool's one vector width, and two models
+    with one id."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         pool = Pool()

@@ -2,15 +2,13 @@
 
 A window keeps an ordered set of embedded points with an incrementally
 maintained centroid. The band machinery turns the window's distribution of
-point-to-centroid distances into an interval holding a chosen probability
-mass, either empirically (quantiles) or through a normal approximation.
+point-to-centroid distances into the interval between two sample quantiles
+that holds a chosen probability mass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -102,33 +100,11 @@ class DeltaBand:
     delta: float
     lo: float
     hi: float
-    kind: str = "empirical"
 
     def __post_init__(self):
         if not (all(map(is_number, (self.delta, self.lo, self.hi)))
                 and 0.0 < self.delta <= 1.0 and 0.0 <= self.lo <= self.hi <= 1.0):
             raise InputError(f"bad band: delta {self.delta!r}, bounds [{self.lo!r}, {self.hi!r}]")
-        if self.kind not in ("empirical", "gaussian"):
-            raise InputError(f"band kind {self.kind!r} is not empirical or gaussian")
-
-
-@dataclass(frozen=True)
-class GaussianBandEstimate:
-    """Normal fit N(mu, sigma^2) of the centroid-distance distribution."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.mu <= 1.0):
-            raise InputError(f"mu {self.mu} outside [0, 1]")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise InputError(f"sigma {self.sigma} must be finite and >= 0")
-
-    @classmethod
-    def fit(cls, distances) -> "GaussianBandEstimate":
-        d = np.asarray(distances, dtype=np.float64)
-        return cls(mu=float(np.mean(d)), sigma=float(np.std(d)))
 
 
 def centroid_distances(window: DataWindow) -> np.ndarray:
@@ -152,28 +128,7 @@ def empirical_delta_band(distances, delta: float) -> DeltaBand:
     # statistics keep closed-band mass within 1/N of the target for
     # tie-free samples; plain (N-1)*p positions do not.
     lo, hi = np.quantile(d, [(1.0 - delta) / 2.0, (1.0 + delta) / 2.0], method="hazen").tolist()
-    return DeltaBand(delta=delta, lo=lo, hi=hi, kind="empirical")
-
-
-def gaussian_delta_band(est: GaussianBandEstimate, delta: float) -> DeltaBand:
-    """Symmetric normal band mu +/- z*sigma with z at the (1+delta)/2 quantile."""
-    if not (0.0 < delta < 1.0):
-        raise InputError(f"delta must be in (0, 1), got {delta}")
-    z = NormalDist().inv_cdf((1.0 + delta) / 2.0)
-    lo = max(0.0, est.mu - z * est.sigma)
-    hi = min(1.0, est.mu + z * est.sigma)
-    return DeltaBand(delta=delta, lo=lo, hi=hi, kind="gaussian")
-
-
-def unit_hypersphere_volume(d: int) -> float:
-    """Volume of the diameter-1 ball in d dimensions: 0.5^d pi^(d/2) / Gamma(d/2 + 1).
-
-    Diagnostic for why density regions are bands rather than spheres: the
-    volume vanishes as d grows, so the region near the centroid is empty.
-    """
-    if d < 1:
-        raise InputError(f"dimension must be >= 1, got {d}")
-    return 0.5**d * math.pi ** (0.5 * d) / math.gamma(0.5 * d + 1.0)
+    return DeltaBand(delta=delta, lo=lo, hi=hi)
 
 
 def in_band(band: DeltaBand, dist):

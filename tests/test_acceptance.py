@@ -12,12 +12,7 @@ from driftstream.ensemble import _softmax
 from driftstream.pipeline import PipelineConfig, replay
 from driftstream.pool import logistic_loss_and_grad, process_point
 from driftstream.synth import SynthConfig, generate_synthetic
-from driftstream.windows import (
-    GaussianBandEstimate,
-    centroid_distances,
-    empirical_delta_band,
-    gaussian_delta_band,
-)
+from driftstream.windows import centroid_distances, empirical_delta_band
 
 
 def report(criterion, name, ok, detail):
@@ -136,7 +131,7 @@ def test_05_kl_properties():
            f"worked pair {worked:.5f} nats")
 
 
-def test_06_band_mass_and_gaussian_band():
+def test_06_band_mass():
     rng = np.random.default_rng(66)
     failures = 0
     trials = 0
@@ -149,11 +144,7 @@ def test_06_band_mass_and_gaussian_band():
             trials += 1
             if abs(mass - delta) > 1.0 / n + 1e-12:
                 failures += 1
-    gauss = gaussian_delta_band(GaussianBandEstimate(mu=0.5, sigma=0.1), 0.6)
-    gauss_ok = abs(gauss.lo - 0.41584) <= 1e-4 and abs(gauss.hi - 0.58416) <= 1e-4
-    report(6, "band-mass", failures == 0 and gauss_ok,
-           f"{trials - failures}/{trials} samples within 1/N, "
-           f"gaussian band [{gauss.lo:.5f}, {gauss.hi:.5f}]")
+    report(6, "band-mass", failures == 0, f"{trials - failures}/{trials} samples within 1/N")
 
 
 def test_07_routing_oracle_equivalence():

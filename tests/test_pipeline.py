@@ -23,6 +23,7 @@ from driftstream.pipeline import (
 )
 from driftstream.pool import PoolConfig, load_pool
 from driftstream.synth import DT_SECONDS, START_TS, SynthConfig, generate_synthetic
+from driftstream.windows import DataWindow, centroid_distances, empirical_delta_band
 
 
 def write_stream(path, rows):
@@ -635,7 +636,16 @@ class TestCli:
         assert cli_main(["band", "--window", str(out / "stream.jsonl"),
                          "--delta", "0.6", "--config", str(config)]) == 0
         printed = capsys.readouterr().out
-        assert "empirical band" in printed and "hypersphere" in printed
+        points, _ = load_stream(out / "stream.jsonl", Embedder(load_config(config)))
+        band = empirical_delta_band(
+            centroid_distances(DataWindow(points, capacity=len(points))), 0.6)
+        assert f"empirical band      [{band.lo:.6f}, {band.hi:.6f}]  delta=0.6" in printed
+
+    def test_band_empty_window_file_is_input_error_naming_it(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert cli_main(["band", "--window", str(empty)]) == 1
+        assert capsys.readouterr().err == f"input error: {empty}: no points\n"
 
     @pytest.mark.parametrize("flag,value", [
         ("--window-size", "0"), ("--windows", "1"), ("--dim", "2"), ("--seed", "-1"),

@@ -9,15 +9,12 @@ from driftstream.core import ConfigError, DataPoint, InputError, cosine_distance
 from driftstream.windows import (
     DataWindow,
     DeltaBand,
-    GaussianBandEstimate,
     GENERALIZATION,
     INSIDE,
     OUTSIDE,
     band_membership,
     centroid_distances,
     empirical_delta_band,
-    gaussian_delta_band,
-    unit_hypersphere_volume,
 )
 
 
@@ -25,18 +22,6 @@ def make_window(vectors, capacity=None, wid="w"):
     pts = [DataPoint(id=f"{wid}{i}", ts=i, text="", vec=np.asarray(v, dtype=float))
            for i, v in enumerate(vectors)]
     return DataWindow(pts, capacity=capacity or max(len(pts), 1), window_id=wid)
-
-
-def inv_phi_via_erf(p):
-    """Independent standard normal quantile: bisection on the erf-based CDF."""
-    lo, hi = -10.0, 10.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if 0.5 * (1.0 + math.erf(mid / math.sqrt(2.0))) < p:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
 
 
 class TestDataWindow:
@@ -168,53 +153,6 @@ class TestEmpiricalBand:
         large = empirical_delta_band(d, d2)
         assert large.lo <= small.lo + 1e-12
         assert small.hi <= large.hi + 1e-12
-
-
-class TestGaussianBand:
-    def test_sigma_zero_degenerate(self):
-        band = gaussian_delta_band(GaussianBandEstimate(mu=0.3, sigma=0.0), 0.6)
-        assert band.lo == band.hi == 0.3
-
-    def test_worked_band_against_erf_inversion(self):
-        band = gaussian_delta_band(GaussianBandEstimate(mu=0.5, sigma=0.1), 0.6)
-        z = inv_phi_via_erf(0.8)
-        assert band.lo == pytest.approx(0.5 - z * 0.1, abs=1e-9)
-        assert band.hi == pytest.approx(0.5 + z * 0.1, abs=1e-9)
-        assert band.lo == pytest.approx(0.41584, abs=1e-4)
-        assert band.hi == pytest.approx(0.58416, abs=1e-4)
-
-    def test_clamps_to_unit_interval(self):
-        band = gaussian_delta_band(GaussianBandEstimate(mu=0.95, sigma=0.2), 0.9)
-        assert band.hi == 1.0
-
-    def test_monotone_in_delta(self):
-        est = GaussianBandEstimate(mu=0.5, sigma=0.05)
-        small = gaussian_delta_band(est, 0.3)
-        large = gaussian_delta_band(est, 0.8)
-        assert large.lo < small.lo and small.hi < large.hi
-
-    def test_fit(self):
-        est = GaussianBandEstimate.fit([0.2, 0.4, 0.6])
-        assert est.mu == pytest.approx(0.4)
-        assert est.sigma == pytest.approx(np.std([0.2, 0.4, 0.6]))
-
-
-class TestHypersphereVolume:
-    def test_dimension_one_is_unit_interval(self):
-        assert unit_hypersphere_volume(1) == pytest.approx(1.0, abs=1e-15)
-
-    def test_dimension_three_pi_over_six(self):
-        # 0.5^3 * pi^1.5 / Gamma(2.5), with Gamma(2.5) = 0.75 * sqrt(pi)
-        expected = 0.125 * math.pi**1.5 / (0.75 * math.sqrt(math.pi))
-        assert expected == pytest.approx(math.pi / 6.0, abs=1e-15)
-        assert unit_hypersphere_volume(3) == pytest.approx(expected, abs=1e-15)
-
-    def test_dimension_twenty_vanishes(self):
-        assert unit_hypersphere_volume(20) < 1e-7
-
-    def test_strictly_decreasing_from_six(self):
-        volumes = [unit_hypersphere_volume(d) for d in range(6, 60)]
-        assert all(a > b for a, b in zip(volumes, volumes[1:]))
 
 
 class TestBandMembership:
