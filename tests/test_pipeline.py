@@ -641,6 +641,20 @@ class TestCli:
             centroid_distances(DataWindow(points, capacity=len(points))), 0.6)
         assert f"empirical band      [{band.lo:.6f}, {band.hi:.6f}]  delta=0.6" in printed
 
+    def test_band_prints_count_mean_sd_and_band_of_centroid_distances(self, tmp_path, capsys):
+        stream = tmp_path / "window.jsonl"
+        write_stream(stream, [stream_row(i, START_TS + i, text=text) for i, text in enumerate(
+            ["flood water rising", "river flood", "storm damage", "flood", "road closed"])])
+        assert cli_main(["band", "--window", str(stream), "--delta", "0.8"]) == 0
+        points, _ = load_stream(stream, Embedder(EmbedderConfig()))
+        d = centroid_distances(DataWindow(points, capacity=len(points)))
+        band = empirical_delta_band(d, 0.8)
+        assert capsys.readouterr().out == (
+            f"points              5\n"
+            f"distance mean       {d.mean():.6f}\n"
+            f"distance sd         {d.std():.6f}\n"
+            f"empirical band      [{band.lo:.6f}, {band.hi:.6f}]  delta=0.8\n")
+
     def test_band_empty_window_file_is_input_error_naming_it(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

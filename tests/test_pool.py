@@ -1,5 +1,6 @@
 import base64
 import copy
+import io
 import json
 import math
 import sys
@@ -30,6 +31,7 @@ from driftstream.pool import (
     Pool,
     PoolConfig,
     PoolError,
+    _write_f8,
     evaluate_models,
     f_score,
     load_pool,
@@ -857,6 +859,14 @@ class TestSaveByParts:
         save_pool(pool, tmp_path / "sliced.json")
         assert ((tmp_path / "sliced.json").read_bytes()
                 == core.json_line(reference_checkpoint(pool)).encode("ascii"))
+
+    # a slice is 3 << 16 bytes, 24,576 float64 values; [0, 0] is an empty window's block
+    @pytest.mark.parametrize("shape", [(0, 0), (1,), (24575,), (24576,), (24577,), (2, 24576)])
+    def test_block_at_slice_boundaries_equals_one_encode(self, shape):
+        a = np.random.default_rng(len(shape)).standard_normal(shape)
+        fh = io.BytesIO()
+        _write_f8(fh, a)
+        assert fh.getvalue().decode("ascii") == core.json_line(encode_f8(a)).rstrip("\n")
 
     def test_traced_peak_is_one_window_not_the_document(self, tmp_path):
         rng = np.random.default_rng(31)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -153,6 +154,35 @@ class TestEmpiricalBand:
         large = empirical_delta_band(d, d2)
         assert large.lo <= small.lo + 1e-12
         assert small.hi <= large.hi + 1e-12
+
+
+class TestDeltaBand:
+    def test_fields_are_the_checkpoint_record(self):
+        # a checkpoint writes a band as its fields, so they are its record's keys
+        assert [f.name for f in fields(DeltaBand)] == ["delta", "lo", "hi"]
+
+    @pytest.mark.parametrize("delta,lo,hi", [(1.0, 0.0, 1.0), (0.6, 0.3, 0.3), (1e-9, 0.0, 0.0)])
+    def test_closed_ends_accepted(self, delta, lo, hi):
+        band = DeltaBand(delta, lo, hi)
+        assert (band.delta, band.lo, band.hi) == (delta, lo, hi)
+
+    BAD = {
+        "delta_zero": (0.0, 0.1, 0.4),
+        "delta_over_one": (1.5, 0.1, 0.4),
+        "delta_nan": (math.nan, 0.1, 0.4),
+        "delta_bool": (True, 0.1, 0.4),
+        "lo_negative": (0.6, -0.1, 0.4),
+        "lo_nan": (0.6, math.nan, 0.4),
+        "lo_string": (0.6, "0.1", 0.4),
+        "hi_over_one": (0.6, 0.1, 1.5),
+        "hi_null": (0.6, 0.1, None),
+        "lo_above_hi": (0.6, 0.5, 0.4),
+    }
+
+    @pytest.mark.parametrize("case", BAD)
+    def test_refused(self, case):
+        with pytest.raises(InputError, match="bad band"):
+            DeltaBand(*self.BAD[case])
 
 
 class TestBandMembership:
