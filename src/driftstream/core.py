@@ -13,6 +13,7 @@ import logging
 import math
 import numbers
 import re
+import warnings
 from array import array
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -242,14 +243,10 @@ def _token_bucket_sign(token: str, dim: int, seed: int) -> tuple[int, float]:
     return bucket, sign
 
 
-# The block reader hands numpy's C text reader about this many bytes of lines at a time.
-_TABLE_CHUNK_BYTES = 1 << 20
-
-
 def load_embedding_table(path: str | Path, dim: int) -> dict[str, np.ndarray]:
     """Read a token-to-vector table: a unique token plus ``dim`` finite floats per line.
 
-    numpy's C text reader parses the file in blocks of lines. A table it does
+    numpy's C text reader parses the open file in one call. A table it does
     not take whole goes through :func:`_read_table_lines`, which alone refuses
     a table and names its line, and which also takes the spellings ``float``
     accepts beyond the C reader (``1_0``, non-ASCII digits). Both round
@@ -260,10 +257,9 @@ def load_embedding_table(path: str | Path, dim: int) -> dict[str, np.ndarray]:
 
 
 def _read_table_blocks(path: str | Path, dim: int) -> dict[str, np.ndarray] | None:
-    """The table parsed by ``np.loadtxt`` in chunks of lines, or None unless
-    every chunk parses into rows of exactly ``dim`` finite values and every
-    token is one unique ``str.split`` field."""
-    flat = array("d")
+    """The table parsed by one ``np.loadtxt`` call over the open file, its
+    vectors row views of one block, or None unless every row holds exactly
+    ``dim`` finite values and every token is one unique ``str.split`` field."""
     tokens: list[str] = []
 
     def token(field: str) -> float:
@@ -271,21 +267,18 @@ def _read_table_blocks(path: str | Path, dim: int) -> dict[str, np.ndarray] | No
         return 0.0
 
     try:
-        with open(path, encoding="utf-8") as fh:
-            while chunk := fh.readlines(_TABLE_CHUNK_BYTES):
-                rows = [line for line in chunk if line.strip()]
-                if not rows:
-                    continue  # loadtxt warns on a chunk without data
-                # an explicit encoding hands converters str, not bytes, before numpy 2
-                block = np.loadtxt(rows, comments=None, converters={0: token}, ndmin=2,
-                                   encoding="utf-8")
-                if block.shape[1] != dim + 1:
-                    return None
-                flat.frombytes(block[:, 1:].tobytes())
+        # numpy is handed the open file, never the path: given a path it would
+        # decompress a .gz table that the line reader refuses as not UTF-8
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # an explicit encoding hands converters str, not bytes, before numpy 2
+            block = np.loadtxt(fh, comments=None, converters={0: token}, ndmin=2,
+                               encoding="utf-8")
     except (OSError, ValueError):
         return None
-    vecs = np.frombuffer(flat).reshape(-1, dim)
-    if (len(vecs) != len(tokens) or len(set(tokens)) != len(tokens)
+    vecs = block[:, 1:]
+    if (tokens and block.shape[1] != dim + 1  # a table without rows reads as shape (0, 1)
+            or len(set(tokens)) != len(tokens)
             or not np.isfinite(vecs).all() or any(t.split() != [t] for t in tokens)
             or tokens[:1] and tokens[0].startswith("\ufeff")):  # the line reader refuses it
         return None

@@ -1,12 +1,11 @@
+import gzip
 import struct
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from driftstream import core
 from driftstream.core import (
     ConfigError,
     DataPoint,
@@ -259,32 +258,43 @@ def table_texts(draw):
 
 
 class TestTableReader:
-    @given(table=table_texts(), newline=st.sampled_from(["\n", "\r\n", "\r"]),
-           chunk=st.sampled_from([1, 40, 1 << 20]))
+    @given(table=table_texts(), newline=st.sampled_from(["\n", "\r\n", "\r"]))
     @settings(max_examples=400, deadline=None)
-    def test_block_reader_agrees_with_line_reader(self, tmp_path_factory, table, newline, chunk):
+    def test_block_reader_agrees_with_line_reader(self, tmp_path_factory, table, newline):
         text, dim = table
         path = tmp_path_factory.getbasetemp() / "differential.tsv"
         write_table(path, text, newline)
-        with mock.patch.object(core, "_TABLE_CHUNK_BYTES", chunk):
-            got = table_result(load_embedding_table, path, dim)
-            taken = _read_table_blocks(path, dim)
+        got = table_result(load_embedding_table, path, dim)
+        taken = _read_table_blocks(path, dim)
         assert got == table_result(_read_table_lines, path, dim)
         if taken is not None:  # what the block reader takes, the line reader takes alike
             assert {t: v.tobytes() for t, v in taken.items()} == got
 
-    @pytest.mark.parametrize("chunk", [1, 100, 1 << 20])
-    def test_block_reader_takes_a_plain_table(self, tmp_path, chunk):
+    def test_block_reader_takes_a_plain_table(self, tmp_path):
         rng = np.random.default_rng(0)
         vectors = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 1))
         text = "".join(f"t{i}\t{' '.join(map(repr, v.tolist()))}\n\n"
                        for i, v in enumerate(vectors))
         path = tmp_path / "emb.tsv"
         write_table(path, text, "\r\n")
-        with mock.patch.object(core, "_TABLE_CHUNK_BYTES", chunk):
-            table = _read_table_blocks(path, 4)
+        table = _read_table_blocks(path, 4)
         assert table is not None and list(table) == [f"t{i}" for i in range(50)]
         assert np.stack(list(table.values())).tobytes() == vectors.tobytes()
+
+    def test_block_reader_holds_the_table_once(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        write_table(path, "a 1 2\nb 3 4\nc 5 6\n", "\n")
+        table = _read_table_blocks(path, 2)
+        block = table["a"].base
+        assert block.dtype == np.float64
+        assert all(v.base is block for v in table.values())
+
+    def test_compressed_table_is_unreadable(self, tmp_path):
+        path = tmp_path / "emb.tsv.gz"
+        path.write_bytes(gzip.compress(b"a 1 2\nb 3 4\n"))
+        assert _read_table_blocks(path, 2) is None
+        with pytest.raises(ConfigError, match=r"cannot read embedding table .*emb\.tsv\.gz"):
+            load_embedding_table(path, 2)
 
     @pytest.mark.parametrize("text", ["", "\n\n", " \u2028\n"])
     def test_table_without_rows_is_empty(self, tmp_path, text):
