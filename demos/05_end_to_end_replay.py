@@ -27,27 +27,27 @@ with tempfile.TemporaryDirectory(prefix="driftstream-demo-") as tmp:
 
     cfg = PipelineConfig(window_size=1000, dim=24, embed_mode="table",
                          table_path=str(gen.table_path), seed=2, min_train=25)
+    run = workdir / "run"
     t0 = time.time()
-    result = replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=workdir / "run")
+    reports = replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=run)
     print(f"replay finished in {time.time() - t0:.1f}s\n")
 
     print("window  static-f1  adaptive-f1  labeled%  improvement")
-    for row in result.report_rows:
+    for row in reports:
         marker = "  <- drift injected here" if row.window == 3 else ""
         print(f"  {row.window}      {row.static_f1:6.3f}     {row.adaptive_f1:6.3f}"
               f"     {row.pct_labeled:5.2f}    {row.improvement_pct:7.1f}%{marker}")
 
     print("\ndrift verdicts along the way (model memory vs live window):")
-    for line in result.verdicts.read_text().splitlines():
+    for line in (run / "verdicts.jsonl").read_text().splitlines():
         row = json.loads(line)
         if row["drifted"]:
             print(f"  {row['prior_id']} vs {row['live_id']}: kl={row['kl']:.3f}  DRIFT")
 
-    kb_rows = result.knowledgebase.read_text().splitlines()
-    histogram = json.loads(result.events_histogram.read_text())
+    kb_rows = (run / "knowledgebase.jsonl").read_text().splitlines()
+    histogram = json.loads((run / "events_histogram.json").read_text())
     print(f"\nknowledgebase: {len(kb_rows)} detected events")
     print(f"posts-per-event histogram: {histogram}")
     print("weak-signal regime: almost every detected event rests on a handful of posts")
-    print(f"\nartifacts: {result.knowledgebase.name}, {result.reports.name}, "
-          f"decisions.jsonl, verdicts.jsonl, static_pool.json in {workdir / 'run'}, "
-          "removed when the demo exits")
+    print(f"\nartifacts: knowledgebase.jsonl, reports.csv, decisions.jsonl, verdicts.jsonl, "
+          f"static_pool.json in {run}, removed when the demo exits")

@@ -81,11 +81,11 @@ def _cmd_replay(args) -> int:
     for name in ("stream", "corroborative"):
         if not (getattr(args, name) or getattr(cfg, name)):
             raise ConfigError(f"no {name} path: pass --{name} or set {name}= in the config")
-    result = replay(args.stream or cfg.stream, args.corroborative or cfg.corroborative,
-                    cfg, out_dir=args.out)
-    print(f"knowledgebase: {result.knowledgebase}")
-    print(f"reports: {result.reports}")
-    return _print_reports(result.report_rows)
+    reports = replay(args.stream or cfg.stream, args.corroborative or cfg.corroborative,
+                     cfg, out_dir=args.out)
+    print(f"knowledgebase: {Path(args.out) / 'knowledgebase.jsonl'}")
+    print(f"reports: {Path(args.out) / 'reports.csv'}")
+    return _print_reports(reports)
 
 
 def _cmd_eval(args) -> int:

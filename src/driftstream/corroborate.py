@@ -111,8 +111,6 @@ def assign_labels(
     ev_lon = np.radians([e.lon for e in events])
     ev_cos = np.cos(ev_lat)
     reach = np.array([e.radius_km for e in events], dtype=np.float64) * (1.0 + 1e-9) + 1e-6
-    by_lo = np.argsort(span_lo, kind="stable")
-    sorted_lo = span_lo[by_lo]
 
     out: list[LabelAssignment] = []
     step = max(1, _BLOCK_PAIRS // len(events))
@@ -120,8 +118,7 @@ def assign_labels(
         block = located[start:start + step]
         ts = np.array([p.ts for p in block], dtype=np.float64)
         # events whose padded span can overlap the block's time range, in input order
-        cand = by_lo[:np.searchsorted(sorted_lo, ts.max(), side="right")]
-        cand = np.sort(cand[span_hi[cand] >= ts.min()])
+        cand = np.flatnonzero((span_lo <= ts.max()) & (span_hi >= ts.min()))
         if cand.size == 0:
             continue
         lat = np.radians([p.lat for p in block])[:, None]

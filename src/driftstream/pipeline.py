@@ -329,48 +329,32 @@ def write_reports_csv(reports: list[WindowReport], path: str | Path) -> None:
 # Replay
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ReplayResult:
-    knowledgebase: Path
-    reports: Path
-    decisions: Path
-    baseline_decisions: Path
-    verdicts: Path
-    static_pool: Path
-    window_stats: Path
-    events_histogram: Path
-    report_rows: list[WindowReport]
-
-
 def replay(
     stream_path: str | Path,
     corroborative_path: str | Path,
     cfg: PipelineConfig,
     out_dir: str | Path,
-) -> ReplayResult:
-    """Replay a stream against a corroborative feed, writing all artifacts to ``out_dir``."""
+) -> list[WindowReport]:
+    """Replay a stream against a corroborative feed, writing all artifacts to
+    ``out_dir``; returns the rows written to its reports.csv."""
     # no name holds the embedder, so its table is freed once the stream is embedded
     points, truth = load_stream(stream_path, Embedder(cfg))
     events = load_events(corroborative_path)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    kb_path, reports_path = out / "knowledgebase.jsonl", out / "reports.csv"
     # a replay that fails part-way must leave no end-of-run file of an earlier run
-    for path in (kb_path, reports_path, out / "events_histogram.json",
-                 out / "static_pool.json", out / "final_pool.json"):
-        path.unlink(missing_ok=True)
+    for name in ("knowledgebase.jsonl", "reports.csv", "events_histogram.json",
+                 "static_pool.json", "final_pool.json"):
+        (out / name).unlink(missing_ok=True)
     pool = Pool(general_capacity=cfg.window_size)
     bootstrap = None  # the models of the pool after window 0, read back from its checkpoint
     positives: list[tuple[DataPoint, float]] = []
     report_rows: list[WindowReport] = []
-    paths = {name: out / f"{name}.jsonl"
-             for name in ("decisions", "baseline_decisions", "verdicts", "window_stats")}
-    static_pool_path = out / "static_pool.json"
 
     with ExitStack() as stack:
-        files = {name: stack.enter_context(open(path, "w", encoding="utf-8"))
-                 for name, path in paths.items()}
+        files = {name: stack.enter_context(open(out / f"{name}.jsonl", "w", encoding="utf-8"))
+                 for name in ("decisions", "baseline_decisions", "verdicts", "window_stats")}
         for start in range(0, len(points), cfg.window_size):
             window = points[start:start + cfg.window_size]
             index = start // cfg.window_size
@@ -400,8 +384,8 @@ def replay(
             on_drift(pool, verdicts, cfg, index)
 
             if index == 0:
-                save_pool(pool, static_pool_path)
-                bootstrap = load_pool(static_pool_path).models
+                save_pool(pool, out / "static_pool.json")
+                bootstrap = load_pool(out / "static_pool.json").models
 
             stats = {
                 "window": index,
@@ -425,23 +409,15 @@ def replay(
                 report_rows += build_reports([stats], adaptive, static, truth)
 
     histogram: Counter = Counter()  # number of events keyed by their post count
-    with open(kb_path, "w", encoding="utf-8") as fh:
+    with open(out / "knowledgebase.jsonl", "w", encoding="utf-8") as fh:
         for row in aggregate_events(positives):
             histogram[len(row["points"])] += 1
             _write_jsonl(fh, [row])
     (out / "events_histogram.json").write_text(
         json_line({str(k): histogram[k] for k in sorted(histogram)}), encoding="utf-8")
-    write_reports_csv(report_rows, reports_path)
+    write_reports_csv(report_rows, out / "reports.csv")
     save_pool(pool, out / "final_pool.json")
-
-    return ReplayResult(
-        knowledgebase=kb_path, reports=reports_path,
-        decisions=paths["decisions"], baseline_decisions=paths["baseline_decisions"],
-        verdicts=paths["verdicts"], static_pool=static_pool_path,
-        window_stats=paths["window_stats"],
-        events_histogram=out / "events_histogram.json",
-        report_rows=report_rows,
-    )
+    return report_rows
 
 
 def _write_jsonl(fh, rows) -> None:

@@ -318,7 +318,7 @@ def on_drift(pool: Pool, verdicts: dict, cfg: PoolConfig, window_index: int = 0)
     return PoolDelta(tuple(retrained), tuple(generated))
 
 
-def evaluate_models(pool: Pool, labeled: list[DataPoint], window_index: int | None = None) -> dict[str, float]:
+def evaluate_models(pool: Pool, labeled: list[DataPoint], window_index: int | None = None) -> None:
     """Refresh omega as the f-score over labeled points inside each model's band.
 
     Models with no in-band labeled evidence keep their previous omega.
@@ -327,15 +327,12 @@ def evaluate_models(pool: Pool, labeled: list[DataPoint], window_index: int | No
         raise InputError("need at least one labeled point")
     y = np.array([p.label for p in labeled])
     dist, probs = score_columns(pool.models, np.stack([p.vec for p in labeled]))
-    omegas: dict[str, float] = {}
     for j, model in enumerate(pool.models):
         rows = in_band(model.band, dist[:, j])
         if rows.any():
             model.omega = f_score(y[rows], probs[rows, j] >= 0.5)
             if window_index is not None:
                 model.last_evaluated = window_index
-        omegas[model.id] = model.omega
-    return omegas
 
 
 # ---------------------------------------------------------------------------

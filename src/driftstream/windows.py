@@ -57,22 +57,19 @@ class DataWindow:
     def __len__(self) -> int:
         return len(self.points)
 
-    def append(self, point: DataPoint) -> DataPoint | None:
-        """Add a point, returning the evicted oldest point if at capacity; a
-        vector of another width than the window's is an :class:`InputError`."""
-        evicted = None
+    def append(self, point: DataPoint) -> None:
+        """Add a point, evicting the oldest point if at capacity; a vector of
+        another width than the window's is an :class:`InputError`."""
         if self._vec_sum is None:
             self._vec_sum = np.zeros_like(point.vec)
         elif point.vec.shape != self._vec_sum.shape:
             raise InputError(f"point {point.id} of width {len(point.vec)} in window "
                              f"{self.id!r} of width {len(self._vec_sum)}")
         if len(self.points) >= self.capacity:
-            evicted = self.points.pop(0)
-            self._vec_sum -= evicted.vec
+            self._vec_sum -= self.points.pop(0).vec
         self.points.append(point)
         self._vec_sum += point.vec
         self._centroid = None
-        return evicted
 
     @property
     def centroid(self) -> np.ndarray:

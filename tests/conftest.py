@@ -10,7 +10,8 @@ from driftstream.synth import SynthConfig, generate_synthetic
 @pytest.fixture(scope="session")
 def acceptance_run(tmp_path_factory):
     """The headline scenario: 6 windows x 3000 points, sudden drift at window
-    3, 3% corroborative labels, fixed seed. Shared across criteria."""
+    3, 3% corroborative labels, fixed seed. Shared across criteria: ``reports``
+    holds replay's report rows and ``run`` its run directory."""
     base = tmp_path_factory.mktemp("acceptance")
     t0 = time.monotonic()
     scfg = SynthConfig(
@@ -22,6 +23,7 @@ def acceptance_run(tmp_path_factory):
         window_size=3000, dim=32, embed_mode="table",
         table_path=str(gen.table_path), seed=2,
     )
-    result = replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=base / "run")
+    run = base / "run"
+    reports = replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=run)
     elapsed = time.monotonic() - t0
-    return SimpleNamespace(gen=gen, cfg=cfg, result=result, elapsed=elapsed, base=base)
+    return SimpleNamespace(gen=gen, cfg=cfg, reports=reports, run=run, elapsed=elapsed, base=base)

@@ -130,7 +130,6 @@ def reference_evaluate_models(pool, labeled, window_index=None):
     """Omega refreshed model by model and point by point with the scalar
     distance, band_membership and the scalar classifier; evaluate_models must
     leave every model with the same omega and last_evaluated."""
-    omegas = {}
     for model in pool.models:
         in_band = [p for p in labeled
                    if band_membership(model.band, cosine_distance(p.vec, model.centroid),
@@ -140,8 +139,6 @@ def reference_evaluate_models(pool, labeled, window_index=None):
                                   [1 if predict_raw(model, p) >= 0.5 else 0 for p in in_band])
             if window_index is not None:
                 model.last_evaluated = window_index
-        omegas[model.id] = model.omega
-    return omegas
 
 
 def reference_predict(models, x, k):

@@ -21,7 +21,7 @@ def report(criterion, name, ok, detail):
 
 
 def test_01_adaptive_beats_static_after_drift(acceptance_run):
-    rows = acceptance_run.result.report_rows
+    rows = acceptance_run.reports
     post = [r for r in rows if r.window >= 3]
     every = all(r.adaptive_f1 >= r.static_f1 for r in post)
     mean_improvement = sum(r.improvement_pct for r in post) / len(post)
@@ -34,7 +34,7 @@ def test_01_adaptive_beats_static_after_drift(acceptance_run):
 
 
 def test_02_sparse_label_fraction(acceptance_run):
-    rows = acceptance_run.result.report_rows
+    rows = acceptance_run.reports
     fractions = [r.pct_labeled for r in rows]
     ok = all(f <= 5.0 for f in fractions)
     report(2, "sparse-labels", ok,
@@ -50,9 +50,8 @@ def test_03_static_degrades_adaptive_holds(tmp_path):
         gen = generate_synthetic(scfg, tmp_path / f"s{seed}")
         cfg = PipelineConfig(window_size=3000, dim=32, embed_mode="table",
                              table_path=str(gen.table_path), seed=seed)
-        result = replay(gen.stream_path, gen.corroborative_path, cfg,
-                        out_dir=tmp_path / f"s{seed}" / "run")
-        rows = {r.window: r for r in result.report_rows}
+        rows = {r.window: r for r in replay(gen.stream_path, gen.corroborative_path, cfg,
+                                            out_dir=tmp_path / f"s{seed}" / "run")}
         # baseline is the last pre-drift window, the end state the last window
         static_drop = rows[2].static_f1 - rows[5].static_f1
         adaptive_drop = rows[2].adaptive_f1 - rows[5].adaptive_f1
@@ -70,9 +69,9 @@ def test_04_drift_detector_calibration(tmp_path):
     gen = generate_synthetic(scfg, tmp_path / "stationary")
     cfg = PipelineConfig(window_size=3000, dim=16, embed_mode="table",
                          table_path=str(gen.table_path), seed=7)
-    result = replay(gen.stream_path, gen.corroborative_path, cfg,
-                    out_dir=tmp_path / "stationary" / "run")
-    verdicts = [json.loads(l) for l in result.verdicts.read_text().splitlines()]
+    run = tmp_path / "stationary" / "run"
+    replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=run)
+    verdicts = [json.loads(l) for l in (run / "verdicts.jsonl").read_text().splitlines()]
     alarms = sum(1 for v in verdicts if v["drifted"])
     false_alarm_rate = alarms / len(verdicts) if verdicts else 0.0
 
@@ -261,11 +260,11 @@ def test_10_corroborative_labeling_oracle():
 
 
 def test_11_replay_determinism(acceptance_run, tmp_path):
-    again = replay(acceptance_run.gen.stream_path, acceptance_run.gen.corroborative_path,
-                   acceptance_run.cfg, out_dir=tmp_path / "rerun")
-    first = acceptance_run.result
-    kb_same = first.knowledgebase.read_bytes() == again.knowledgebase.read_bytes()
-    rep_same = first.reports.read_bytes() == again.reports.read_bytes()
+    replay(acceptance_run.gen.stream_path, acceptance_run.gen.corroborative_path,
+           acceptance_run.cfg, out_dir=tmp_path / "rerun")
+    kb_same, rep_same = ((acceptance_run.run / name).read_bytes()
+                         == (tmp_path / "rerun" / name).read_bytes()
+                         for name in ("knowledgebase.jsonl", "reports.csv"))
     report(11, "determinism", kb_same and rep_same,
            f"knowledgebase identical: {kb_same}, reports identical: {rep_same}")
 
@@ -276,16 +275,15 @@ def test_12_reduction_without_corroboration(tmp_path):
     gen = generate_synthetic(scfg, tmp_path / "zero")
     cfg = PipelineConfig(window_size=1500, dim=16, embed_mode="table",
                          table_path=str(gen.table_path), seed=12)
-    result = replay(gen.stream_path, gen.corroborative_path, cfg,
-                    out_dir=tmp_path / "zero" / "run")
-    rows = result.report_rows
+    rows = replay(gen.stream_path, gen.corroborative_path, cfg,
+                  out_dir=tmp_path / "zero" / "run")
     ok = len(rows) > 0 and all(r.adaptive_f1 == r.static_f1 for r in rows)
     report(12, "reduction", ok,
            "adaptive == static exactly in windows " + ", ".join(str(r.window) for r in rows))
 
 
 def test_13_weak_signal_event_histogram(acceptance_run):
-    histo = json.loads(acceptance_run.result.events_histogram.read_text())
+    histo = json.loads((acceptance_run.run / "events_histogram.json").read_text())
     total = sum(histo.values())
     small = sum(count for size, count in histo.items() if int(size) < 10)
     frac = small / total if total else 0.0

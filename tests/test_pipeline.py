@@ -2,10 +2,14 @@ import dataclasses
 import json
 import math
 import shutil
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driftstream.pipeline as pipeline
 from driftstream.cli import main as cli_main
@@ -20,6 +24,7 @@ from driftstream.pipeline import (
     parse_config,
     replay,
     serialize_config,
+    write_reports_csv,
 )
 from driftstream.pool import PoolConfig, load_pool
 from driftstream.synth import DT_SECONDS, START_TS, SynthConfig, generate_synthetic
@@ -48,21 +53,22 @@ ARTIFACTS = (
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
-    """One shared small synthetic run for the replay-level assertions."""
+    """One shared small synthetic run for the replay-level assertions: its
+    inputs, config, run directory and returned report rows."""
     base = tmp_path_factory.mktemp("small_run")
     scfg = SynthConfig(n_windows=4, window_size=400, dim=12, seed=3,
                        corroborative_fraction=0.05)
     gen = generate_synthetic(scfg, base / "data")
     cfg = PipelineConfig(window_size=400, dim=12, embed_mode="table",
                          table_path=str(gen.table_path), seed=3, min_train=12)
-    result = replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=base / "run")
-    return gen, cfg, result
+    reports = replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=base / "run")
+    return gen, cfg, base / "run", reports
 
 
 @pytest.fixture(scope="module")
 def tail_run(tmp_path_factory):
     """Two full windows of 400 points, then a tail of 30: under window_size // 10,
-    so the tail's drift verdicts are withheld."""
+    so the tail's drift verdicts are withheld. Its run directory and report rows."""
     base = tmp_path_factory.mktemp("tail_run")
     scfg = SynthConfig(n_windows=3, window_size=400, dim=12, seed=3,
                        corroborative_fraction=0.05)
@@ -71,7 +77,7 @@ def tail_run(tmp_path_factory):
     stream.write_text("".join(gen.stream_path.read_text().splitlines(keepends=True)[:830]))
     cfg = PipelineConfig(window_size=400, dim=12, embed_mode="table",
                          table_path=str(gen.table_path), seed=3, min_train=12)
-    return replay(stream, gen.corroborative_path, cfg, out_dir=base / "run")
+    return base / "run", replay(stream, gen.corroborative_path, cfg, out_dir=base / "run")
 
 
 def jsonl_rows(path):
@@ -350,16 +356,65 @@ class TestAggregateEvents:
         ]
 
 
+CENTRES = {(10.0, 10.0): "relevant", (-10.0, -10.0): "irrelevant"}  # the polarity of each
+
+
+@st.composite
+def small_replays(draw):
+    """A feature-hashed stream of 1-4 full windows of 1-50 points plus a tail
+    shorter than a window, and a feed of events at two centres; a feed may be
+    empty, one-class or start after window 0, which leaves window 0 without a model."""
+    size = draw(st.integers(1, 50))
+    n = size * draw(st.integers(1, 4)) + draw(st.integers(0, size - 1))
+    rows = []
+    for i in range(n):
+        row = {"id": f"p{i}", "ts": START_TS + 60 * i,
+               "text": draw(st.sampled_from(["flood water", "sunny day", "flood day"]))}
+        where = draw(st.sampled_from([None, *CENTRES]))
+        if where is not None:
+            row["lat"], row["lon"] = where
+        label = draw(st.sampled_from([None, 0, 1]))
+        if label is not None:
+            row["label"] = label
+        rows.append(row)
+    first = START_TS + 60 * size * draw(st.integers(0, 1))  # at window 1: nothing labels window 0
+    events = list(CENTRES.items())[:draw(st.integers(0, 2))]
+    feed = [{"id": f"e{j}", "ts_start": first, "ts_end": START_TS + 60 * n, "lat": lat,
+             "lon": lon, "radius_km": 50.0, "polarity": polarity}
+            for j, ((lat, lon), polarity) in enumerate(events)]
+    cfg = PipelineConfig(window_size=size, dim=8, min_train=draw(st.integers(1, 4)),
+                         pad_seconds=0.0)
+    return rows, feed, cfg
+
+
 class TestReplay:
+    @given(small_replays())
+    @settings(max_examples=50, deadline=None)
+    def test_returned_rows_are_reports_csv_and_eval_rewrites_it(self, inputs):
+        rows, feed, cfg = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            write_stream(d / "stream.jsonl", rows)
+            write_stream(d / "feed.jsonl", feed)
+            reports = replay(d / "stream.jsonl", d / "feed.jsonl", cfg, out_dir=d / "run")
+            written = (d / "run" / "reports.csv").read_bytes()
+            write_reports_csv(reports, d / "returned.csv")
+            assert (d / "returned.csv").read_bytes() == written
+            evaluate_windows(d / "run", d / "stream.jsonl")
+            assert (d / "run" / "reports.csv").read_bytes() == written
+
     def test_empty_stream(self, tmp_path):
         stream = tmp_path / "s.jsonl"
         stream.write_text("")
         feed = tmp_path / "c.jsonl"
         feed.write_text("")
         cfg = PipelineConfig(dim=8, window_size=10)
-        result = replay(stream, feed, cfg, out_dir=tmp_path / "run")
-        assert result.knowledgebase.read_text() == ""
-        assert result.report_rows == []
+        run = tmp_path / "run"
+        assert replay(stream, feed, cfg, out_dir=run) == []
+        assert (run / "knowledgebase.jsonl").read_text() == ""
+        # no window 0 ran, so there is no static checkpoint
+        assert sorted(p.name for p in run.iterdir()) == sorted(
+            set(ARTIFACTS) - {"static_pool.json"})
 
     def test_no_corroboration_means_no_models_and_no_omega_changes(self, tmp_path):
         stream = tmp_path / "s.jsonl"
@@ -367,41 +422,41 @@ class TestReplay:
         feed = tmp_path / "c.jsonl"
         feed.write_text("")
         cfg = PipelineConfig(dim=8, window_size=10)
-        result = replay(stream, feed, cfg, out_dir=tmp_path / "run")
+        reports = replay(stream, feed, cfg, out_dir=tmp_path / "run")
         final = json.loads((tmp_path / "run" / "final_pool.json").read_text())
         assert final["models"] == []
         assert (tmp_path / "run" / "verdicts.jsonl").read_text() == ""
         # static equals adaptive exactly in every window: nothing ever trained
-        for row in result.report_rows:
+        for row in reports:
             assert row.adaptive_f1 == row.static_f1
 
     def test_report_identity_and_bounds(self, small_run):
-        _, _, result = small_run
-        for row in result.report_rows:
+        *_, reports = small_run
+        for row in reports:
             if row.static_f1 > 0:
                 assert row.improvement_pct == 100.0 * row.adaptive_f1 / row.static_f1
             assert 0.0 <= row.pct_labeled <= 100.0
             assert row.unlabeled + row.corroborative == 400
 
     def test_bootstrap_window_emits_no_predictions(self, small_run):
-        _, _, result = small_run
+        _, _, run, _ = small_run
         decided = {json.loads(l)["point_id"]
-                   for l in result.decisions.read_text().splitlines()}
+                   for l in (run / "decisions.jsonl").read_text().splitlines()}
         # window 0 holds p000000..p000399
         assert not any(f"p{i:06d}" in decided for i in range(400))
         assert f"p{400:06d}" in decided
 
     def test_events_histogram_counts_the_knowledgebase_rows(self, small_run):
-        _, _, result = small_run
+        _, _, run, _ = small_run
         sizes = [len(json.loads(l)["points"])
-                 for l in result.knowledgebase.read_text().splitlines()]
+                 for l in (run / "knowledgebase.jsonl").read_text().splitlines()]
         assert sizes
-        assert result.events_histogram.read_text() == json.dumps(
+        assert (run / "events_histogram.json").read_text() == json.dumps(
             {str(n): sizes.count(n) for n in sorted(set(sizes))}, separators=(",", ":")) + "\n"
 
     def test_knowledgebase_rows_schema(self, small_run):
-        _, _, result = small_run
-        rows = [json.loads(l) for l in result.knowledgebase.read_text().splitlines()]
+        _, _, run, _ = small_run
+        rows = jsonl_rows(run / "knowledgebase.jsonl")
         assert rows, "expected detected events"
         for row in rows:
             assert set(row) == {"cell", "date", "points", "first_ts", "last_ts",
@@ -409,22 +464,22 @@ class TestReplay:
             assert len(row["points"]) >= 1
 
     def test_verdict_log_schema(self, small_run):
-        _, _, result = small_run
-        rows = [json.loads(l) for l in result.verdicts.read_text().splitlines()]
+        _, _, run, _ = small_run
+        rows = jsonl_rows(run / "verdicts.jsonl")
         assert rows
         for row in rows:
             assert set(row) == {"ts", "prior_id", "live_id", "kl", "threshold", "drifted"}
             assert row["drifted"] == (row["kl"] > row["threshold"])
 
     def test_static_pool_checkpoint_has_bootstrap_model(self, small_run):
-        _, _, result = small_run
-        doc = json.loads(result.static_pool.read_text())
+        _, _, run, _ = small_run
+        doc = json.loads((run / "static_pool.json").read_text())
         assert len(doc["models"]) == 1
         assert doc["models"][0]["created_at"] == 0
 
     def test_byte_identical_reruns(self, small_run, tmp_path):
         # all nine artifacts, checkpoints included, from two fresh replays
-        gen, cfg, _ = small_run
+        gen, cfg, _, _ = small_run
         runs = [tmp_path / "a", tmp_path / "b"]
         for run in runs:
             replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=run)
@@ -435,55 +490,58 @@ class TestReplay:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
     def test_partial_tail_window(self, tail_run):
+        run, reports = tail_run
         after_bootstrap = [f"p{i:06d}" for i in range(400, 830)]
-        assert [r["point_id"] for r in jsonl_rows(tail_run.decisions)] == after_bootstrap
-        assert [r["point_id"] for r in jsonl_rows(tail_run.baseline_decisions)] == after_bootstrap
-        stats = jsonl_rows(tail_run.window_stats)
+        assert [r["point_id"] for r in jsonl_rows(run / "decisions.jsonl")] == after_bootstrap
+        assert ([r["point_id"] for r in jsonl_rows(run / "baseline_decisions.jsonl")]
+                == after_bootstrap)
+        stats = jsonl_rows(run / "window_stats.jsonl")
         assert [(s["window"], s["count"]) for s in stats] == [(0, 400), (1, 400), (2, 30)]
-        verdicts = jsonl_rows(tail_run.verdicts)
+        verdicts = jsonl_rows(run / "verdicts.jsonl")
         assert verdicts and {v["live_id"] for v in verdicts} == {"w0001"}
-        assert [r.window for r in tail_run.report_rows] == [1, 2]
-        assert [row.split(",")[0] for row in tail_run.reports.read_text().splitlines()] == [
+        assert [r.window for r in reports] == [1, 2]
+        assert [row.split(",")[0] for row in (run / "reports.csv").read_text().splitlines()] == [
             "window", "1", "2"]
 
     def test_closed_windows_are_on_disk_when_a_later_boundary_fails(
             self, small_run, tmp_path, monkeypatch):
-        gen, cfg, full = small_run
+        gen, cfg, full, _ = small_run
         fail_boundary(monkeypatch, 2)
         run = tmp_path / "run"
         with pytest.raises(RuntimeError, match="boundary 2 failed"):
             replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=run)
         # window 1's 400 decisions and the stats of windows 0-1, as the full run wrote them
         for name in ("decisions.jsonl", "baseline_decisions.jsonl"):
-            whole = (full.knowledgebase.parent / name).read_text()
+            whole = (full / name).read_text()
             assert (run / name).read_text() == "".join(whole.splitlines(keepends=True)[:400])
-        assert jsonl_rows(run / "window_stats.jsonl") == jsonl_rows(full.window_stats)[:2]
+        assert (jsonl_rows(run / "window_stats.jsonl")
+                == jsonl_rows(full / "window_stats.jsonl")[:2])
 
     def test_rerun_into_a_used_directory_leaves_no_stale_artifact(
             self, small_run, tmp_path, monkeypatch):
-        gen, cfg, full = small_run
+        gen, cfg, full, _ = small_run
         run = tmp_path / "run"
-        shutil.copytree(full.knowledgebase.parent, run)
+        shutil.copytree(full, run)
         fail_boundary(monkeypatch, 1)
         with pytest.raises(RuntimeError, match="boundary 1 failed"):
             replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=run)
         for name in ("knowledgebase.jsonl", "reports.csv", "events_histogram.json",
                      "final_pool.json"):
             assert not (run / name).exists(), name
-        assert (run / "static_pool.json").read_bytes() == full.static_pool.read_bytes()
+        assert (run / "static_pool.json").read_bytes() == (full / "static_pool.json").read_bytes()
 
     def test_window_1_live_and_frozen_decisions_agree(self, small_run):
         # at window 1 the live pool is still the bootstrap pool
-        _, cfg, result = small_run
-        live, frozen = (path.read_text().splitlines(keepends=True)[:cfg.window_size]
-                        for path in (result.decisions, result.baseline_decisions))
+        _, cfg, run, _ = small_run
+        live, frozen = ((run / name).read_text().splitlines(keepends=True)[:cfg.window_size]
+                        for name in ("decisions.jsonl", "baseline_decisions.jsonl"))
         assert live == frozen
 
     def test_static_checkpoint_restores_every_baseline_window(self, small_run):
-        gen, cfg, result = small_run
+        gen, cfg, run, _ = small_run
         points, _ = load_stream(gen.stream_path, Embedder(cfg.embedder_config()))
-        frozen = load_pool(result.static_pool).models
-        baseline = result.baseline_decisions.read_text().splitlines(keepends=True)
+        frozen = load_pool(run / "static_pool.json").models
+        baseline = (run / "baseline_decisions.jsonl").read_text().splitlines(keepends=True)
         for start in range(cfg.window_size, len(points), cfg.window_size):
             window = points[start:start + cfg.window_size]
             lines, _ = decision_lines([p.id for p in window], frozen,
@@ -493,7 +551,7 @@ class TestReplay:
         assert baseline == []
 
     def test_embedder_is_freed_before_routing(self, small_run, tmp_path, monkeypatch):
-        gen, cfg, _ = small_run
+        gen, cfg, _, _ = small_run
         embedders, alive_at_routing = [], []
         route = pipeline.process_point
 
@@ -513,11 +571,10 @@ class TestReplay:
         assert len(embedders) == 1 and alive_at_routing == [False]
 
     def test_evaluate_windows_round_trip(self, small_run, tmp_path):
-        gen, _, result = small_run
-        run_dir = result.knowledgebase.parent
-        reports = evaluate_windows(run_dir, gen.stream_path)
-        assert [r.window for r in reports] == [r.window for r in result.report_rows]
-        for a, b in zip(reports, result.report_rows):
+        gen, _, run, replayed = small_run
+        reports = evaluate_windows(run, gen.stream_path)
+        assert [r.window for r in reports] == [r.window for r in replayed]
+        for a, b in zip(reports, replayed):
             assert a.adaptive_f1 == b.adaptive_f1
             assert a.static_f1 == b.static_f1
 
@@ -543,10 +600,10 @@ class TestReplay:
         cfg = PipelineConfig(window_size=400, dim=12, embed_mode="table",
                              table_path=str(gen.table_path), seed=11, min_train=12,
                              pad_seconds=0.0)
-        result = replay(gen.stream_path, feed, cfg, out_dir=tmp_path / "run")
+        reports = replay(gen.stream_path, feed, cfg, out_dir=tmp_path / "run")
         final = json.loads((tmp_path / "run" / "final_pool.json").read_text())
         assert len(final["models"]) == 1  # bootstrap happened, nothing else
-        for row in result.report_rows:
+        for row in reports:
             assert row.corroborative == 0  # premise: labels only in w0
             assert row.adaptive_f1 == row.static_f1
             assert row.improvement_pct == 100.0
@@ -777,7 +834,7 @@ class TestCli:
         truth = tmp_path / "truth.jsonl"
         write_stream(truth, [{"id": "p000000", "ts": 1, "label": 1},
                              {"id": "p000001", "ts": 2, "label": label}])
-        run_dir = small_run[2].knowledgebase.parent
+        run_dir = small_run[2]
         assert cli_main(["eval", "--run", str(run_dir), "--truth", str(truth)]) == 1
         assert "truth.jsonl:2:" in capsys.readouterr().err
 
@@ -805,9 +862,9 @@ class TestCli:
     ])
     def test_eval_rejects_malformed_run_artifact(self, small_run, tmp_path, name, lineno,
                                                  edit, capsys):
-        gen, _, result = small_run
+        gen, _, run, _ = small_run
         run_dir = tmp_path / "run"
-        shutil.copytree(result.knowledgebase.parent, run_dir)
+        shutil.copytree(run, run_dir)
         path = run_dir / name
         lines = path.read_text().splitlines()
         d = json.loads(lines[lineno - 1])
@@ -815,14 +872,14 @@ class TestCli:
         path.write_text("\n".join(lines) + "\n")
         assert cli_main(["eval", "--run", str(run_dir), "--truth", str(gen.stream_path)]) == 1
         assert f"{name}:{lineno}: malformed" in capsys.readouterr().err
-        assert (run_dir / "reports.csv").read_bytes() == result.reports.read_bytes()
+        assert (run_dir / "reports.csv").read_bytes() == (run / "reports.csv").read_bytes()
 
     @pytest.mark.parametrize("name", ["truth", "decisions.jsonl", "baseline_decisions.jsonl"])
     def test_eval_rejects_repeated_id(self, small_run, tmp_path, name, capsys):
         # the repeat carries the other label: keeping either copy would be a guess
-        gen, _, result = small_run
+        gen, _, run, _ = small_run
         run_dir = tmp_path / "run"
-        shutil.copytree(result.knowledgebase.parent, run_dir)
+        shutil.copytree(run, run_dir)
         path = gen.stream_path if name == "truth" else run_dir / name
         key = "id" if name == "truth" else "point_id"
         lines = path.read_text().splitlines()
@@ -838,21 +895,21 @@ class TestCli:
                 f"first on line {first + 1}") in capsys.readouterr().err
 
     def test_eval_rejects_repeated_window(self, small_run, tmp_path, capsys):
-        gen, _, result = small_run
+        gen, _, run, _ = small_run
         run_dir = tmp_path / "run"
-        shutil.copytree(result.knowledgebase.parent, run_dir)
+        shutil.copytree(run, run_dir)
         path = run_dir / "window_stats.jsonl"
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines + [lines[1]]) + "\n")
         assert cli_main(["eval", "--run", str(run_dir), "--truth", str(gen.stream_path)]) == 1
         assert (f"window_stats.jsonl:{len(lines) + 1}: duplicate id 1, first on line 2"
                 in capsys.readouterr().err)
-        assert (run_dir / "reports.csv").read_bytes() == result.reports.read_bytes()
+        assert (run_dir / "reports.csv").read_bytes() == (run / "reports.csv").read_bytes()
 
     def test_eval_rejects_point_in_two_windows(self, small_run, tmp_path, capsys):
-        gen, _, result = small_run
+        gen, _, run, _ = small_run
         run_dir = tmp_path / "run"
-        shutil.copytree(result.knowledgebase.parent, run_dir)
+        shutil.copytree(run, run_dir)
         path = run_dir / "window_stats.jsonl"
         rows = jsonl_rows(path)
         shared = rows[1]["point_ids"][0]
@@ -862,12 +919,12 @@ class TestCli:
         assert cli_main(["eval", "--run", str(run_dir), "--truth", str(gen.stream_path)]) == 1
         assert (f"window_stats.jsonl:3: duplicate id {shared!r}, first on line 2"
                 in capsys.readouterr().err)
-        assert (run_dir / "reports.csv").read_bytes() == result.reports.read_bytes()
+        assert (run_dir / "reports.csv").read_bytes() == (run / "reports.csv").read_bytes()
 
     def test_eval_line_numbers_count_blank_lines(self, small_run, tmp_path, capsys):
         truth = tmp_path / "truth.jsonl"
         truth.write_text('{"id":"p000000","ts":1,"label":1}\n\n{"id":"p000001","ts":2,"label":5}\n')
-        run_dir = small_run[2].knowledgebase.parent
+        run_dir = small_run[2]
         assert cli_main(["eval", "--run", str(run_dir), "--truth", str(truth)]) == 1
         assert "truth.jsonl:3:" in capsys.readouterr().err
 

@@ -32,8 +32,7 @@ class TestDataWindow:
 
     def test_capacity_eviction_oldest_first(self):
         w = make_window([[1.0], [2.0], [3.0]], capacity=3)
-        evicted = w.append(DataPoint(id="new", ts=9, text="", vec=np.array([4.0])))
-        assert evicted.id == "w0"
+        w.append(DataPoint(id="new", ts=9, text="", vec=np.array([4.0])))
         assert [p.id for p in w.points] == ["w1", "w2", "new"]
         np.testing.assert_allclose(w.centroid, [3.0])
 
