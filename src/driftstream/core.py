@@ -15,7 +15,7 @@ import numbers
 import re
 import warnings
 from array import array
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -201,6 +201,24 @@ class DataPoint:
         if self.label is not None:
             check_label(self.label, f"point {self.id}: label")
 
+    @classmethod
+    def from_checked(cls, id, ts, text, vec, lat, lon, label=None) -> "DataPoint":
+        """A point of fields its caller has already checked against every rule
+        above, built without running them again; ``vec`` must be a 1-d float64
+        array."""
+        p = object.__new__(cls)
+        # one field at a time, in field order, as __init__ sets them, so that
+        # the points share their dicts' keys
+        put = object.__setattr__
+        put(p, "id", id)
+        put(p, "ts", ts)
+        put(p, "text", text)
+        put(p, "vec", vec)
+        put(p, "lat", lat)
+        put(p, "lon", lon)
+        put(p, "label", label)
+        return p
+
     @property
     def geo(self) -> tuple[float, float] | None:
         if self.lat is None:
@@ -208,7 +226,15 @@ class DataPoint:
         return (self.lat, self.lon)
 
     def with_label(self, label: int) -> "DataPoint":
-        return replace(self, label=label)
+        """This point with ``label``, the one field checked again."""
+        check_label(label, f"point {self.id}: label")
+        return self.from_checked(self.id, self.ts, self.text, self.vec, self.lat, self.lon, label)
+
+
+def stack_vectors(vecs: Sequence[np.ndarray]) -> np.ndarray:
+    """The ``len(vecs)`` x d block of the non-empty 1-d float64 vectors
+    ``vecs``, all of one width d, as ``np.stack`` would give it, byte for byte."""
+    return np.concatenate(vecs).reshape(len(vecs), vecs[0].size)
 
 
 @dataclass(frozen=True)
@@ -399,8 +425,12 @@ def cosine_distance(a: np.ndarray, b: np.ndarray,
     b = b if type(b) is np.ndarray and b.dtype is _F8 else np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise InputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = vector_norm(a) if na is None else na
-    nb = vector_norm(b) if nb is None else nb
+    return _cosine(a, b, vector_norm(a) if na is None else na, vector_norm(b) if nb is None else nb)
+
+
+def _cosine(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
+    """:func:`cosine_distance` of float64 vectors of one shape and their norms,
+    unchecked."""
     if not (_TINY_NORM <= na < math.inf and _TINY_NORM <= nb < math.inf):
         a, na = _rescaled(a, na)
         b, nb = _rescaled(b, nb)

@@ -40,6 +40,7 @@ from .core import (
     Embedder,
     EmbedderConfig,
     InputError,
+    check_geo,
     check_label,
     check_ranges,
     check_string,
@@ -50,6 +51,7 @@ from .core import (
     read_jsonl,
     read_lines,
     setting_types,
+    stack_vectors,
 )
 from .corroborate import DEFAULT_PAD_SECONDS, assign_labels, load_events
 from .drift import DEFAULT_KL_THRESHOLD, DEFAULT_BINS, detect_drift
@@ -61,7 +63,7 @@ from .pool import (
     f_score,
     load_pool,
     on_drift,
-    process_point,
+    route_window,
     save_pool,
 )
 from .windows import DataWindow, DEFAULT_WINDOW_SIZE
@@ -180,8 +182,10 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
     sorted by timestamp, point ids must be unique strings, and a text, when
     present, must be a string. Every line is checked first; then all texts
     are embedded at once, each point's ``vec`` is a read-only row of that one
-    block, and :class:`DataPoint`'s rules refuse a bad point. The first bad
-    line is reported; a bad point comes before the other faults of its line.
+    block, and :class:`DataPoint`'s rules refuse a bad point: the block's rows
+    are checked for finite values a slice at a time, and a place only where it
+    is given. The first bad line is reported; a bad point comes before the
+    other faults of its line.
     """
     rows: list[tuple[int, str, int, object, object]] = []  # lineno, id, ts, lat, lon
     texts: list[str] = []
@@ -208,15 +212,30 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
         fault = exc
     vecs = embedder.embed_all(texts)
     vecs.flags.writeable = False
+    bad = _first_nonfinite_row(vecs)
     points = []
-    for (lineno, point_id, ts, lat, lon), text, vec in zip(rows, texts, vecs):
+    for i, ((lineno, point_id, ts, lat, lon), text, vec) in enumerate(zip(rows, texts, vecs)):
         try:
-            points.append(DataPoint(id=point_id, ts=ts, text=text, vec=vec, lat=lat, lon=lon))
+            if i == bad:  # DataPoint refuses the row, in its own words
+                DataPoint(id=point_id, ts=ts, text=text, vec=vec, lat=lat, lon=lon)
+            if lat is not None or lon is not None:
+                check_geo(lat, lon, f"point {point_id}: ")
         except InputError as exc:
             raise line_fault(path, lineno, "stream", exc) from exc
+        points.append(DataPoint.from_checked(point_id, ts, text, vec, lat, lon))
     if fault is not None:
         raise fault
     return points, truth
+
+
+def _first_nonfinite_row(block: np.ndarray) -> int:
+    """Index of the first row of ``block`` holding a non-finite value, or its
+    length; 1024 rows are tested at a time, so no n x d temporary is made."""
+    for start in range(0, len(block), 1024):
+        bad = np.flatnonzero(~np.isfinite(block[start:start + 1024]).all(axis=1))
+        if bad.size:
+            return start + int(bad[0])
+    return len(block)
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +381,10 @@ def replay(
             # the pool as the previous boundary left it predicts the window before routing
             decided: dict[str, tuple[list[str], list[float | None]]] = {}  # file -> (lines, p)
             if index > 0:
-                X = np.vstack([p.vec for p in window])
+                X = stack_vectors([p.vec for p in window])
                 for name, models in (("decisions", pool.models), ("baseline_decisions", bootstrap)):
                     decided[name] = decision_lines(ids, models, X, cfg.k)
-            for point in window:
-                process_point(pool, point, cfg)
+            route_window(pool, window, cfg)
 
             assignments = assign_labels(window, events, cfg.pad_seconds)
             label_map = {a.point_id: a.label for a in assignments}

@@ -17,14 +17,14 @@ import logging
 import math
 import os
 from dataclasses import dataclass, fields
-from operator import itemgetter
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    DataPoint, InputError, centroid_cosine_distances, check_int, check_ranges, check_string,
-    check_ts, cosine_distance, is_number, json_line, vector_norm,
+    DataPoint, InputError, _cosine, centroid_cosine_distances, check_int, check_ranges,
+    check_string, check_ts, is_number, json_line, stack_vectors, vector_norm,
 )
 from .windows import (
     DEFAULT_DELTA,
@@ -33,10 +33,10 @@ from .windows import (
     OUTSIDE,
     DataWindow,
     DeltaBand,
-    band_membership,
     centroid_distances,
     empirical_delta_band,
     in_band,
+    membership,
 )
 
 log = logging.getLogger(__name__)
@@ -148,8 +148,7 @@ def f_score(y_true, y_pred) -> float:
 
 
 def _design_matrix(points: list[DataPoint]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([p.vec for p in points])
-    x = np.hstack([x, np.ones((len(points), 1))])  # bias column
+    x = np.hstack([stack_vectors([p.vec for p in points]), np.ones((len(points), 1))])  # bias
     y = np.array([p.label for p in points], dtype=np.float64)
     return x, y
 
@@ -165,12 +164,17 @@ def logistic_loss_and_grad(
     weights: np.ndarray, x: np.ndarray, y: np.ndarray, sample_weight=None
 ):
     """Mean negative log-likelihood of the logistic model and its gradient."""
-    z = x @ weights
-    p = np.clip(sigmoid(z), 1e-12, 1.0 - 1e-12)
     w = np.ones_like(y) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+    p, grad = _logistic_grad(weights, x, y, w)
     loss = float(-np.sum(w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))) / w.sum())
-    grad = x.T @ (w * (p - y)) / w.sum()
     return loss, grad
+
+
+def _logistic_grad(weights, x, y, w) -> tuple[np.ndarray, np.ndarray]:
+    """(p, gradient): the clipped probabilities and the gradient of the
+    ``w``-weighted mean negative log-likelihood, the gradient the fit steps by."""
+    p = np.clip(sigmoid(x @ weights), 1e-12, 1.0 - 1e-12)
+    return p, x.T @ (w * (p - y)) / w.sum()
 
 
 def _balanced_weights(y: np.ndarray) -> np.ndarray:
@@ -185,7 +189,7 @@ def _fit_logistic(x, y, cfg: PoolConfig, init: np.ndarray | None) -> np.ndarray:
     w = np.zeros(x.shape[1]) if init is None else init.astype(np.float64).copy()
     sample_weight = _balanced_weights(y)
     for _ in range(cfg.epochs):
-        _, grad = logistic_loss_and_grad(w, x, y, sample_weight)
+        _, grad = _logistic_grad(w, x, y, sample_weight)
         w -= cfg.learn_rate * grad
     return w
 
@@ -237,42 +241,53 @@ def train_classifier(
     )
 
 
-def k_nearest(
-    models: list[ModelRecord], vec: np.ndarray, k: int
-) -> list[tuple[float, ModelRecord]]:
-    """(distance, model) pairs for the k models with memory centroids closest
-    to the float64 ``vec``. Ties break toward older created_at, then lexicographic id.
+def route_window(pool: Pool, points: Sequence[DataPoint], cfg: PoolConfig) -> list[RoutingOutcome]:
+    """Route ``points`` one after another through the k models nearest each.
+
+    A point's distance to a model is the cosine distance to the memory's
+    centroid as the points before it left it, one per (point, model). The k
+    nearest are taken in (distance, created_at, id) order. A point landing
+    strictly inside a model's band joins that memory and marks the point as
+    owned. A point in the generalization margin joins the memory without
+    claiming ownership. Unowned points fall through to the general memory.
+    Routing never changes a model's weights or band, whether or not the point
+    is labeled: in a replay, labels arrive at the window boundary, after every
+    point of the window has been routed. So each model's memory, order key,
+    band ends and effective lambda are read once per call.
     """
-    norm = vector_norm(vec)
-    keyed = []
-    for m in models:
-        centroid, centroid_norm = m.memory.centroid_and_norm()
-        keyed.append(((cosine_distance(vec, centroid, norm, centroid_norm), m.created_at, m.id), m))
-    keyed.sort(key=itemgetter(0))
-    return [(key[0], m) for key, m in keyed[:k]]
+    memories = [m.memory for m in pool.models]
+    keys = [(m.created_at, m.id) for m in pool.models]
+    regions = [(m.band.lo, m.band.hi, cfg.effective_lambda(m.band)) for m in pool.models]
+    k, general = cfg.k, pool.general
+    outcomes = []
+    for point in points:
+        vec = point.vec
+        shape, norm = vec.shape, vector_norm(vec)
+        keyed = []
+        for j, memory in enumerate(memories):
+            centroid, centroid_norm = memory.centroid_and_norm()
+            if centroid.shape != shape:
+                raise InputError(f"dimension mismatch: {shape} vs {centroid.shape}")
+            # (d, (created_at, id), j): j keeps equal keys in pool order
+            keyed.append((_cosine(vec, centroid, norm, centroid_norm), keys[j], j))
+        keyed.sort()
+        appended = []
+        owned = False
+        for d, (_, model_id), j in keyed[:k]:
+            where = membership(*regions[j], d)
+            if where != OUTSIDE:
+                memories[j].append(point)
+                appended.append(model_id)
+                owned |= where == INSIDE
+        if not owned:
+            general.append(point)
+        outcomes.append(RoutingOutcome(tuple(appended), general_memory_hit=not owned))
+    return outcomes
 
 
 def process_point(pool: Pool, point: DataPoint, cfg: PoolConfig) -> RoutingOutcome:
-    """Route one point through the k selected models.
-
-    A point landing strictly inside a model's band joins that memory and marks
-    the point as owned. A point in the generalization margin joins the memory
-    without claiming ownership. Unowned points fall through to the general
-    memory. Routing never changes a model's weights, whether or not the point
-    is labeled: in a replay, labels arrive at the window boundary, after every
-    point of the window has been routed.
-    """
-    appended: list[str] = []
-    owned = False
-    for d, model in k_nearest(pool.models, point.vec, cfg.k):
-        membership = band_membership(model.band, d, cfg.effective_lambda(model.band))
-        if membership != OUTSIDE:
-            model.memory.append(point)
-            appended.append(model.id)
-            owned |= membership == INSIDE
-    if not owned:
-        pool.general.append(point)
-    return RoutingOutcome(tuple(appended), general_memory_hit=not owned)
+    """Route one point: :func:`route_window` of a window of one."""
+    return route_window(pool, [point], cfg)[0]
 
 
 def on_drift(pool: Pool, verdicts: dict, cfg: PoolConfig, window_index: int = 0) -> PoolDelta:
@@ -326,7 +341,7 @@ def evaluate_models(pool: Pool, labeled: list[DataPoint], window_index: int | No
     if not labeled:
         raise InputError("need at least one labeled point")
     y = np.array([p.label for p in labeled])
-    dist, probs = score_columns(pool.models, np.stack([p.vec for p in labeled]))
+    dist, probs = score_columns(pool.models, stack_vectors([p.vec for p in labeled]))
     for j, model in enumerate(pool.models):
         rows = in_band(model.band, dist[:, j])
         if rows.any():
@@ -372,7 +387,7 @@ def _write_window(fh, w: DataWindow) -> None:
         {"id": p.id, "ts": p.ts, "lat": p.lat, "lon": p.lon, "text": p.text, "label": p.label}
         for p in w.points
     ]))
-    _write_f8(fh, np.stack([p.vec for p in w.points]) if w.points else np.empty((0, 0)))
+    _write_f8(fh, w.vectors() if w.points else np.empty((0, 0)))
     fh.write(b"}")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (
     ConfigError, DataPoint, InputError, centroid_cosine_distances, check_int, is_number,
-    vector_norm,
+    stack_vectors, vector_norm,
 )
 
 DEFAULT_WINDOW_SIZE = 3000
@@ -30,8 +30,9 @@ class DataWindow:
 
     Single writer; the centroid is maintained incrementally from a running
     vector sum and stays within 1e-9 of the batch mean. When full, appending
-    evicts the oldest point. The centroid and its norm are computed once per
-    change of the window.
+    evicts the oldest point. The centroid and its norm, and the points'
+    distances to it, are each computed once per change of the window, kept
+    read-only, and dropped by the next append.
     """
 
     def __init__(self, points=(), capacity: int = DEFAULT_WINDOW_SIZE, window_id: str = ""):
@@ -40,6 +41,7 @@ class DataWindow:
         self.points: list[DataPoint] = []
         self._vec_sum: np.ndarray | None = None
         self._centroid: tuple[np.ndarray, float] | None = None
+        self._distances: np.ndarray | None = None
         for p in points:
             self.append(p)
 
@@ -69,7 +71,7 @@ class DataWindow:
             self._vec_sum -= self.points.pop(0).vec
         self.points.append(point)
         self._vec_sum += point.vec
-        self._centroid = None
+        self._centroid = self._distances = None
 
     @property
     def centroid(self) -> np.ndarray:
@@ -87,7 +89,7 @@ class DataWindow:
         return self._centroid
 
     def vectors(self) -> np.ndarray:
-        return np.stack([p.vec for p in self.points])
+        return stack_vectors([p.vec for p in self.points])
 
 
 @dataclass(frozen=True)
@@ -105,10 +107,15 @@ class DeltaBand:
 
 
 def centroid_distances(window: DataWindow) -> np.ndarray:
-    """Cosine distance of every window point to the window centroid, in order."""
+    """Cosine distance of every window point to the window centroid, in order,
+    read-only."""
     if len(window) < 1:
         raise InputError("need at least one point")
-    return centroid_cosine_distances(window.vectors(), window.centroid)
+    if window._distances is None:
+        d = centroid_cosine_distances(window.vectors(), window.centroid)
+        d.flags.writeable = False
+        window._distances = d
+    return window._distances
 
 
 def empirical_delta_band(distances, delta: float) -> DeltaBand:
@@ -144,8 +151,12 @@ def band_membership(band: DeltaBand, dist: float, lam: float) -> str:
     """
     if lam < band.hi:
         raise ConfigError(f"lambda {lam} below band hi {band.hi}")
-    if in_band(band, dist):
+    return membership(band.lo, band.hi, lam, dist)
+
+
+def membership(lo: float, hi: float, lam: float, dist: float) -> str:
+    """:func:`band_membership` of a band's ends and a lambda of at least ``hi``,
+    on floats: :func:`in_band`'s rule, then the margin below ``lam``."""
+    if lo < dist < hi or dist == lo == hi:
         return INSIDE
-    if band.hi <= dist < lam:
-        return GENERALIZATION
-    return OUTSIDE
+    return GENERALIZATION if hi <= dist < lam else OUTSIDE

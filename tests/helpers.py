@@ -1,7 +1,8 @@
 """Shared fixtures-by-hand for the test suite: geometry builders, the
-independent routing oracle, the pair-by-pair labeling reference, the
-scalar classifier with the point-by-point team prediction and model
-evaluation references built on it, the text-by-text embedding reference,
+independent routing oracle, the point-by-point routing reference, the
+pair-by-pair labeling reference, the scalar classifier with the
+point-by-point team prediction and model evaluation references built on
+it, the text-by-text embedding reference,
 the numpy-call cosine distance the lean one must equal, and the checkpoint
 document whose json_line save_pool's bytes must equal."""
 
@@ -12,8 +13,8 @@ import numpy as np
 
 from driftstream.core import DataPoint, _token_bucket_sign, cosine_distance, tokenize
 from driftstream.corroborate import LabelAssignment, haversine_km
-from driftstream.pool import ModelRecord, f_score, k_nearest, sigmoid
-from driftstream.windows import INSIDE, DataWindow, DeltaBand, band_membership
+from driftstream.pool import ModelRecord, RoutingOutcome, f_score, sigmoid
+from driftstream.windows import INSIDE, OUTSIDE, DataWindow, DeltaBand, band_membership
 
 
 def point(pid, vec, label=None, ts=0):
@@ -57,6 +58,32 @@ def oracle_route(models_state, x, lam_value):
         elif hi <= d < lam:
             appended.add(mid)
     return appended, not owned
+
+
+def k_nearest(models, vec, k):
+    """(distance, model) pairs for the k models with memory centroids closest
+    to the float64 ``vec``, by cosine_distance to each model's current
+    centroid. Ties break toward older created_at, then lexicographic id, then
+    pool order."""
+    keyed = [((cosine_distance(vec, m.memory.centroid), m.created_at, m.id), m) for m in models]
+    keyed.sort(key=lambda pair: pair[0])
+    return [(key[0], m) for key, m in keyed[:k]]
+
+
+def reference_process_point(pool, point, cfg):
+    """Route one point through its k nearest models with the scalar distance
+    and band_membership; route_window over a window must leave the pool as
+    calling this once per point, in order, does."""
+    appended, owned = [], False
+    for d, model in k_nearest(pool.models, point.vec, cfg.k):
+        where = band_membership(model.band, d, cfg.effective_lambda(model.band))
+        if where != OUTSIDE:
+            model.memory.append(point)
+            appended.append(model.id)
+            owned |= where == INSIDE
+    if not owned:
+        pool.general.append(point)
+    return RoutingOutcome(tuple(appended), general_memory_hit=not owned)
 
 
 def random_routing_fixture(rng):

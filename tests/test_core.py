@@ -17,6 +17,7 @@ from driftstream.core import (
     centroid_cosine_distances,
     cosine_distance,
     load_embedding_table,
+    stack_vectors,
     tokenize,
     vector_norm,
 )
@@ -51,9 +52,26 @@ class TestDataPoint:
             DataPoint(id="a", ts=0, text="", vec=np.array([1.0, np.nan]))
 
     def test_with_label_copies(self):
-        p = DataPoint(id="a", ts=0, text="", vec=np.zeros(3))
+        p = DataPoint(id="a", ts=0, text="", vec=np.zeros(3), lat=1.5, lon=-2.0)
         q = p.with_label(1)
-        assert p.label is None and q.label == 1
+        assert p.label is None and q == DataPoint(id="a", ts=0, text="", vec=p.vec, lat=1.5,
+                                                  lon=-2.0, label=1)
+        assert q.vec is p.vec and vars(q).keys() == vars(p).keys()
+
+    @pytest.mark.parametrize("label", [2, True, 1.0, None])
+    def test_with_label_refuses_what_the_constructor_refuses(self, label):
+        with pytest.raises(InputError, match=r"point a: label"):
+            DataPoint(id="a", ts=0, text="", vec=np.zeros(3)).with_label(label)
+
+
+class TestStackVectors:
+    def test_same_bytes_as_np_stack(self):
+        rng = np.random.default_rng(4)
+        block = rng.standard_normal((6, 5))
+        # row views of one block, a separate vector and a strided view
+        vecs = [*block, rng.standard_normal(5), rng.standard_normal(10)[::2]]
+        stacked = stack_vectors(vecs)
+        assert stacked.shape == (8, 5) and stacked.tobytes() == np.stack(vecs).tobytes()
 
 
 class TestEmbed:

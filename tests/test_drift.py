@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream import drift
+from driftstream import drift, windows
 from driftstream.core import DataPoint, InputError
 from driftstream.drift import (
     detect_drift,
@@ -237,6 +237,24 @@ class TestDetectDrift:
         assert smoothing_points(100) == 10
         assert detect_drift(w1, make_window(live[:9], "l", capacity=100), 0.6, 0.05) is None
         assert detect_drift(w1, make_window(live[:10], "l", capacity=100), 0.6, 0.05) is not None
+
+    def test_live_window_distances_are_computed_once_for_every_prior(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        priors = [make_window(cluster(rng, np.array([1.0, 0.0]), 40), wid=f"p{i}")
+                  for i in range(3)]
+        live = make_window(cluster(rng, np.array([0.8, 0.6]), 40), wid="l")
+        computed = []
+        original = windows.centroid_cosine_distances
+
+        def counted(vectors, centroid):
+            computed.append(len(vectors))
+            return original(vectors, centroid)
+
+        monkeypatch.setattr(windows, "centroid_cosine_distances", counted)
+        verdicts = [detect_drift(prior, live, 0.6, 0.05) for prior in priors]
+        assert computed == [40, 40, 40, 40]  # the first prior, the live window, two priors
+        assert [detect_drift(prior, live, 0.6, 0.05) for prior in priors] == verdicts
+        assert len(computed) == 4
 
     def test_windows_of_different_widths_rejected(self, monkeypatch):
         rng = np.random.default_rng(3)

@@ -17,6 +17,7 @@ from driftstream.core import MIN_TS, ConfigError, DataPoint, Embedder, EmbedderC
 from driftstream.ensemble import decision_lines
 from driftstream.pipeline import (
     PipelineConfig,
+    _first_nonfinite_row,
     aggregate_events,
     evaluate_windows,
     load_config,
@@ -284,6 +285,13 @@ class TestLoadStream:
         with pytest.raises(InputError, match=r"s\.jsonl:2: malformed stream line: "
                                              r"point p1: lat 100\.0 out of range$"):
             load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+
+    @pytest.mark.parametrize("bad", [[], [0], [1023], [1024, 2999], [2500, 1100]])
+    def test_first_non_finite_row_is_found_in_any_slice(self, bad):
+        block = np.zeros((3000, 4))
+        for i in bad:
+            block[i, 2] = np.inf if i % 2 else np.nan
+        assert _first_nonfinite_row(block) == min(bad, default=3000)
 
     def test_point_vectors_are_read_only_rows_of_one_block(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -553,7 +561,7 @@ class TestReplay:
     def test_embedder_is_freed_before_routing(self, small_run, tmp_path, monkeypatch):
         gen, cfg, _, _ = small_run
         embedders, alive_at_routing = [], []
-        route = pipeline.process_point
+        route = pipeline.route_window
 
         class Tracked(pipeline.Embedder):
             def __init__(self, cfg):
@@ -566,7 +574,7 @@ class TestReplay:
             return route(*args)
 
         monkeypatch.setattr(pipeline, "Embedder", Tracked)
-        monkeypatch.setattr(pipeline, "process_point", first_routed)
+        monkeypatch.setattr(pipeline, "route_window", first_routed)
         replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=tmp_path)
         assert len(embedders) == 1 and alive_at_routing == [False]
 

@@ -16,15 +16,16 @@ from helpers import (
     random_routing_fixture,
     reference_checkpoint,
     reference_evaluate_models,
+    reference_process_point,
     vec_at_distance,
     window_to_json,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from driftstream import core
+from driftstream import core, windows
 from driftstream.core import ConfigError, DataPoint, InputError
-from driftstream.drift import DriftVerdict
+from driftstream.drift import DriftVerdict, detect_drift
 from driftstream.ensemble import decision_lines
 from driftstream.pool import (
     ModelRecord,
@@ -38,6 +39,7 @@ from driftstream.pool import (
     logistic_loss_and_grad,
     on_drift,
     process_point,
+    route_window,
     save_pool,
     score_columns,
     train_classifier,
@@ -68,6 +70,51 @@ def evaluation_inputs(draw):
         for i in range(draw(st.integers(1, 8)))
     ]
     return pool, labeled
+
+
+@st.composite
+def routing_inputs(draw):
+    """(build, window, cfg): ``build()`` makes a fresh pool of 1-8 models in
+    d=2..4, each call an equal one, to route the window of 1-40 points through.
+    Models may share a centroid, a created_at or a degenerate lo == hi band,
+    and memories are small enough to evict; a vector may be zero, tiny, huge,
+    a memory's seed or an earlier point's."""
+    dim = draw(st.integers(2, 4))
+    scale = st.sampled_from([1.0, 1.0, 0.0, 1e-160, 1e200])
+    vector = st.tuples(scale, st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)).map(
+        lambda sv: sv[0] * np.array(sv[1]))
+    grid = (0.0, 0.25, 0.5, 1.0)  # 0.5 is a zero vector's distance
+    seen: list[np.ndarray] = []
+
+    def vec():
+        v = draw(st.sampled_from(seen)) if seen and draw(st.booleans()) else draw(vector)
+        seen.append(v)
+        return v
+
+    n_models = draw(st.integers(1, 8))
+    ids = draw(st.permutations(range(n_models)))
+    models = []
+    for j in range(n_models):
+        lo = draw(st.one_of(st.sampled_from(grid), st.floats(0.0, 1.0)))
+        hi = lo if draw(st.booleans()) else draw(st.one_of(
+            st.sampled_from([v for v in grid if v >= lo]), st.floats(lo, 1.0)))
+        models.append((f"m{ids[j]}", [vec() for _ in range(draw(st.integers(1, 3)))],
+                       draw(st.integers(1, 5)), DeltaBand(0.6, lo, hi), draw(st.integers(0, 2))))
+    general_capacity = draw(st.integers(1, 5))
+    window = [point(f"x{i}", vec()) for i in range(draw(st.integers(1, 40)))]
+    cfg = PoolConfig(lam=draw(st.one_of(st.none(), st.floats(0.0, 1.0))), k=draw(st.integers(1, 8)))
+
+    def build():
+        pool = Pool(general_capacity=general_capacity)
+        for mid, seeds, capacity, band, created_at in models:
+            memory = DataWindow([point(f"{mid}-{i}", v) for i, v in enumerate(seeds)],
+                                capacity=capacity, window_id=mid)
+            pool.models.append(ModelRecord(id=mid, weights=np.zeros(dim + 1), memory=memory,
+                                           band=band, omega=0.9, created_at=created_at,
+                                           last_evaluated=created_at))
+        return pool
+
+    return build, window, cfg
 
 
 def probability(model, vec):
@@ -310,20 +357,46 @@ class TestRoutingOracle:
             assert outcome.general_memory_hit == exp_gm, f"trial {trial}"
 
 
+class TestRouteWindow:
+    @given(routing_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_routing_one_point_at_a_time(self, inputs):
+        build, window, cfg = inputs
+        pool, reference = build(), build()
+        with np.errstate(over="ignore"):  # the norms of huge vectors overflow, then are rescaled
+            outcomes = route_window(pool, window, cfg)
+            assert outcomes == [reference_process_point(reference, x, cfg) for x in window]
+        for got, want in zip([m.memory for m in pool.models] + [pool.general],
+                             [m.memory for m in reference.models] + [reference.general]):
+            assert [p.id for p in got.points] == [p.id for p in want.points]
+            assert (got._vec_sum is None) == (want._vec_sum is None)
+            if got._vec_sum is not None:
+                assert got._vec_sum.tobytes() == want._vec_sum.tobytes()
+
+    def test_a_point_of_another_width_stops_the_window_where_it_stands(self):
+        pool = Pool()
+        pool.models.append(make_model("m1", np.array([1.0, 0.0]), DeltaBand(0.6, 0.0, 1.0)))
+        window = [point("a", [1.0, 0.1]), point("b", [1.0, 0.0, 0.0]), point("c", [0.0, 1.0])]
+        with pytest.raises(InputError, match=r"dimension mismatch: \(3,\) vs \(2,\)"):
+            route_window(pool, window, PoolConfig())
+        assert [p.id for p in pool.models[0].memory.points] == ["m1-seed", "a"]
+
+
 class TestDistanceReuse:
     @pytest.fixture
     def distance_calls(self, monkeypatch):
-        """Counts cosine_distance calls made through any driftstream module."""
+        """Counts calls of the scalar distance kernel, which cosine_distance
+        also runs, made through any driftstream module."""
         calls = []
-        original = core.cosine_distance
+        original = core._cosine
 
         def counted(*args):
             calls.append(1)
             return original(*args)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("driftstream") and getattr(module, "cosine_distance", None) is original:
-                monkeypatch.setattr(module, "cosine_distance", counted)
+            if name.startswith("driftstream") and getattr(module, "_cosine", None) is original:
+                monkeypatch.setattr(module, "_cosine", counted)
         return calls
 
     @pytest.mark.parametrize("n_models", [1, 3, 5, 8])
@@ -414,6 +487,23 @@ class TestOnDrift:
         assert not np.array_equal(model.weights, before)
         expected = empirical_delta_band(centroid_distances(model.memory), cfg.delta)
         assert (model.band.lo, model.band.hi) == (expected.lo, expected.hi)
+
+    def test_band_rebuild_reuses_the_distances_of_the_verdict(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        cfg = PoolConfig()
+        pool = Pool()
+        model = train_classifier(two_cluster_points(rng, n=100), cfg, model_id="m1")
+        model.memory.append(point("late", rng.standard_normal(6)))
+        pool.models.append(model)
+        live = DataWindow(two_cluster_points(rng, n=50), capacity=50, window_id="live")
+        detect_drift(model.memory, live, cfg.delta)
+
+        def no_distance(*args):
+            raise AssertionError("distances computed again")
+
+        monkeypatch.setattr(windows, "centroid_cosine_distances", no_distance)
+        assert on_drift(pool, {"m1": self._drifted("m1")}, cfg).retrained == ("m1",)
+        assert model.band == empirical_delta_band(centroid_distances(model.memory), cfg.delta)
 
     def test_drifted_model_without_two_class_labels_keeps_weights(self):
         pool = Pool()

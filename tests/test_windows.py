@@ -49,8 +49,14 @@ class TestDataWindow:
         assert w.centroid is w.centroid and w.centroid_and_norm()[1] == 5.0
         with pytest.raises(ValueError, match="read-only"):
             w.centroid[0] = 1.0
+        distances = centroid_distances(w)
+        assert centroid_distances(w) is distances and distances.tolist() == [0.0]
+        with pytest.raises(ValueError, match="read-only"):
+            distances[0] = 1.0
         w.append(DataPoint(id="new", ts=9, text="", vec=np.array([-3.0, 4.0])))
         assert w.centroid.tolist() == [0.0, 4.0] and w.centroid_and_norm()[1] == 4.0
+        # cos = 16 / (5 * 4) = 0.8 for both points against the new centroid
+        assert centroid_distances(w).tolist() == pytest.approx([0.1, 0.1])
         restored = DataWindow.restore(w.points, [0.0, 8.0], capacity=4, window_id="r")
         assert restored.centroid.tolist() == [0.0, 4.0] and restored.centroid_and_norm()[1] == 4.0
 
