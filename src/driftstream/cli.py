@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core import ConfigError, Embedder, EmbedderConfig, InputError
+from .core import ConfigError, EmbedderConfig, InputError
 from .pipeline import (
     PipelineConfig,
     evaluate_windows,
@@ -104,8 +104,8 @@ def _print_reports(reports) -> int:
 
 def _cmd_band(args) -> int:
     PipelineConfig(delta=args.delta)  # refuses a delta outside (0, 1] before the stream is read
-    embedder = Embedder(load_config(args.config) if args.config else EmbedderConfig())
-    points, _ = load_stream(args.window, embedder)
+    cfg = load_config(args.config) if args.config else EmbedderConfig()
+    points, _ = load_stream(args.window, cfg)
     if not points:
         raise InputError(f"{args.window}: no points")
     distances = centroid_distances(DataWindow(points, capacity=len(points)))

@@ -8,6 +8,7 @@ hashing (no external model) or a lookup table of precomputed vectors.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -17,7 +18,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -269,23 +270,76 @@ def _token_bucket_sign(token: str, dim: int, seed: int) -> tuple[int, float]:
     return bucket, sign
 
 
+# Values of an embedding table, tokens included, parsed per np.loadtxt call:
+# a block of about 512 KiB, small beside a table, yet large enough that malloc
+# maps each block on its own, so a freed table leaves no holes in the heap.
+_TABLE_CHUNK_VALUES = 1 << 16
+
+
 def load_embedding_table(path: str | Path, dim: int) -> dict[str, np.ndarray]:
-    """Read a token-to-vector table: a unique token plus ``dim`` finite floats per line.
+    """Read a token-to-vector table: a unique token plus ``dim`` finite floats
+    per line. Each vector is a row view of its chunk's block (:func:`table_chunks`)."""
+    table: dict[str, np.ndarray] = {}
+    for tokens, vecs in table_chunks(path, dim):
+        table.update(zip(tokens, vecs))
+    return table
 
-    numpy's C text reader parses the open file in one call. A table it does
-    not take whole goes through :func:`_read_table_lines`, which alone refuses
-    a table and names its line, and which also takes the spellings ``float``
-    accepts beyond the C reader (``1_0``, non-ASCII digits). Both round
-    decimals correctly, so either gives bit-equal vectors.
+
+def table_chunks(path: str | Path, dim: int) -> Iterator[tuple[list[str], np.ndarray]]:
+    """(tokens, vectors) of each chunk of lines of the table, in file order,
+    read in one pass over the file opened as UTF-8 text; a chunk holds
+    ``_TABLE_CHUNK_VALUES // (dim + 1)`` lines, or one.
+
+    numpy's C text reader parses each chunk in one call, its vectors the rows
+    of one block, taking the lines one by one from the file. A chunk it does
+    not take is read again by :func:`_read_table_lines`, which also takes the
+    spellings ``float`` accepts beyond the C reader (``1_0``, non-ASCII
+    digits); both round decimals correctly, so either gives bit-equal
+    vectors. On any fault, whatever its chunk, the line reader reads the
+    table again from the start and raises the :class:`ConfigError` naming its
+    first bad line, as one pass of it over the whole table would; the chunks
+    before the fault have been yielded by then.
     """
-    table = _read_table_blocks(path, dim)
-    return _read_table_lines(path, dim) if table is None else table
+    seen: set[str] = set()
+    size = max(1, _TABLE_CHUNK_VALUES // (dim + 1))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for start in itertools.count(1, size):
+                at = fh.tell()
+                chunk = _read_table_block(_next_lines(fh, size), dim)
+                if chunk is None:  # the line reader takes the same lines
+                    fh.seek(at)
+                    lines = list(_next_lines(fh, size))
+                    if start == 1 and lines and lines[0].startswith("\ufeff"):
+                        break
+                    chunk = _read_table_lines(
+                        ((n, line) for n, line in enumerate(lines, start) if line.strip()),
+                        path, dim)
+                elif fh.tell() == at:  # the table has ended
+                    return
+                held = len(seen)
+                seen.update(chunk[0])
+                if len(seen) != held + len(chunk[0]):  # a token repeated
+                    break
+                yield chunk
+    except (OSError, UnicodeDecodeError, ConfigError):
+        pass
+    # the line reader names the first fault, reading the table again from the start
+    _read_table_lines(read_lines(path, ConfigError, "embedding table"), path, dim)
+    raise ConfigError(f"cannot read embedding table {path}: it changed while being read")
 
 
-def _read_table_blocks(path: str | Path, dim: int) -> dict[str, np.ndarray] | None:
-    """The table parsed by one ``np.loadtxt`` call over the open file, its
-    vectors row views of one block, or None unless every row holds exactly
-    ``dim`` finite values and every token is one unique ``str.split`` field."""
+def _next_lines(fh, n: int) -> Iterator[str]:
+    """The next ``n`` lines of the text file ``fh``, read one by one with
+    ``readline``, which, unlike iterating ``fh``, leaves ``tell`` usable."""
+    return itertools.islice(iter(fh.readline, ""), n)
+
+
+def _read_table_block(lines: Iterable[str], dim: int) -> tuple[list[str], np.ndarray] | None:
+    """(tokens, vectors) of the table lines ``lines`` parsed by one
+    ``np.loadtxt`` call, the vectors row views of one block, or None unless
+    every row holds exactly ``dim`` finite values and every token is one
+    ``str.split`` field that does not start with a byte-order mark."""
     tokens: list[str] = []
 
     def token(field: str) -> float:
@@ -293,30 +347,29 @@ def _read_table_blocks(path: str | Path, dim: int) -> dict[str, np.ndarray] | No
         return 0.0
 
     try:
-        # numpy is handed the open file, never the path: given a path it would
-        # decompress a .gz table that the line reader refuses as not UTF-8
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             # an explicit encoding hands converters str, not bytes, before numpy 2
-            block = np.loadtxt(fh, comments=None, converters={0: token}, ndmin=2,
+            block = np.loadtxt(lines, comments=None, converters={0: token}, ndmin=2,
                                encoding="utf-8")
-    except (OSError, ValueError):
+    except ValueError:
         return None
     vecs = block[:, 1:]
-    if (tokens and block.shape[1] != dim + 1  # a table without rows reads as shape (0, 1)
-            or len(set(tokens)) != len(tokens)
+    if (tokens and block.shape[1] != dim + 1  # lines without rows read as shape (0, 1)
             or not np.isfinite(vecs).all() or any(t.split() != [t] for t in tokens)
-            or tokens[:1] and tokens[0].startswith("\ufeff")):  # the line reader refuses it
+            or tokens[:1] and tokens[0].startswith("\ufeff")):
         return None
-    return dict(zip(tokens, vecs))
+    return tokens, vecs
 
 
-def _read_table_lines(path: str | Path, dim: int) -> dict[str, np.ndarray]:
-    """The table parsed line by line with ``float``; a bad line is a
-    :class:`ConfigError` naming it."""
+def _read_table_lines(lines: Iterable[tuple[int, str]], path: str | Path,
+                      dim: int) -> tuple[list[str], np.ndarray]:
+    """(tokens, vectors) of the numbered non-blank table lines ``lines``,
+    parsed one by one with ``float``; a bad line is a :class:`ConfigError`
+    naming it in ``path``."""
     flat = array("d")
     first_line: dict[str, int] = {}  # in row order
-    for lineno, line in read_lines(path, ConfigError, "embedding table"):
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != dim + 1:
             raise ConfigError(
@@ -335,7 +388,7 @@ def _read_table_lines(path: str | Path, dim: int) -> dict[str, np.ndarray]:
     bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
     if bad.size:
         raise ConfigError(f"{path}:{list(first_line.values())[bad[0]]}: non-finite value")
-    return dict(zip(first_line, vecs))
+    return list(first_line), vecs
 
 
 class Embedder:
@@ -364,11 +417,7 @@ class Embedder:
         if self._table is not None:
             table = self._table
             for i, text in enumerate(texts):
-                hits = [table[t] for t in tokenize(text) if t in table]
-                if len(hits) == 1:
-                    out[i] += hits[0]  # np.mean of one vector: 0.0 + v, so -0.0 becomes 0.0
-                elif hits:
-                    out[i] = np.mean(hits, axis=0)
+                _put_mean(out, i, [table[t] for t in tokenize(text) if t in table])
         else:
             buckets: dict[str, tuple[int, float]] = {}
             for i, text in enumerate(texts):
@@ -377,14 +426,62 @@ class Embedder:
                         buckets[token] = _token_bucket_sign(token, dim, self.cfg.hash_seed)
                     bucket, sign = buckets[token]
                     out[i, bucket] += sign  # integer sums: exact in any order
-        # a 1-d norm per row: norm(axis=1) would sum the squares in another order;
-        # a finite row whose squares overflow is first divided by its largest magnitude
-        with np.errstate(over="ignore"):
-            norms = np.array([vector_norm(row) for row in out])
-            for i in np.flatnonzero(np.isinf(norms)):
-                out[i], norms[i] = _rescaled(out[i], norms[i])
-        np.divide(out, norms[:, None], out=out, where=norms[:, None] > 0.0)
-        return out
+        return _to_unit_rows(out)
+
+
+def embed_texts(texts: Sequence[str], cfg: EmbedderConfig) -> np.ndarray:
+    """``Embedder(cfg).embed_all(texts)``, bit for bit, never holding a whole table.
+
+    A table is read in one pass of :func:`table_chunks`, with every refusal of
+    :func:`load_embedding_table`. A text of one token takes its row straight
+    from the chunk that holds it; only the rows that texts of several tokens
+    use are kept until the pass ends, then averaged in token order.
+    """
+    if cfg.embed_mode != "table":
+        return Embedder(cfg).embed_all(texts)
+    out = np.zeros((len(texts), cfg.dim))
+    alone: dict[str, list[int]] = {}  # token -> the texts it is the one token of
+    several: list[tuple[int, list[str]]] = []
+    for i, text in enumerate(texts):
+        tokens = tokenize(text)
+        if len(tokens) == 1:
+            alone.setdefault(tokens[0], []).append(i)
+        elif tokens:
+            several.append((i, tokens))
+    wanted = {t for _, tokens in several for t in tokens}
+    kept: dict[str, np.ndarray] = {}
+    for tokens, vecs in table_chunks(cfg.table_path, cfg.dim):
+        hits = [(i, row) for row, token in enumerate(tokens) for i in alone.get(token, ())]
+        if hits:
+            into, rows = zip(*hits)
+            out[list(into)] += vecs[list(rows)]  # a text's one hit: 0.0 + v, as in _put_mean
+        # copies, not views, which would hold their chunk
+        kept.update((t, vecs[row].copy()) for row, t in enumerate(tokens) if t in wanted)
+    for i, tokens in several:
+        _put_mean(out, i, [kept[t] for t in tokens if t in kept])
+    return _to_unit_rows(out)
+
+
+def _put_mean(out: np.ndarray, i: int, hits: list[np.ndarray]) -> None:
+    """Set the zero row ``out[i]`` to the mean of the table vectors ``hits``;
+    a mean that overflows gives a non-finite row, which the caller refuses."""
+    if len(hits) == 1:
+        out[i] += hits[0]  # np.mean of one vector: 0.0 + v, so -0.0 becomes 0.0
+    elif hits:
+        out[i] = np.mean(hits, axis=0)
+
+
+def _to_unit_rows(out: np.ndarray) -> np.ndarray:
+    """``out`` with each nonzero row divided in place by its norm. A finite row
+    keeps its direction even when its norm overflows."""
+    # a 1-d norm per row: norm(axis=1) would sum the squares in another order;
+    # a finite row whose squares overflow is first divided by its largest magnitude
+    with np.errstate(over="ignore"):
+        norms = np.array([vector_norm(row) for row in out])
+        for i in np.flatnonzero(np.isinf(norms)):
+            out[i], norms[i] = _rescaled(out[i], norms[i])
+    np.divide(out, norms[:, None], out=out, where=norms[:, None] > 0.0)
+    return out
 
 
 # Below this norm the squares inside the norm may be subnormal or zero, and a
@@ -458,7 +555,10 @@ def centroid_cosine_distances(vectors: np.ndarray, centroid: np.ndarray) -> np.n
     if cnorm == 0.0:
         return out
     ok = norms > 0.0
-    sims = (vectors[ok] @ centroid) / (norms[ok] * cnorm)
+    if ok.all():  # the rows vectors[ok] would copy, in the same C order
+        sims = (np.ascontiguousarray(vectors) @ centroid) / (norms * cnorm)
+    else:
+        sims = (vectors[ok] @ centroid) / (norms[ok] * cnorm)
     np.clip(sims, -1.0, 1.0, out=sims)
     out[ok] = (1.0 - sims) / 2.0
     return out

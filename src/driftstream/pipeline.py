@@ -37,7 +37,6 @@ from .core import (
     CONFIG_KEYS,
     ConfigError,
     DataPoint,
-    Embedder,
     EmbedderConfig,
     InputError,
     check_geo,
@@ -46,12 +45,12 @@ from .core import (
     check_string,
     check_ts,
     check_unique,
+    embed_texts,
     json_line,
     line_fault,
     read_jsonl,
     read_lines,
     setting_types,
-    stack_vectors,
 )
 from .corroborate import DEFAULT_PAD_SECONDS, assign_labels, load_events
 from .drift import DEFAULT_KL_THRESHOLD, DEFAULT_BINS, detect_drift
@@ -174,18 +173,19 @@ def save_config(cfg: PipelineConfig, path: str | Path) -> None:
 # Stream input
 # ---------------------------------------------------------------------------
 
-def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], dict[str, int]]:
+def load_stream(path: str | Path, cfg: EmbedderConfig) -> tuple[list[DataPoint], dict[str, int]]:
     """Parse and embed a stream file, separating ground-truth labels.
 
     Truth labels never enter the pipeline's points; they come back as a
     separate id-to-label map used only for evaluation. The stream must be
     sorted by timestamp, point ids must be unique strings, and a text, when
     present, must be a string. Every line is checked first; then all texts
-    are embedded at once, each point's ``vec`` is a read-only row of that one
-    block, and :class:`DataPoint`'s rules refuse a bad point: the block's rows
-    are checked for finite values a slice at a time, and a place only where it
-    is given. The first bad line is reported; a bad point comes before the
-    other faults of its line.
+    are embedded at once by :func:`embed_texts`, in one pass over a table,
+    each point's ``vec`` is a read-only row of that one block, and
+    :class:`DataPoint`'s rules refuse a bad point: the block's rows are
+    checked for finite values a slice at a time, and a place only where it
+    is given. A table's fault is reported before any fault of the stream;
+    then the first bad line, a bad point before the other faults of its line.
     """
     rows: list[tuple[int, str, int, object, object]] = []  # lineno, id, ts, lat, lon
     texts: list[str] = []
@@ -210,7 +210,7 @@ def load_stream(path: str | Path, embedder: Embedder) -> tuple[list[DataPoint], 
             last_ts = ts
     except InputError as exc:
         fault = exc
-    vecs = embedder.embed_all(texts)
+    vecs = embed_texts(texts, cfg)
     vecs.flags.writeable = False
     bad = _first_nonfinite_row(vecs)
     points = []
@@ -356,9 +356,11 @@ def replay(
 ) -> list[WindowReport]:
     """Replay a stream against a corroborative feed, writing all artifacts to
     ``out_dir``; returns the rows written to its reports.csv."""
-    # no name holds the embedder, so its table is freed once the stream is embedded
-    points, truth = load_stream(stream_path, Embedder(cfg))
+    # the table is read in one pass as the stream is embedded, never held whole
+    points, truth = load_stream(stream_path, cfg)
     events = load_events(corroborative_path)
+    # every vec is a row of load_stream's one block: a window's rows are a slice of it
+    block = points[0].vec.base if points else None
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -381,7 +383,7 @@ def replay(
             # the pool as the previous boundary left it predicts the window before routing
             decided: dict[str, tuple[list[str], list[float | None]]] = {}  # file -> (lines, p)
             if index > 0:
-                X = stack_vectors([p.vec for p in window])
+                X = block[start:start + len(window)]
                 for name, models in (("decisions", pool.models), ("baseline_decisions", bootstrap)):
                     decided[name] = decision_lines(ids, models, X, cfg.k)
             route_window(pool, window, cfg)

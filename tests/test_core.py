@@ -1,23 +1,29 @@
 import gzip
 import struct
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import driftstream.core as core
 from driftstream.core import (
     ConfigError,
     DataPoint,
     Embedder,
     EmbedderConfig,
     InputError,
-    _read_table_blocks,
+    _read_table_block,
     _read_table_lines,
     centroid_cosine_distances,
     cosine_distance,
+    embed_texts,
     load_embedding_table,
+    read_lines,
     stack_vectors,
+    table_chunks,
     tokenize,
     vector_norm,
 )
@@ -275,18 +281,45 @@ def table_texts(draw):
     return bom + "\n".join(lines) + draw(st.sampled_from(["", "\n"])), dim
 
 
+def line_reader(path, dim):
+    """The whole table read by the line reader alone."""
+    return dict(zip(*_read_table_lines(read_lines(path, ConfigError, "embedding table"),
+                                       path, dim)))
+
+
+def chunk_rows(rows, dim):
+    """Read tables of width ``dim`` in chunks of ``rows`` lines for the length of the block."""
+    return mock.patch.object(core, "_TABLE_CHUNK_VALUES", rows * (dim + 1))
+
+
+def table_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        return list(fh)
+
+
 class TestTableReader:
-    @given(table=table_texts(), newline=st.sampled_from(["\n", "\r\n", "\r"]))
+    @given(table=table_texts(), newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           chunk=st.sampled_from([1, 2, 3, 1 << 16]))
     @settings(max_examples=400, deadline=None)
-    def test_block_reader_agrees_with_line_reader(self, tmp_path_factory, table, newline):
+    def test_block_reader_agrees_with_line_reader(self, tmp_path_factory, table, newline, chunk):
         text, dim = table
         path = tmp_path_factory.getbasetemp() / "differential.tsv"
         write_table(path, text, newline)
-        got = table_result(load_embedding_table, path, dim)
-        taken = _read_table_blocks(path, dim)
-        assert got == table_result(_read_table_lines, path, dim)
-        if taken is not None:  # what the block reader takes, the line reader takes alike
-            assert {t: v.tobytes() for t, v in taken.items()} == got
+        with chunk_rows(chunk, dim):
+            got = table_result(load_embedding_table, path, dim)
+            try:
+                embed_texts(["flood"], EmbedderConfig(dim=dim, embed_mode="table",
+                                                      table_path=str(path)))
+                one_pass = None
+            except ConfigError as exc:
+                one_pass = str(exc)
+        assert got == table_result(line_reader, path, dim)
+        # the one-pass embed refuses what the table reader refuses, in its words
+        assert one_pass == (got if isinstance(got, str) else None)
+        taken = _read_table_block(table_lines(path), dim)
+        if taken is not None and len(set(taken[0])) == len(taken[0]):
+            # what the C reader takes, tokens repeated aside, the line reader takes alike
+            assert {t: v.tobytes() for t, v in zip(*taken)} == got
 
     def test_block_reader_takes_a_plain_table(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -295,22 +328,24 @@ class TestTableReader:
                        for i, v in enumerate(vectors))
         path = tmp_path / "emb.tsv"
         write_table(path, text, "\r\n")
-        table = _read_table_blocks(path, 4)
-        assert table is not None and list(table) == [f"t{i}" for i in range(50)]
-        assert np.stack(list(table.values())).tobytes() == vectors.tobytes()
+        taken = _read_table_block(table_lines(path), 4)
+        assert taken is not None and taken[0] == [f"t{i}" for i in range(50)]
+        assert taken[1].tobytes() == vectors.tobytes()
 
     def test_block_reader_holds_the_table_once(self, tmp_path):
+        # each vector is a row view of its chunk's one float64 block, and the
+        # blocks hold each row once
         path = tmp_path / "emb.tsv"
         write_table(path, "a 1 2\nb 3 4\nc 5 6\n", "\n")
-        table = _read_table_blocks(path, 2)
-        block = table["a"].base
-        assert block.dtype == np.float64
-        assert all(v.base is block for v in table.values())
+        with chunk_rows(2, 2):
+            table = load_embedding_table(path, 2)
+        a, b, c = (table[t].base for t in "abc")
+        assert a is b and b is not c and a.dtype == c.dtype == np.float64
+        assert a.shape == (2, 3) and c.shape == (1, 3)
 
     def test_compressed_table_is_unreadable(self, tmp_path):
         path = tmp_path / "emb.tsv.gz"
         path.write_bytes(gzip.compress(b"a 1 2\nb 3 4\n"))
-        assert _read_table_blocks(path, 2) is None
         with pytest.raises(ConfigError, match=r"cannot read embedding table .*emb\.tsv\.gz"):
             load_embedding_table(path, 2)
 
@@ -318,7 +353,102 @@ class TestTableReader:
     def test_table_without_rows_is_empty(self, tmp_path, text):
         path = tmp_path / "emb.tsv"
         write_table(path, text, "\n")
-        assert _read_table_blocks(path, 2) == {} and load_embedding_table(path, 2) == {}
+        assert load_embedding_table(path, 2) == {}
+        assert all(tokens == [] for tokens, _ in table_chunks(path, 2))
+
+    def test_chunks_follow_the_file(self, tmp_path):
+        # blank lines count toward a chunk's lines, and a chunk the C reader
+        # refuses (1_0) is read by the line reader in place
+        path = tmp_path / "emb.tsv"
+        write_table(path, "a 1 2\n\nb 3 4\nc 1_0 6\nd 7 8\n", "\n")
+        with chunk_rows(2, 2):
+            chunks = list(table_chunks(path, 2))
+        assert [tokens for tokens, _ in chunks] == [["a"], ["b", "c"], ["d"]]
+        assert chunks[1][1].tolist() == [[3.0, 4.0], [10.0, 6.0]]
+
+
+class TestOnePassEmbed:
+    """``embed_texts`` against ``Embedder(cfg).embed_all`` on the same table."""
+
+    @staticmethod
+    def config(path, dim=3):
+        return EmbedderConfig(dim=dim, embed_mode="table", table_path=str(path))
+
+    @given(texts=TestEmbedAll.texts, order=st.permutations(list(EMBED_TABLE)),
+           blank=st.lists(st.booleans(), min_size=6, max_size=6), chunk=st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_block_equals_embed_all(self, tmp_path_factory, texts, order, blank, chunk):
+        path = tmp_path_factory.getbasetemp() / "one-pass.tsv"
+        path.write_text("".join(f"{t} {' '.join(map(repr, EMBED_TABLE[t]))}\n" + "\n" * gap
+                                for t, gap in zip(order, blank)))
+        cfg = self.config(path)
+        with np.errstate(over="ignore", invalid="ignore"):  # the 1e308 rows overflow
+            expected = Embedder(cfg).embed_all(texts)
+            with chunk_rows(chunk, 3):
+                got = embed_texts(texts, cfg)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_repeated_absent_and_overflowing_tokens(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text("".join(f"{t} {' '.join(map(repr, v))}\n" for t, v in EMBED_TABLE.items()))
+        texts = ["flood", "flood rain", "rain rain", "flood unknown", "unknown", "",
+                 "fire heat", "wind wind zero", "zero", "flood unknown flood"]
+        with np.errstate(over="ignore", invalid="ignore"), chunk_rows(2, 3):
+            got = embed_texts(texts, self.config(path))
+            expected = Embedder(self.config(path)).embed_all(texts)
+        assert got.tobytes() == expected.tobytes()
+        assert not np.isfinite(got[6]).all()  # an overflowing mean stays non-finite
+
+    def test_hashed_texts_embed_as_the_embedder_does(self):
+        cfg = EmbedderConfig(dim=16, hash_seed=3)
+        texts = ["flood in the valley", "", "rain rain"]
+        assert embed_texts(texts, cfg).tobytes() == Embedder(cfg).embed_all(texts).tobytes()
+
+    @pytest.mark.parametrize("data,message", [
+        (b"a 1 0\nb 0 1\n\nc 1 1\nd 1 2 3\n", "{path}:5: expected token + 2 floats, got 3"),
+        (b"a 1 0\nb 0 1\nc 1 1\n\na 2 2\n", "{path}:5: duplicate token 'a', first on line 1"),
+        ("\ufeffa 1 0\nb 0 1\n".encode(),
+         "{path}:1: embedding table starts with a UTF-8 byte-order mark"),
+        (b"a 1 0\nb 0 1\nc inf 1\nd 1 1\n", "{path}:3: non-finite value"),
+        # a later line of the wrong width is named before a non-finite value
+        (b"a 1 0\nb nan 1\nc 1 1\nd 1 2 3\n", "{path}:4: expected token + 2 floats, got 3"),
+        (b"a 1 0\nb 0 1e999\n", "{path}:2: non-finite value"),
+        (b"a 1 0\nb 0 1\nc 1 x\n", "{path}:3: could not convert string to float: 'x'"),
+        (gzip.compress(b"a 1 2\nb 3 4\n", mtime=0), "cannot read embedding table {path}: "
+         "'utf-8' codec can't decode byte 0x8b in position 1: invalid start byte"),
+    ])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
+    def test_refuses_what_the_table_reader_refuses_in_its_words(
+            self, tmp_path, data, message, chunk):
+        path = tmp_path / "emb.tsv"
+        path.write_bytes(data)
+        for read in (lambda: load_embedding_table(path, 2),
+                     lambda: Embedder(self.config(path, 2)),
+                     lambda: embed_texts(["a", "b c"], self.config(path, 2))):
+            with chunk_rows(chunk, 2), pytest.raises(ConfigError) as refused:
+                read()
+            assert str(refused.value) == message.format(path=path)
+
+    def test_keeps_only_the_rows_of_texts_of_several_tokens(self, tmp_path, monkeypatch):
+        # one chunk at a time: a text of one token takes its row from the
+        # chunk, so no chunk outlives the pass
+        path = tmp_path / "emb.tsv"
+        path.write_text("".join(f"t{i} {i} 1\n" for i in range(12)))
+        texts = ["t1", "t0 t5", "t11"]
+        expected = Embedder(self.config(path, 2)).embed_all(texts)
+        alive = []
+        chunks = core.table_chunks
+
+        def watched(*args):
+            for tokens, vecs in chunks(*args):
+                alive.append(weakref.ref(vecs.base))
+                assert sum(ref() is not None for ref in alive) <= 2  # this chunk, the last
+                yield tokens, vecs
+
+        monkeypatch.setattr(core, "table_chunks", watched)
+        with chunk_rows(4, 2):
+            assert embed_texts(texts, self.config(path, 2)).tobytes() == expected.tobytes()
+        assert len(alive) == 3 and all(ref() is None for ref in alive)
 
 
 class TestCosineDistance:
@@ -376,6 +506,18 @@ class TestCosineDistance:
         batch = centroid_cosine_distances(vectors, centroid)
         scalar = [cosine_distance(v, centroid) for v in vectors]
         np.testing.assert_allclose(batch, scalar, atol=1e-12)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rows_without_a_zero_give_the_bits_of_the_masked_rows(self, order):
+        # with every norm positive no row is masked out, and the rows are taken
+        # as they are; a zero row makes the same rows go through the mask
+        rng = np.random.default_rng(4)
+        vectors = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-5, 5, (40, 1))
+        centroid = rng.standard_normal(7)
+        whole = centroid_cosine_distances(np.asarray(vectors, order=order), centroid)
+        masked = centroid_cosine_distances(
+            np.asarray(np.vstack([vectors, np.zeros(7)]), order=order), centroid)
+        assert whole.tobytes() == masked[:40].tobytes() and masked[40] == 0.5
 
     def test_overflowing_norm_keeps_direction(self):
         with np.errstate(over="ignore"):  # the squares inside each norm overflow

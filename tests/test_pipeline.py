@@ -3,7 +3,7 @@ import json
 import math
 import shutil
 import tempfile
-import weakref
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import driftstream.pipeline as pipeline
 from driftstream.cli import main as cli_main
-from driftstream.core import MIN_TS, ConfigError, DataPoint, Embedder, EmbedderConfig, InputError
+from driftstream.core import MIN_TS, ConfigError, DataPoint, EmbedderConfig, InputError
 from driftstream.ensemble import decision_lines
 from driftstream.pipeline import (
     PipelineConfig,
@@ -176,19 +176,19 @@ class TestLoadStream:
         path = tmp_path / "s.jsonl"
         write_stream(path, [stream_row(0, 100), stream_row(1, 50)])
         with pytest.raises(InputError, match=":2"):
-            load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+            load_stream(path, PipelineConfig(dim=8))
 
     def test_malformed_line_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"id":"p0","ts":1,"text":"x"}\n{"nope":1}\n')
         with pytest.raises(InputError, match=r":2: malformed stream line: missing key 'ts'$"):
-            load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+            load_stream(path, PipelineConfig(dim=8))
 
     def test_duplicate_id_rejected_with_both_line_numbers(self, tmp_path):
         path = tmp_path / "s.jsonl"
         write_stream(path, [stream_row(0, 1), stream_row(1, 2), stream_row(0, 3, label=1)])
         with pytest.raises(InputError, match=r":3: duplicate id 'p0', first on line 1"):
-            load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+            load_stream(path, PipelineConfig(dim=8))
 
     def test_byte_order_mark_rejected(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -196,12 +196,12 @@ class TestLoadStream:
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         with pytest.raises(InputError, match=r"s\.jsonl:1: stream starts with a UTF-8 "
                                              r"byte-order mark"):
-            load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+            load_stream(path, PipelineConfig(dim=8))
 
     def test_truth_labels_stay_out_of_points(self, tmp_path):
         path = tmp_path / "s.jsonl"
         write_stream(path, [stream_row(0, 1, label=1), stream_row(1, 2, label=0)])
-        points, truth = load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+        points, truth = load_stream(path, PipelineConfig(dim=8))
         assert all(p.label is None for p in points)
         assert truth == {"p0": 1, "p1": 0}
 
@@ -210,34 +210,33 @@ class TestLoadStream:
         path = tmp_path / "s.jsonl"
         write_stream(path, [stream_row(0, 1), stream_row(1, ts)])
         with pytest.raises(InputError, match=r"s\.jsonl:2: .*ts"):
-            load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+            load_stream(path, PipelineConfig(dim=8))
 
     @pytest.mark.parametrize("label", [2, -1, True, False, 1.0, "1"])
     def test_truth_label_outside_zero_one_rejected(self, tmp_path, label):
         path = tmp_path / "s.jsonl"
         write_stream(path, [stream_row(0, 1, label=0), stream_row(1, 2, label=label)])
         with pytest.raises(InputError, match=r"s\.jsonl:2: .*label"):
-            load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+            load_stream(path, PipelineConfig(dim=8))
 
     @pytest.mark.parametrize("lat,lon", [(True, False), (10.0, True), (False, 20.0)])
     def test_boolean_coordinates_rejected(self, tmp_path, lat, lon):
         path = tmp_path / "s.jsonl"
         write_stream(path, [stream_row(0, 1, lat=lat, lon=lon)])
         with pytest.raises(InputError, match=r"s\.jsonl:1: .*(lat|lon)"):
-            load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+            load_stream(path, PipelineConfig(dim=8))
 
     def test_geo_less_points_accepted(self, tmp_path):
         path = tmp_path / "s.jsonl"
         write_stream(path, [{"id": "p0", "ts": 1, "text": "hello"}])
-        points, _ = load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+        points, _ = load_stream(path, PipelineConfig(dim=8))
         assert points[0].geo is None
 
     @pytest.mark.parametrize("line5", ["{not json", '{"id":"p4","ts":1}', '{"id":"p0","ts":9}'])
     def test_non_finite_embedding_reported_before_a_later_bad_line(self, tmp_path, line5):
         table = tmp_path / "emb.tsv"
         table.write_text("big 1e308 1e308\nhuge 1.7e308 1e308\nflood 1 0\n")
-        embedder = Embedder(PipelineConfig(dim=2, embed_mode="table",
-                                           table_path=str(table)).embedder_config())
+        cfg = PipelineConfig(dim=2, embed_mode="table", table_path=str(table))
         path = tmp_path / "s.jsonl"
         rows = [stream_row(0, 1), stream_row(1, 2, text="big huge"), stream_row(2, 3),
                 stream_row(3, 4)]
@@ -247,24 +246,23 @@ class TestLoadStream:
         with pytest.warns(RuntimeWarning), pytest.raises(
                 InputError, match=r"s\.jsonl:2: malformed stream line: point p1: "
                                   r"vec has non-finite components"):
-            load_stream(path, embedder)
+            load_stream(path, cfg)
         write_stream(path, rows[:1] + rows[2:])
         with path.open("a") as fh:
             fh.write(line5 + "\n")
         with pytest.raises(InputError, match=r"s\.jsonl:4: "):
-            load_stream(path, embedder)
+            load_stream(path, cfg)
 
     def test_non_finite_embedding_reported_before_other_faults_of_its_line(self, tmp_path):
         table = tmp_path / "emb.tsv"
         table.write_text("big 1e308 1e308\nhuge 1.7e308 1e308\n")
-        embedder = Embedder(PipelineConfig(dim=2, embed_mode="table",
-                                           table_path=str(table)).embedder_config())
+        cfg = PipelineConfig(dim=2, embed_mode="table", table_path=str(table))
         path = tmp_path / "s.jsonl"
         write_stream(path, [stream_row(0, 5), stream_row(1, 2, text="big huge", lat=100.0,
                                                          label=2)])
         with pytest.warns(RuntimeWarning), pytest.raises(
                 InputError, match=r":2: malformed stream line: point p1: vec has non-finite"):
-            load_stream(path, embedder)
+            load_stream(path, cfg)
 
     @pytest.mark.parametrize("label,line4", [
         (None, "{not json"),
@@ -284,7 +282,7 @@ class TestLoadStream:
                 fh.write(line4 + "\n")
         with pytest.raises(InputError, match=r"s\.jsonl:2: malformed stream line: "
                                              r"point p1: lat 100\.0 out of range$"):
-            load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+            load_stream(path, PipelineConfig(dim=8))
 
     @pytest.mark.parametrize("bad", [[], [0], [1023], [1024, 2999], [2500, 1100]])
     def test_first_non_finite_row_is_found_in_any_slice(self, bad):
@@ -296,7 +294,7 @@ class TestLoadStream:
     def test_point_vectors_are_read_only_rows_of_one_block(self, tmp_path):
         path = tmp_path / "s.jsonl"
         write_stream(path, [stream_row(0, 1, text="flood rain"), stream_row(1, 2, text="")])
-        points, _ = load_stream(path, Embedder(PipelineConfig(dim=8).embedder_config()))
+        points, _ = load_stream(path, PipelineConfig(dim=8))
         assert points[0].vec.base is points[1].vec.base is not None
         with pytest.raises(ValueError, match="read-only"):
             points[0].vec[0] = 1.0
@@ -547,7 +545,7 @@ class TestReplay:
 
     def test_static_checkpoint_restores_every_baseline_window(self, small_run):
         gen, cfg, run, _ = small_run
-        points, _ = load_stream(gen.stream_path, Embedder(cfg.embedder_config()))
+        points, _ = load_stream(gen.stream_path, cfg)
         frozen = load_pool(run / "static_pool.json").models
         baseline = (run / "baseline_decisions.jsonl").read_text().splitlines(keepends=True)
         for start in range(cfg.window_size, len(points), cfg.window_size):
@@ -558,25 +556,58 @@ class TestReplay:
             del baseline[:len(lines)]
         assert baseline == []
 
-    def test_embedder_is_freed_before_routing(self, small_run, tmp_path, monkeypatch):
-        gen, cfg, _, _ = small_run
-        embedders, alive_at_routing = [], []
-        route = pipeline.route_window
+    def test_ingest_never_holds_the_table(self, tmp_path, monkeypatch):
+        # a table of 20 times the rows the stream uses: replay's ingest holds
+        # the stream block and one table chunk, never a block of the table
+        n, dim = 400, 64
+        gen = generate_synthetic(SynthConfig(n_windows=2, window_size=n // 2, dim=dim, seed=5,
+                                             corroborative_fraction=0.05), tmp_path / "data")
+        rng = np.random.default_rng(0)
+        with open(gen.table_path, "a", encoding="utf-8") as fh:
+            for i in range(19 * n):
+                fh.write(f"unused{i} {' '.join(map(repr, rng.standard_normal(dim).tolist()))}\n")
+        cfg = PipelineConfig(window_size=n // 2, dim=dim, embed_mode="table",
+                             table_path=str(gen.table_path), min_train=12)
 
-        class Tracked(pipeline.Embedder):
-            def __init__(self, cfg):
-                super().__init__(cfg)
-                embedders.append(weakref.ref(self))
+        class Ingested(Exception):
+            pass
 
         def first_routed(*args):
-            if not alive_at_routing:
-                alive_at_routing.append(embedders[0]() is not None)
-            return route(*args)
+            raise Ingested
 
-        monkeypatch.setattr(pipeline, "Embedder", Tracked)
         monkeypatch.setattr(pipeline, "route_window", first_routed)
-        replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=tmp_path)
-        assert len(embedders) == 1 and alive_at_routing == [False]
+        tracemalloc.start()
+        try:
+            with pytest.raises(Ingested):
+                replay(gen.stream_path, gen.corroborative_path, cfg, out_dir=tmp_path / "run")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * n * dim * 8
+
+    @pytest.mark.parametrize("stream", ["missing", "malformed", "unsorted"])
+    def test_table_fault_is_reported_before_a_stream_fault(self, small_run, tmp_path, capsys,
+                                                           stream):
+        # the stream's lines are read before the table, yet a bad table is
+        # named first, as when the table was read before the stream
+        gen, cfg, _, _ = small_run
+        table = tmp_path / "bad-table.tsv"
+        table.write_text(gen.table_path.read_text() + "extra 1 2\n")
+        stream_path = tmp_path / "stream.jsonl"
+        if stream == "malformed":
+            stream_path.write_text(gen.stream_path.read_text() + "{not json\n")
+        elif stream == "unsorted":
+            lines = gen.stream_path.read_text().splitlines(keepends=True)
+            stream_path.write_text("".join([lines[1], lines[0], *lines[2:]]))
+        config = tmp_path / "config.txt"
+        pipeline.save_config(dataclasses.replace(cfg, table_path=str(table)), config)
+        code = cli_main(["replay", "--config", str(config), "--stream", str(stream_path),
+                         "--corroborative", str(gen.corroborative_path),
+                         "--out", str(tmp_path / "run")])
+        assert code == 2
+        lines = gen.table_path.read_text().count("\n")
+        assert capsys.readouterr().err == (
+            f"config error: {table}:{lines + 1}: expected token + {cfg.dim} floats, got 2\n")
 
     def test_evaluate_windows_round_trip(self, small_run, tmp_path):
         gen, _, run, replayed = small_run
@@ -701,7 +732,7 @@ class TestCli:
         assert cli_main(["band", "--window", str(out / "stream.jsonl"),
                          "--delta", "0.6", "--config", str(config)]) == 0
         printed = capsys.readouterr().out
-        points, _ = load_stream(out / "stream.jsonl", Embedder(load_config(config)))
+        points, _ = load_stream(out / "stream.jsonl", load_config(config))
         band = empirical_delta_band(
             centroid_distances(DataWindow(points, capacity=len(points))), 0.6)
         assert f"empirical band      [{band.lo:.6f}, {band.hi:.6f}]  delta=0.6" in printed
@@ -711,7 +742,7 @@ class TestCli:
         write_stream(stream, [stream_row(i, START_TS + i, text=text) for i, text in enumerate(
             ["flood water rising", "river flood", "storm damage", "flood", "road closed"])])
         assert cli_main(["band", "--window", str(stream), "--delta", "0.8"]) == 0
-        points, _ = load_stream(stream, Embedder(EmbedderConfig()))
+        points, _ = load_stream(stream, EmbedderConfig())
         d = centroid_distances(DataWindow(points, capacity=len(points)))
         band = empirical_delta_band(d, 0.8)
         assert capsys.readouterr().out == (
