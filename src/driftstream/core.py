@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import numbers
+import os
 import re
 import warnings
 from array import array
@@ -276,15 +277,6 @@ def _token_bucket_sign(token: str, dim: int, seed: int) -> tuple[int, float]:
 _TABLE_CHUNK_VALUES = 1 << 16
 
 
-def load_embedding_table(path: str | Path, dim: int) -> dict[str, np.ndarray]:
-    """Read a token-to-vector table: a unique token plus ``dim`` finite floats
-    per line. Each vector is a row view of its chunk's block (:func:`table_chunks`)."""
-    table: dict[str, np.ndarray] = {}
-    for tokens, vecs in table_chunks(path, dim):
-        table.update(zip(tokens, vecs))
-    return table
-
-
 def table_chunks(path: str | Path, dim: int) -> Iterator[tuple[list[str], np.ndarray]]:
     """(tokens, vectors) of each chunk of lines of the table, in file order,
     read in one pass over the file opened as UTF-8 text; a chunk holds
@@ -298,8 +290,10 @@ def table_chunks(path: str | Path, dim: int) -> Iterator[tuple[list[str], np.nda
     vectors. On any fault, whatever its chunk, the line reader reads the
     table again from the start and raises the :class:`ConfigError` naming its
     first bad line, as one pass of it over the whole table would; the chunks
-    before the fault have been yielded by then.
+    before the fault have been yielded by then. So a table is a regular file.
     """
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ConfigError(f"cannot read embedding table {path}: not a regular file")
     seen: set[str] = set()
     size = max(1, _TABLE_CHUNK_VALUES // (dim + 1))
     try:
@@ -397,8 +391,9 @@ class Embedder:
     def __init__(self, cfg: EmbedderConfig):
         self.cfg = cfg
         self._table: dict[str, np.ndarray] | None = None
-        if cfg.embed_mode == "table":
-            self._table = load_embedding_table(cfg.table_path, cfg.dim)
+        if cfg.embed_mode == "table":  # each vector a row view of its chunk's block
+            self._table = {token: vec for tokens, vecs in table_chunks(cfg.table_path, cfg.dim)
+                           for token, vec in zip(tokens, vecs)}
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_all([text])[0]
@@ -432,8 +427,8 @@ class Embedder:
 def embed_texts(texts: Sequence[str], cfg: EmbedderConfig) -> np.ndarray:
     """``Embedder(cfg).embed_all(texts)``, bit for bit, never holding a whole table.
 
-    A table is read in one pass of :func:`table_chunks`, with every refusal of
-    :func:`load_embedding_table`. A text of one token takes its row straight
+    A table is read in one pass of :func:`table_chunks`, as ``Embedder`` reads
+    it, with every refusal. A text of one token takes its row straight
     from the chunk that holds it; only the rows that texts of several tokens
     use are kept until the pass ends, then averaged in token order.
     """
@@ -488,7 +483,6 @@ def _to_unit_rows(out: np.ndarray) -> np.ndarray:
 # finite vector whose squares overflow has an infinite norm: either vector is
 # first divided by its largest magnitude.
 _TINY_NORM = 1e-150
-_F8 = np.dtype(np.float64)
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -509,20 +503,17 @@ def _rescaled(v: np.ndarray, norm: float) -> tuple[np.ndarray, float]:
     return v, vector_norm(v)
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray,
-                    na: float | None = None, nb: float | None = None) -> float:
+def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Distance in [0, 1]: 0 identical direction, 0.5 orthogonal, 1 antiparallel.
 
     Maps cosine similarity s in [-1, 1] to (1 - s) / 2. A zero vector on either
     side yields 0.5 (maximal uncertainty) and is flagged in the debug log.
-    ``na`` and ``nb``, when given, must be ``vector_norm`` of ``a`` and ``b``
-    as float64 arrays; a caller that holds them saves recomputing them.
     """
-    a = a if type(a) is np.ndarray and a.dtype is _F8 else np.asarray(a, dtype=np.float64)
-    b = b if type(b) is np.ndarray and b.dtype is _F8 else np.asarray(b, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise InputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return _cosine(a, b, vector_norm(a) if na is None else na, vector_norm(b) if nb is None else nb)
+    return _cosine(a, b, vector_norm(a), vector_norm(b))
 
 
 def _cosine(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:

@@ -213,7 +213,7 @@ def reference_embed(embedder, text):
     return vec
 
 
-def reference_cosine_distance(a, b, na=None, nb=None):
+def reference_cosine_distance(a, b):
     """The cosine distance through np.asarray, np.linalg.norm and np.dot, with
     tiny norms rescaled by the largest magnitude; wherever both norms are
     finite, core.cosine_distance must equal it bit for bit."""
@@ -229,10 +229,7 @@ def reference_cosine_distance(a, b, na=None, nb=None):
 
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if na is None:
-        na = float(np.linalg.norm(a))
-    if nb is None:
-        nb = float(np.linalg.norm(b))
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     if na < 1e-150 or nb < 1e-150:
         a, na = rescaled(a, na)
         b, nb = rescaled(b, nb)
