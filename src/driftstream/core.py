@@ -7,7 +7,9 @@ hashing (no external model) or a lookup table of precomputed vectors.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -15,11 +17,14 @@ import math
 import numbers
 import os
 import re
+import stat
+import struct
+import tempfile
 import warnings
 from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -275,6 +280,8 @@ def _token_bucket_sign(token: str, dim: int, seed: int) -> tuple[int, float]:
 # a block of about 512 KiB, small beside a table, yet large enough that malloc
 # maps each block on its own, so a freed table leaves no holes in the heap.
 _TABLE_CHUNK_VALUES = 1 << 16
+# Bytes of a table's text read and decoded per call.
+_TEXT_BUFFER = 1 << 16
 
 
 def table_chunks(path: str | Path, dim: int) -> Iterator[tuple[list[str], np.ndarray]]:
@@ -291,13 +298,33 @@ def table_chunks(path: str | Path, dim: int) -> Iterator[tuple[list[str], np.nda
     table again from the start and raises the :class:`ConfigError` naming its
     first bad line, as one pass of it over the whole table would; the chunks
     before the fault have been yielded by then. So a table is a regular file.
+
+    A pass without a fault leaves the table's rows beside it in its sidecar
+    (:data:`SIDECAR_SUFFIX`), keyed by the sha256 of the bytes parsed; a later
+    read of the same bytes at the same ``dim`` yields the same chunks from
+    the sidecar, a chunk's rows at a time, without parsing the text.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         raise ConfigError(f"cannot read embedding table {path}: not a regular file")
-    seen: set[str] = set()
     size = max(1, _TABLE_CHUNK_VALUES // (dim + 1))
+    cached = _read_sidecar(path, dim)
+    if cached is not None:
+        sidecar, tokens = cached
+        with sidecar:
+            for first in range(0, len(tokens), size):
+                rows = tokens[first:first + size]
+                block = np.empty(len(rows) * dim, dtype="<f8")  # each chunk a block of its own
+                if sidecar.readinto(block) != block.nbytes:
+                    raise ConfigError(f"cannot read embedding table {path}: "
+                                      "its sidecar changed while being read")
+                yield rows, block.reshape(len(rows), dim)
+        return
+    seen: dict[str, None] = {}  # the tokens in row order
+    sidecar = _SidecarWriter(path, dim)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _HashingFile(path) as raw, io.TextIOWrapper(
+                io.BufferedReader(raw, _TEXT_BUFFER), encoding="utf-8") as fh:
+            fh._CHUNK_SIZE = _TEXT_BUFFER  # one hashed read per 64 KiB of text, not per 8 KiB
             for start in itertools.count(1, size):
                 at = fh.tell()
                 chunk = _read_table_block(_next_lines(fh, size), dim)
@@ -310,14 +337,18 @@ def table_chunks(path: str | Path, dim: int) -> Iterator[tuple[list[str], np.nda
                         ((n, line) for n, line in enumerate(lines, start) if line.strip()),
                         path, dim)
                 elif fh.tell() == at:  # the table has ended
+                    sidecar.commit(seen, raw.sha256.digest())
                     return
                 held = len(seen)
-                seen.update(chunk[0])
+                seen.update(dict.fromkeys(chunk[0]))
                 if len(seen) != held + len(chunk[0]):  # a token repeated
                     break
+                sidecar.write(chunk[1])
                 yield chunk
     except (OSError, UnicodeDecodeError, ConfigError):
         pass
+    finally:
+        sidecar.discard()
     # the line reader names the first fault, reading the table again from the start
     _read_table_lines(read_lines(path, ConfigError, "embedding table"), path, dim)
     raise ConfigError(f"cannot read embedding table {path}: it changed while being read")
@@ -383,6 +414,140 @@ def _read_table_lines(lines: Iterable[tuple[int, str]], path: str | Path,
     if bad.size:
         raise ConfigError(f"{path}:{list(first_line.values())[bad[0]]}: non-finite value")
     return list(first_line), vecs
+
+
+# A table's sidecar is <table path>.f8cache: a header, the rows as
+# little-endian float64 in row order, then the tokens in row order, UTF-8 and
+# newline-separated. The rows come before the tokens so that a pass over the
+# text can write each chunk's rows as it reads them.
+SIDECAR_SUFFIX = ".f8cache"
+_SIDECAR_VERSION = 1
+# magic, format version, dim, rows, token bytes, sha256 of the text
+_SIDECAR_HEAD = struct.Struct("<8s4Q32s")
+_SIDECAR_MAGIC = b"DSTABLE\x00"
+
+
+class _HashingFile(io.FileIO):
+    """A binary file that hashes each byte the first time it is read. A seek
+    back (to read lines again) hashes nothing again, so at the end
+    ``sha256`` is the digest of exactly the bytes read."""
+
+    def __init__(self, path: str | Path):
+        super().__init__(path)
+        self.sha256 = hashlib.sha256()
+        self.hashed = 0  # bytes [0, hashed) are in the digest
+
+    def readinto(self, b) -> int:
+        at = self.tell()
+        n = super().readinto(b)
+        if at + n > self.hashed:  # seeks only go back, so at <= hashed
+            with memoryview(b) as view:
+                self.sha256.update(view.cast("B")[self.hashed - at:n])
+            self.hashed = at + n
+        return n
+
+
+class _SidecarWriter:
+    """A table's sidecar, written as the text is read: the rows go to a
+    temporary file in the table's directory, renamed over the sidecar once
+    the whole table is read without a fault. A directory that cannot be
+    written, or a full disk, leaves no sidecar and no temporary file."""
+
+    def __init__(self, path: str | Path, dim: int):
+        self.target = os.fspath(path) + SIDECAR_SUFFIX
+        self.dim = dim
+        self.rows = 0
+        self.fh = None
+        try:
+            fd, self.name = tempfile.mkstemp(prefix=os.path.basename(self.target) + ".",
+                                             dir=os.path.dirname(self.target) or ".")
+            self.fh = open(fd, "wb")
+            self.fh.write(bytes(_SIDECAR_HEAD.size))  # the header is written last
+        except OSError as exc:
+            self.discard(exc)
+
+    def write(self, vecs: np.ndarray) -> None:
+        if self.fh is not None:
+            try:
+                self.fh.write(np.ascontiguousarray(vecs, dtype="<f8"))
+                self.rows += len(vecs)
+            except OSError as exc:
+                self.discard(exc)
+
+    def commit(self, tokens: Iterable[str], digest: bytes) -> None:
+        """Write the tokens and the header, then put the file in the sidecar's place."""
+        if self.fh is not None:
+            try:
+                blob = "\n".join(tokens).encode("utf-8")
+                self.fh.write(blob)
+                self.fh.seek(0)
+                self.fh.write(_SIDECAR_HEAD.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, self.dim,
+                                                 self.rows, len(blob), digest))
+                self.fh.close()
+                os.replace(self.name, self.target)
+                self.fh = None
+            except OSError as exc:
+                self.discard(exc)
+
+    def discard(self, exc: OSError | None = None) -> None:
+        """Remove the temporary file, if it is still there; ``exc`` is why."""
+        if exc is not None:
+            log.debug("no embedding table sidecar %s: %s", self.target, exc)
+        if self.fh is not None:
+            fh, self.fh = self.fh, None
+            with contextlib.suppress(OSError):
+                fh.close()
+            with contextlib.suppress(OSError):
+                os.unlink(self.name)
+
+
+def _read_sidecar(path: str | Path, dim: int) -> tuple[BinaryIO, list[str]] | None:
+    """The open sidecar of the table at ``path``, at its first row, and its
+    tokens; None unless the sidecar is a regular file, not a symlink, owned by
+    this user and writable by no one else, of exactly its header's length,
+    written for ``dim`` from text whose sha256 is the table's now, with
+    finite rows and unique tokens, each one ``str.split`` field."""
+    try:
+        fh = open(os.open(os.fspath(path) + SIDECAR_SUFFIX,
+                          os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK), "rb")
+    except OSError:
+        return None
+    try:
+        st = os.fstat(fh.fileno())
+        head = fh.read(_SIDECAR_HEAD.size)
+        if not (stat.S_ISREG(st.st_mode) and st.st_uid == os.geteuid()
+                and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+                and len(head) == _SIDECAR_HEAD.size):
+            raise ValueError("untrusted")
+        magic, version, head_dim, rows, blob_size, digest = _SIDECAR_HEAD.unpack(head)
+        if not (magic == _SIDECAR_MAGIC and version == _SIDECAR_VERSION and head_dim == dim
+                and st.st_size == _SIDECAR_HEAD.size + 8 * rows * dim + blob_size
+                and digest == _file_sha256(path)):
+            raise ValueError("stale")
+        fh.seek(_SIDECAR_HEAD.size + 8 * rows * dim)
+        blob = fh.read(blob_size).decode("utf-8")
+        tokens = blob.split()
+        if len(tokens) != rows or "\n".join(tokens) != blob or len(set(tokens)) != rows:
+            raise ValueError("bad tokens")
+        fh.seek(_SIDECAR_HEAD.size)
+        step = max(1, _TABLE_CHUNK_VALUES // (dim + 1)) * dim
+        for first in range(0, rows * dim, step):
+            values = np.frombuffer(fh.read(8 * min(step, rows * dim - first)), dtype="<f8")
+            if not np.isfinite(values).all():
+                raise ValueError("non-finite value")
+        fh.seek(_SIDECAR_HEAD.size)
+        return fh, tokens
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        fh.close()
+        return None
+
+
+def _file_sha256(path: str | Path) -> bytes:
+    buf = bytearray(1 << 20)
+    with _HashingFile(path) as fh:
+        while fh.readinto(buf):
+            pass
+    return fh.sha256.digest()
 
 
 class Embedder:

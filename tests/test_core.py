@@ -1,8 +1,11 @@
 import gzip
+import hashlib
+import logging
 import os
 import struct
 import threading
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -373,6 +376,22 @@ class TestTableReader:
         assert chunks[1][1].tolist() == [[3.0, 4.0], [10.0, 6.0]]
 
 
+# Tables of width 2 that the reader refuses, and the ConfigError text of each.
+REFUSED_TABLES = [
+    (b"a 1 0\nb 0 1\n\nc 1 1\nd 1 2 3\n", "{path}:5: expected token + 2 floats, got 3"),
+    (b"a 1 0\nb 0 1\nc 1 1\n\na 2 2\n", "{path}:5: duplicate token 'a', first on line 1"),
+    ("\ufeffa 1 0\nb 0 1\n".encode(),
+     "{path}:1: embedding table starts with a UTF-8 byte-order mark"),
+    (b"a 1 0\nb 0 1\nc inf 1\nd 1 1\n", "{path}:3: non-finite value"),
+    # a later line of the wrong width is named before a non-finite value
+    (b"a 1 0\nb nan 1\nc 1 1\nd 1 2 3\n", "{path}:4: expected token + 2 floats, got 3"),
+    (b"a 1 0\nb 0 1e999\n", "{path}:2: non-finite value"),
+    (b"a 1 0\nb 0 1\nc 1 x\n", "{path}:3: could not convert string to float: 'x'"),
+    (gzip.compress(b"a 1 2\nb 3 4\n", mtime=0), "cannot read embedding table {path}: "
+     "'utf-8' codec can't decode byte 0x8b in position 1: invalid start byte"),
+]
+
+
 class TestOnePassEmbed:
     """``embed_texts`` against ``Embedder(cfg).embed_all`` on the same table."""
 
@@ -410,19 +429,7 @@ class TestOnePassEmbed:
         texts = ["flood in the valley", "", "rain rain"]
         assert embed_texts(texts, cfg).tobytes() == Embedder(cfg).embed_all(texts).tobytes()
 
-    @pytest.mark.parametrize("data,message", [
-        (b"a 1 0\nb 0 1\n\nc 1 1\nd 1 2 3\n", "{path}:5: expected token + 2 floats, got 3"),
-        (b"a 1 0\nb 0 1\nc 1 1\n\na 2 2\n", "{path}:5: duplicate token 'a', first on line 1"),
-        ("\ufeffa 1 0\nb 0 1\n".encode(),
-         "{path}:1: embedding table starts with a UTF-8 byte-order mark"),
-        (b"a 1 0\nb 0 1\nc inf 1\nd 1 1\n", "{path}:3: non-finite value"),
-        # a later line of the wrong width is named before a non-finite value
-        (b"a 1 0\nb nan 1\nc 1 1\nd 1 2 3\n", "{path}:4: expected token + 2 floats, got 3"),
-        (b"a 1 0\nb 0 1e999\n", "{path}:2: non-finite value"),
-        (b"a 1 0\nb 0 1\nc 1 x\n", "{path}:3: could not convert string to float: 'x'"),
-        (gzip.compress(b"a 1 2\nb 3 4\n", mtime=0), "cannot read embedding table {path}: "
-         "'utf-8' codec can't decode byte 0x8b in position 1: invalid start byte"),
-    ])
+    @pytest.mark.parametrize("data,message", REFUSED_TABLES)
     @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
     def test_refuses_what_the_table_reader_refuses_in_its_words(
             self, tmp_path, data, message, chunk):
@@ -511,6 +518,226 @@ class TestOnePassEmbed:
         with chunk_rows(4, 2):
             assert embed_texts(texts, self.config(path, 2)).tobytes() == expected.tobytes()
         assert len(alive) == 3 and all(ref() is None for ref in alive)
+
+
+def sidecar_of(path) -> Path:
+    return Path(str(path) + core.SIDECAR_SUFFIX)
+
+
+def chunks_read(path, dim):
+    """Every token and the bytes of every vector that ``table_chunks`` yields,
+    in row order, or the ConfigError text."""
+    try:
+        chunks = list(table_chunks(path, dim))
+    except ConfigError as exc:
+        return str(exc)
+    return [t for tokens, _ in chunks for t in tokens], b"".join(v.tobytes() for _, v in chunks)
+
+
+def table_config(path, dim):
+    return EmbedderConfig(dim=dim, embed_mode="table", table_path=str(path))
+
+
+SIDECAR_TEXTS = ["flood", "rain wind", "quoted flood", "x", "1 5", "", "unknown rain"]
+
+# Each reader of a table: its result for the table at a path, or its ConfigError text.
+READERS = (
+    chunks_read,
+    lambda path, dim: table_result(lambda p, d: Embedder(table_config(p, d))._table, path, dim),
+    lambda path, dim: table_result(
+        lambda p, d: {"block": embed_texts(SIDECAR_TEXTS, table_config(p, d))}, path, dim),
+)
+
+
+def read_all(path, dim, sidecar: bytes | None = None):
+    """What each reader gives for the table at ``path``, each read with
+    ``sidecar`` as its sidecar, or with none."""
+    results = []
+    for read in READERS:
+        side = sidecar_of(path)
+        side.unlink(missing_ok=True)
+        if sidecar is not None:
+            side.write_bytes(sidecar)
+            side.chmod(0o600)
+        results.append(read(path, dim))
+    return results
+
+
+def edited(data: bytes, edit: str, at: int, dim: int) -> bytes:
+    if edit == "digit":  # in place: same size, one value changed
+        digits = [i for i, b in enumerate(data) if 0x30 <= b <= 0x39]
+        assume(digits)
+        i = digits[at % len(digits)]
+        return data[:i] + bytes([0x30 + (data[i] - 0x30 + 1) % 10]) + data[i + 1:]
+    if edit == "append":
+        return data + f"\nappended {' '.join(['2'] * dim)}\n".encode()
+    if edit == "truncate":
+        return data[:at % max(len(data), 1)]
+    return b"\xef\xbb\xbf" + data  # a byte-order mark
+
+
+def forged_sidecar(path, dim, tokens, rows, *, version=core._SIDECAR_VERSION, head_dim=None,
+                   digest=None) -> bytes:
+    """A sidecar of the table at ``path`` holding ``tokens`` and ``rows``."""
+    blob = "\n".join(tokens).encode()
+    rows = np.asarray(rows, dtype="<f8")
+    digest = hashlib.sha256(path.read_bytes()).digest() if digest is None else digest
+    return (core._SIDECAR_HEAD.pack(core._SIDECAR_MAGIC, version, head_dim or dim, len(rows),
+                                    len(blob), digest) + rows.tobytes() + blob)
+
+
+def parse_nothing():
+    """Fail a read that parses the table's text, not its sidecar."""
+    return mock.patch.object(core, "_read_table_block", side_effect=AssertionError("parsed"))
+
+
+class TestTableSidecar:
+    """``table_chunks`` keeps a table read without a fault as a binary sidecar
+    and reads it back in place of the text only while the text is unchanged."""
+
+    @given(table=table_texts(), newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           chunk=st.sampled_from([1, 2, 3, 1 << 16]),
+           edit=st.sampled_from(["digit", "append", "truncate", "bom", "dim"]),
+           at=st.integers(0, 1 << 20))
+    @settings(max_examples=500, deadline=None)  # about one in four tables is read without a fault
+    def test_cold_and_warm_reads_agree(self, tmp_path_factory, table, newline, chunk, edit, at):
+        text, dim = table
+        path = tmp_path_factory.getbasetemp() / "cached.tsv"
+        write_table(path, text, newline)
+        truth = table_result(line_reader, path, dim)
+        with chunk_rows(chunk, dim), np.errstate(over="ignore", invalid="ignore"):
+            cold = read_all(path, dim)
+            # a second read of the same path: from the sidecar the first one left
+            assert [read(path, dim) for read in READERS] == cold
+            assert sidecar_of(path).exists() == (not isinstance(truth, str))
+            assert cold[0] == (truth if isinstance(truth, str)
+                               else (list(truth), b"".join(truth.values())))
+            assert cold[1] == truth
+            assert isinstance(cold[2], str) == isinstance(truth, str)
+            if isinstance(truth, str):
+                assert cold[2] == truth
+                return
+            # a sidecar of the table before an edit: the edited table reads as
+            # if it had none, refusals and their words included
+            cached = sidecar_of(path).read_bytes()
+            if edit == "dim":
+                dim += 1
+            else:
+                path.write_bytes(edited(path.read_bytes(), edit, at, dim))
+            assert read_all(path, dim, cached) == read_all(path, dim)
+
+    def test_warm_read_parses_no_text(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        write_table(path, "a 1 -0.0\n\nb 3 4\nc 1_0 6\nd 7 8\n", "\n")
+        with chunk_rows(2, 2):
+            cold = list(table_chunks(path, 2))
+            with parse_nothing():
+                warm = list(table_chunks(path, 2))
+        # the cold chunks follow the file's lines, the warm ones its rows
+        assert [tokens for tokens, _ in cold] == [["a"], ["b", "c"], ["d"]]
+        assert [tokens for tokens, _ in warm] == [["a", "b"], ["c", "d"]]
+        assert np.concatenate([v for _, v in warm]).tobytes() == \
+            np.concatenate([v for _, v in cold]).tobytes()
+        # each chunk's vectors are views of a writable float64 block of their own
+        (_, first), (_, second) = warm
+        assert first.base is not None and first.base is not second.base
+        assert first.dtype == np.float64 and first.flags.writeable and first.shape == (2, 2)
+
+    def test_a_chunk_read_again_is_hashed_once(self, tmp_path):
+        # the line reader reads the chunk with 1_0 again from its start, and
+        # that read runs on past the bytes read so far
+        path = tmp_path / "emb.tsv"
+        path.write_text("".join(f"t{i} {'1_0' if i == 150 else i} 1\n" for i in range(8000)))
+        assert path.stat().st_size > core._TEXT_BUFFER
+        with chunk_rows(100, 2):
+            cold = chunks_read(path, 2)
+            with parse_nothing():
+                assert chunks_read(path, 2) == cold
+
+    def test_a_trusted_sidecar_stands_for_the_text(self, tmp_path):
+        # a sidecar is read as it stands: these rows are not the text's
+        path = tmp_path / "emb.tsv"
+        path.write_text("a 1 0\nb 0 1\n")
+        sidecar_of(path).write_bytes(forged_sidecar(path, 2, ["a", "b"], [[7.0, 7.0], [8.0, 8.0]]))
+        sidecar_of(path).chmod(0o600)
+        with parse_nothing():
+            assert chunks_read(path, 2) == (["a", "b"], np.array([[7.0, 7.0], [8.0, 8.0]]).tobytes())
+
+    @pytest.mark.parametrize("fault", [
+        "truncated", "padded", "version", "dim", "digest", "nan", "repeated token", "two-field token",
+        "symlink", "group-writable", "world-writable", "foreign owner", "directory",
+    ])
+    def test_a_bad_sidecar_is_ignored(self, tmp_path, fault):
+        path = tmp_path / "emb.tsv"
+        path.write_text("a 1 0\nb 0 1\nc 1 1\n")
+        tokens, rows = ["a", "b", "c"], np.full((3, 2), 7.0)
+        side = sidecar_of(path)
+        forged = {
+            "version": lambda: forged_sidecar(path, 2, tokens, rows, version=2),
+            "dim": lambda: forged_sidecar(path, 2, tokens, rows, head_dim=3),
+            "digest": lambda: forged_sidecar(path, 2, tokens, rows, digest=bytes(32)),
+            "nan": lambda: forged_sidecar(path, 2, tokens, [[7.0, 7.0], [np.nan, 7.0], [7.0, 7.0]]),
+            "repeated token": lambda: forged_sidecar(path, 2, ["a", "b", "a"], rows),
+            "two-field token": lambda: forged_sidecar(path, 2, ["a\tb"], rows[:2]),
+        }.get(fault, lambda: forged_sidecar(path, 2, tokens, rows))()
+        if fault in ("truncated", "padded"):
+            forged = forged[:-1] if fault == "truncated" else forged + b"\n"
+        if fault == "directory":
+            side.mkdir()
+        elif fault == "symlink":
+            (tmp_path / "elsewhere").write_bytes(forged)
+            (tmp_path / "elsewhere").chmod(0o600)
+            side.symlink_to(tmp_path / "elsewhere")
+        else:
+            side.write_bytes(forged)
+            side.chmod({"group-writable": 0o620, "world-writable": 0o602}.get(fault, 0o600))
+            if fault == "foreign owner":
+                if os.geteuid() != 0:
+                    pytest.skip("only root can give a file to another user")
+                os.chown(side, os.geteuid() + 1, -1)
+        truth = table_result(line_reader, path, 2)
+        assert table_result(load_embedding_table, path, 2) == truth
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            {"emb.tsv", side.name} | ({"elsewhere"} if fault == "symlink" else set()))
+        if fault != "directory":  # the read put a sidecar of its own in the bad one's place
+            assert side.is_file() and not side.is_symlink()
+            with parse_nothing():
+                assert table_result(load_embedding_table, path, 2) == truth
+
+    @pytest.mark.parametrize("failure", ["mkstemp", "replace", "full disk"])
+    def test_a_failed_write_leaves_no_file(self, tmp_path, caplog, failure):
+        path = tmp_path / "emb.tsv"
+        path.write_text("".join(f"t{i} {i} 1\n" for i in range(5000)))
+        truth = table_result(line_reader, path, 2)
+        if failure == "full disk":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            partial = tmp_path / "emb.tsv.f8cache.partial"
+            partial.touch()
+            patched = mock.patch.object(
+                core.tempfile, "mkstemp",
+                lambda **_: (os.open("/dev/full", os.O_WRONLY), str(partial)))
+        else:
+            target = core.tempfile if failure == "mkstemp" else core.os
+            patched = mock.patch.object(target, failure, side_effect=OSError(28, "No space left"))
+        caplog.set_level(logging.DEBUG, logger="driftstream.core")
+        with patched:
+            assert table_result(load_embedding_table, path, 2) == truth
+        assert [p.name for p in tmp_path.iterdir()] == ["emb.tsv"]
+        assert "no embedding table sidecar" in caplog.text
+
+    @pytest.mark.parametrize("data,message", REFUSED_TABLES)
+    def test_refusals_are_the_text_readers_with_or_without_a_sidecar(self, tmp_path, data, message):
+        path = tmp_path / "emb.tsv"
+        path.write_bytes(b"a 1 0\nb 0 1\n")
+        load_embedding_table(path, 2)
+        cached = sidecar_of(path).read_bytes()
+        path.write_bytes(data)
+        for sidecar in (cached, None):  # a stale sidecar, then none
+            assert read_all(path, 2, sidecar) == [message.format(path=path)] * 3
+        # a refused table leaves no sidecar
+        assert [p.name for p in tmp_path.iterdir()] == ["emb.tsv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["emb.tsv"]
 
 
 class TestCosineDistance:
