@@ -421,6 +421,10 @@ def _read_table_lines(lines: Iterable[tuple[int, str]], path: str | Path,
 # newline-separated. The rows come before the tokens so that a pass over the
 # text can write each chunk's rows as it reads them.
 SIDECAR_SUFFIX = ".f8cache"
+# Bump the version whenever _read_table_block or _read_table_lines changes
+# what it refuses or the values it yields: a sidecar records the text it was
+# parsed from, not the reader rules, so an old one would keep serving what the
+# old rules gave.
 _SIDECAR_VERSION = 1
 # magic, format version, dim, rows, token bytes, sha256 of the text
 _SIDECAR_HEAD = struct.Struct("<8s4Q32s")

@@ -382,8 +382,8 @@ def replay(
             ids = [p.id for p in window]
             # the pool as the previous boundary left it predicts the window before routing
             decided: dict[str, tuple[list[str], list[float | None]]] = {}  # file -> (lines, p)
-            X = block[start:start + len(window)]
             if index > 0:
+                X = block[start:start + len(window)]
                 for name, models in (("decisions", pool.models), ("baseline_decisions", bootstrap)):
                     decided[name] = decision_lines(ids, models, X, cfg.k)
             route_window(pool, window, cfg)
@@ -395,7 +395,7 @@ def replay(
             if pool.models and labeled:
                 evaluate_models(pool, labeled, index)
 
-            live = DataWindow(window, cfg.window_size, f"w{index:04d}", rows=X)
+            live = DataWindow(window, capacity=cfg.window_size, window_id=f"w{index:04d}")
             verdicts = {}
             for model in pool.models:
                 verdict = detect_drift(model.memory, live, cfg.delta, cfg.kl_threshold, cfg.bins)

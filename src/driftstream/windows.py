@@ -35,40 +35,42 @@ class DataWindow:
     read-only, and dropped by the next append.
     """
 
-    def __init__(self, points=(), capacity: int = DEFAULT_WINDOW_SIZE, window_id: str = "",
-                 rows: np.ndarray | None = None):
-        """The window of appending ``points`` in order. Given ``rows``, the block
-        whose rows are the vectors of ``points`` (at most ``capacity`` of them),
-        the running sum is taken over the rows instead, from zeros and in
-        order as appending takes it, so it has the same bits."""
+    def __init__(self, points=(), capacity: int = DEFAULT_WINDOW_SIZE, window_id: str = ""):
+        """The window of appending ``points`` in order. When they fit in
+        ``capacity``, the running sum is taken from zeros and in order as
+        appending takes it, so it has the same bits."""
         self.capacity = check_int(capacity, "window capacity", 1)
         self.id = window_id
         self.points: list[DataPoint] = []
         self._vec_sum: np.ndarray | None = None
         self._centroid: tuple[np.ndarray, float] | None = None
         self._distances: np.ndarray | None = None
-        if rows is None:
+        points = list(points)
+        if len(points) > self.capacity:
             for p in points:
                 self.append(p)
-        else:
-            vec_sum = np.zeros(rows.shape[1])
-            for row in rows:
-                vec_sum += row
-            self._hold(points, vec_sum)
+        elif points:
+            vec_sum = np.zeros_like(points[0].vec)
+            for p in points:
+                self._check_width(p, vec_sum)
+                vec_sum += p.vec
+            self.points, self._vec_sum = points, vec_sum
 
     @classmethod
     def restore(cls, points, vec_sum, capacity: int, window_id: str) -> "DataWindow":
         """A window of ``points`` whose running sum is a copy of ``vec_sum``, not
         rebuilt by re-appending (which can change its last bits)."""
         w = cls(capacity=capacity, window_id=window_id)
-        w._hold(points, None if vec_sum is None else np.array(vec_sum, dtype=np.float64))
+        w.points = list(points)
+        if len(w.points) > w.capacity:
+            raise InputError(f"{len(w.points)} points exceed window capacity {w.capacity}")
+        w._vec_sum = None if vec_sum is None else np.array(vec_sum, dtype=np.float64)
         return w
 
-    def _hold(self, points, vec_sum: np.ndarray | None) -> None:
-        self.points = list(points)
-        if len(self.points) > self.capacity:
-            raise InputError(f"{len(self.points)} points exceed window capacity {self.capacity}")
-        self._vec_sum = vec_sum
+    def _check_width(self, point: DataPoint, vec_sum: np.ndarray) -> None:
+        if point.vec.shape != vec_sum.shape:
+            raise InputError(f"point {point.id} of width {len(point.vec)} in window "
+                             f"{self.id!r} of width {len(vec_sum)}")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -78,9 +80,8 @@ class DataWindow:
         another width than the window's is an :class:`InputError`."""
         if self._vec_sum is None:
             self._vec_sum = np.zeros_like(point.vec)
-        elif point.vec.shape != self._vec_sum.shape:
-            raise InputError(f"point {point.id} of width {len(point.vec)} in window "
-                             f"{self.id!r} of width {len(self._vec_sum)}")
+        else:
+            self._check_width(point, self._vec_sum)
         if len(self.points) >= self.capacity:
             self._vec_sum -= self.points.pop(0).vec
         self.points.append(point)

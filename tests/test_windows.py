@@ -66,33 +66,36 @@ class TestDataWindow:
                         | st.floats(-1e6, 1e6, allow_subnormal=True),
                         min_size=d, max_size=d),
                min_size=1, max_size=40)),
-           spare=st.integers(0, 3))
+           spare=st.integers(-3, 3))
     @example(rows=[[-0.0, 1.0], [-0.0, -0.0]], spare=0)  # appending starts from +0.0
     @example(rows=[[1e16]] + [[1.0]] * 14 + [[-1e16]], spare=0)  # each 1.0 is lost, in order
     @settings(max_examples=300, deadline=None)
-    def test_window_of_rows_is_the_appended_window(self, rows, spare):
-        # the replay's live window, built from its block: every bit as appending builds it,
-        # full windows (spare 0) and rows of -0.0 included
+    def test_built_window_is_the_appended_window(self, rows, spare):
+        # the constructor sums the points that fit from zeros, in order: every bit as
+        # appending them one by one, full windows (spare 0), -0.0 and evictions included
         block = np.array(rows, dtype=np.float64)
         block.flags.writeable = False
         points = [DataPoint.from_checked(f"p{i}", i, "", row, None, None)
                   for i, row in enumerate(block)]
-        capacity = len(points) + spare
+        capacity = max(len(points) + spare, 1)
         with np.errstate(over="ignore", invalid="ignore"):  # sums of 1e308 overflow
-            appended = DataWindow(points, capacity=capacity, window_id="w")
-            built = DataWindow(points, capacity=capacity, window_id="w", rows=block)
+            appended = DataWindow(capacity=capacity, window_id="w")
+            for p in points:
+                appended.append(p)
+            built = DataWindow(points, capacity=capacity, window_id="w")
             assert built.points == appended.points and built.capacity == capacity
             assert built._vec_sum.tobytes() == appended._vec_sum.tobytes()
             (c1, n1), (c2, n2) = built.centroid_and_norm(), appended.centroid_and_norm()
             assert c1.tobytes() == c2.tobytes() and struct.pack("<d", n1) == struct.pack("<d", n2)
             assert centroid_distances(built).tobytes() == centroid_distances(appended).tobytes()
 
-    def test_window_of_rows_over_capacity_is_refused(self):
-        block = np.eye(3)
-        points = [DataPoint.from_checked(f"p{i}", i, "", row, None, None)
-                  for i, row in enumerate(block)]
-        with pytest.raises(InputError, match="3 points exceed window capacity 2"):
-            DataWindow(points, capacity=2, rows=block)
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    def test_built_window_refuses_a_point_of_another_width(self, capacity):
+        # capacity 3 sums the points that fit; 1 and 2 append them with evictions
+        points = [DataPoint(id=f"p{i}", ts=i, text="", vec=np.zeros(w))
+                  for i, w in enumerate([2, 2, 1])]
+        with pytest.raises(InputError, match=r"point p2 of width 1 in window 'w' of width 2"):
+            DataWindow(points, capacity=capacity, window_id="w")
 
     @pytest.mark.parametrize("capacity", [1, 4])
     def test_point_of_another_width_is_refused(self, capacity):
