@@ -5,11 +5,12 @@ classifier, formed for a whole window at once from the pool as the previous
 boundary left it, before the window's points are routed, and logs one
 decision per point; baseline decisions read the bootstrap pool as restored
 from its checkpoint, and the bootstrap window emits none. The maintenance
-path fires at window boundaries: retroactive corroborative labeling, model
-evaluation, per-model drift verdicts, then retraining and generation.
+path fires at window boundaries: model evaluation on the window's
+corroborative labels, per-model drift verdicts, then retraining and generation.
 
-Each window is one step: it is predicted, its points are routed, its boundary
-runs, and its decision, baseline, verdict and window-stats rows are appended.
+Each window is one step: it is predicted, its points get their corroborative
+labels, which routing ignores, its points are routed, its boundary runs, and
+its decision, baseline, verdict and window-stats rows are appended.
 The knowledgebase, event histogram, reports and final checkpoint wait for the
 end of the stream, and each knowledgebase row is written as it is formed;
 replay first deletes these and the static checkpoint of an earlier run.
@@ -386,12 +387,13 @@ def replay(
                 X = block[start:start + len(window)]
                 for name, models in (("decisions", pool.models), ("baseline_decisions", bootstrap)):
                     decided[name] = decision_lines(ids, models, X, cfg.k)
-            route_window(pool, window, cfg)
 
+            # each label goes on its point once, before routing, which reads no label
             assignments = assign_labels(window, events, cfg.pad_seconds)
             label_map = {a.point_id: a.label for a in assignments}
-            pool.apply_labels(label_map)
-            labeled = [p.with_label(label_map[p.id]) for p in window if p.id in label_map]
+            window = [p.with_label(label_map[p.id]) if p.id in label_map else p for p in window]
+            route_window(pool, window, cfg)
+            labeled = [p for p in window if p.label is not None]
             if pool.models and labeled:
                 evaluate_models(pool, labeled, index)
 

@@ -3,10 +3,11 @@
 Each model couples a logistic classifier with the window of points it was
 built from, the dense distance band of that window, and a performance score
 omega. Every memory, a model's or the general memory of points that fit no
-model, is a :class:`DataWindow`. Routing only files points into memories and
-never changes weights. Learning happens at window boundaries, after the
-corroborative labels of the window have arrived: drift verdicts refit
-drifted models, and the labeled general memory seeds new models.
+model, is a :class:`DataWindow`. Routing only files points into memories,
+reads no label and never changes weights; in a replay a window's points carry
+their corroborative labels before they are routed. Learning happens only at
+window boundaries: drift verdicts refit drifted models, and the labeled
+general memory seeds new models.
 """
 
 from __future__ import annotations
@@ -105,18 +106,6 @@ class Pool:
         self.models: list[ModelRecord] = []
         self.general = DataWindow(capacity=general_capacity, window_id=GENERAL_ID)
         self._next_model = 0  # number of the last generated model id
-
-    def apply_labels(self, labels: dict[str, int]) -> None:
-        """Swap labeled copies of points into the model memories and the
-        general memory.
-
-        Points are immutable, so delayed labels propagate by replacement; the
-        vectors are unchanged, which leaves running sums and centroids intact.
-        """
-        for w in [m.memory for m in self.models] + [self.general]:
-            for i, p in enumerate(w.points):
-                if p.id in labels and p.label is None:
-                    w.points[i] = p.with_label(labels[p.id])
 
 
 @dataclass(frozen=True)
@@ -250,10 +239,10 @@ def route_window(pool: Pool, points: Sequence[DataPoint], cfg: PoolConfig) -> li
     strictly inside a model's band joins that memory and marks the point as
     owned. A point in the generalization margin joins the memory without
     claiming ownership. Unowned points fall through to the general memory.
-    Routing never changes a model's weights or band, whether or not the point
-    is labeled: in a replay, labels arrive at the window boundary, after every
-    point of the window has been routed. So each model's memory, order key,
-    band ends and effective lambda are read once per call.
+    Routing reads no label and never changes a model's weights or band: in a
+    replay a window's points carry their labels when they are routed, and
+    models learn from them only at the boundary. So each model's memory,
+    order key, band ends and effective lambda are read once per call.
     """
     memories = [m.memory for m in pool.models]
     keys = [(m.created_at, m.id) for m in pool.models]

@@ -737,7 +737,26 @@ class TestTableSidecar:
             assert read_all(path, 2, sidecar) == [message.format(path=path)] * 3
         # a refused table leaves no sidecar
         assert [p.name for p in tmp_path.iterdir()] == ["emb.tsv"]
-        assert [p.name for p in tmp_path.iterdir()] == ["emb.tsv"]
+
+    # 1_0 and non-ASCII digits take the line reader, the other rows numpy's
+    # when a chunk is one line; a subnormal, -0.0, blank lines, \r and \r\n
+    PINNED_TABLE = ("flood 1_0 -0.0\r\n\r\nrain 4e-320 \u0661\u0662\r"
+                    "wind\t-1.5e3 .5\n \nstorm 2.2250738585072014e-308 7\r\n")
+    PINNED_READ = (1, "cc22d933c49038ce185c899d19fa5ac0ecf244916798555fef24f11c9b9443db")
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 16])
+    def test_reader_rules_are_pinned_to_the_sidecar_version(self, tmp_path, chunk):
+        # a sidecar keeps what the reader rules gave when it was written, so
+        # a change to what they accept or yield must come with a new version
+        path = tmp_path / "emb.tsv"
+        path.write_bytes(self.PINNED_TABLE.encode("utf-8"))
+        with chunk_rows(chunk, 2):
+            tokens, vectors = chunks_read(path, 2)
+        got = (core._SIDECAR_VERSION,
+               hashlib.sha256("\n".join(tokens).encode("utf-8") + vectors).hexdigest())
+        assert got == self.PINNED_READ, (
+            "the table reader reads this table differently: bump core._SIDECAR_VERSION, "
+            "so that no sidecar written under the old rules is read, and pin the new pair")
 
 
 class TestCosineDistance:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import driftstream.pipeline as pipeline
 from driftstream.cli import main as cli_main
+from driftstream.corroborate import assign_labels, load_events
 from driftstream.core import MIN_TS, ConfigError, DataPoint, EmbedderConfig, InputError
 from driftstream.ensemble import decision_lines
 from driftstream.pipeline import (
@@ -482,6 +483,19 @@ class TestReplay:
         doc = json.loads((run / "static_pool.json").read_text())
         assert len(doc["models"]) == 1
         assert doc["models"][0]["created_at"] == 0
+
+    def test_held_points_carry_their_corroborative_labels(self, small_run):
+        # every point a checkpoint holds has the label the feed gives it, or none
+        gen, cfg, run, _ = small_run
+        points, _ = load_stream(gen.stream_path, cfg)
+        labels = {a.point_id: a.label for a in assign_labels(
+            points, load_events(gen.corroborative_path), cfg.pad_seconds)}
+        for name in ("static_pool.json", "final_pool.json"):
+            pool = load_pool(run / name)
+            held = [p for w in [m.memory for m in pool.models] + [pool.general] for p in w.points]
+            assert {p.label for p in held} == {None, 0, 1}, name
+            for p in held:
+                assert p.label == labels.get(p.id), (name, p.id)
 
     def test_byte_identical_reruns(self, small_run, tmp_path):
         # all nine artifacts, checkpoints included, from two fresh replays

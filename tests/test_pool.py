@@ -74,8 +74,9 @@ def evaluation_inputs(draw):
 
 @st.composite
 def routing_inputs(draw):
-    """(build, window, cfg): ``build()`` makes a fresh pool of 1-8 models in
-    d=2..4, each call an equal one, to route the window of 1-40 points through.
+    """(build, window, labels, cfg): ``build()`` makes a fresh pool of 1-8
+    models in d=2..4, each call an equal one, to route the window of 1-40
+    unlabeled points through; ``labels`` holds a 0, 1 or None per point.
     Models may share a centroid, a created_at or a degenerate lo == hi band,
     and memories are small enough to evict; a vector may be zero, tiny, huge,
     a memory's seed or an earlier point's."""
@@ -102,6 +103,8 @@ def routing_inputs(draw):
                        draw(st.integers(1, 5)), DeltaBand(0.6, lo, hi), draw(st.integers(0, 2))))
     general_capacity = draw(st.integers(1, 5))
     window = [point(f"x{i}", vec()) for i in range(draw(st.integers(1, 40)))]
+    labels = draw(st.lists(st.sampled_from([None, 0, 1]), min_size=len(window),
+                           max_size=len(window)))
     cfg = PoolConfig(lam=draw(st.one_of(st.none(), st.floats(0.0, 1.0))), k=draw(st.integers(1, 8)))
 
     def build():
@@ -114,7 +117,7 @@ def routing_inputs(draw):
                                            last_evaluated=created_at))
         return pool
 
-    return build, window, cfg
+    return build, window, labels, cfg
 
 
 def probability(model, vec):
@@ -361,10 +364,12 @@ class TestRouteWindow:
     @given(routing_inputs())
     @settings(max_examples=200, deadline=None)
     def test_equals_routing_one_point_at_a_time(self, inputs):
-        build, window, cfg = inputs
+        # the window is routed labeled, the reference's unlabeled: routing reads no label
+        build, window, labels, cfg = inputs
+        labeled = [p if label is None else p.with_label(label) for p, label in zip(window, labels)]
         pool, reference = build(), build()
         with np.errstate(over="ignore"):  # the norms of huge vectors overflow, then are rescaled
-            outcomes = route_window(pool, window, cfg)
+            outcomes = route_window(pool, labeled, cfg)
             assert outcomes == [reference_process_point(reference, x, cfg) for x in window]
         for got, want in zip([m.memory for m in pool.models] + [pool.general],
                              [m.memory for m in reference.models] + [reference.general]):
@@ -427,38 +432,6 @@ class TestGeneralMemory:
             pool.general.append(point(f"p{i}", [float(i)]))
         assert [p.id for p in pool.general.points] == ["p2", "p3", "p4"]
         np.testing.assert_array_equal(pool.general.centroid, [3.0])
-
-    def test_labeled_subset(self):
-        pool = Pool()
-        pool.general.append(point("a", [1.0]))
-        pool.general.append(point("b", [1.0]))
-        pool.apply_labels({"b": 1})
-        assert [p.id for p in pool.general.points if p.label is not None] == ["b"]
-
-
-class TestApplyLabels:
-    def test_relabels_every_memory_and_keeps_running_sums(self):
-        rng = np.random.default_rng(15)
-        pool = Pool()
-        for j in range(2):
-            pool.models.append(make_model(f"m{j}", rng.standard_normal(3),
-                                          DeltaBand(0.6, 0.0, 1.0), created_at=j))
-        shared = point("x", rng.standard_normal(3))
-        windows = [m.memory for m in pool.models] + [pool.general]
-        for i, w in enumerate(windows):
-            w.append(point(f"u{i}", rng.standard_normal(3)))
-            w.append(shared)
-            w.append(point(f"y{i}", rng.standard_normal(3), label=0))
-        sums = [w._vec_sum.copy() for w in windows]
-        labels = {"x": 1}
-        labels.update({f"y{i}": 1 for i in range(len(windows))})
-        pool.apply_labels(labels)
-        for i, (w, vec_sum) in enumerate(zip(windows, sums)):
-            np.testing.assert_array_equal(w._vec_sum.view(np.uint64), vec_sum.view(np.uint64))
-            got = {p.id: p.label for p in w.points[-3:]}
-            # a label already held is kept; unlabeled points without one stay so
-            assert got == {f"u{i}": None, "x": 1, f"y{i}": 0}
-            np.testing.assert_array_equal(w.points[-2].vec, shared.vec)
 
 
 class TestOnDrift:
