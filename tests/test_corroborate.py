@@ -273,7 +273,24 @@ class TestPrefilterMatchesReference:
         n = 50_000
         lat = rng.uniform(-84.0, 84.0, n)
         lon = rng.uniform(-174.0, 174.0, n)
-        offsets = rng.uniform(-5.0, 5.0, (n, 2))
+        self.assert_each_labeled_by_its_event_at_exact_radius(
+            lat, lon, rng.uniform(-5.0, 5.0, (n, 2)))
+
+    def test_every_point_due_north_or_south_at_exact_radius_is_labeled(self):
+        # with no offset in longitude the distance is R·|Δφ| itself, so these
+        # pairs sit exactly on the latitude test's bound
+        rng = np.random.default_rng(12)
+        n = 50_000
+        lat = rng.uniform(-84.0, 84.0, n)
+        lon = rng.uniform(-174.0, 174.0, n)
+        offsets = np.column_stack([rng.uniform(-5.0, 5.0, n), np.zeros(n)])
+        self.assert_each_labeled_by_its_event_at_exact_radius(lat, lon, offsets)
+
+    @staticmethod
+    def assert_each_labeled_by_its_event_at_exact_radius(lat, lon, offsets):
+        """Point i has event i, centred at its coordinates plus offsets[i] with
+        the scalar distance as radius, and shares its instant with no other."""
+        n = len(lat)
         points = [point(f"p{i}", float(lat[i]), float(lon[i]), ts=i) for i in range(n)]
         events = []
         for i, p in enumerate(points):
@@ -283,6 +300,15 @@ class TestPrefilterMatchesReference:
         got = assign_labels(points, events, 0)
         assert [(a.point_id, a.event_id) for a in got] == [
             (f"p{i}", f"e{i}") for i in range(n)]
+
+    def test_tie_on_distance_and_id_goes_to_the_first_event_in_input_order(self):
+        p = point("p", 10.0, 20.0, ts=50)
+        relevant = event("e", 10.2, 20.1, radius=100.0, polarity="relevant")
+        irrelevant = event("e", 10.2, 20.1, radius=100.0, polarity="irrelevant")
+        for events in ([relevant, irrelevant], [irrelevant, relevant]):
+            got = assign_labels([p], events, 0)
+            assert got == reference_assign_labels([p], events, 0)
+            assert [a.label for a in got] == [events[0].label]
 
     def test_empty_inputs(self):
         assert assign_labels([], [event("e", 0.0, 0.0)], 0) == []
