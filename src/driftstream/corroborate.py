@@ -25,7 +25,7 @@ DEFAULT_RADIUS_KM = 50.0
 MAX_RADIUS_KM = 1000.0
 
 # Upper bound on the (point, event) pairs one prefilter block holds, which
-# keeps assign_labels' per-pair index and value arrays at a few MB.
+# keeps each of assign_labels' boolean block-by-event masks under 1 MB.
 _BLOCK_PAIRS = 1 << 18
 
 POLARITY_RELEVANT = "relevant"
@@ -93,17 +93,17 @@ def assign_labels(
     Geo-less and unmatched points stay unlabeled. Assignments come back in
     input point order.
 
-    The match runs in three stages. First, cheap tests keep the (point, event)
-    pairs inside the event's padded span whose latitudes differ by at most the
-    event's reach, its radius plus a small slack, over R; a search over the
-    events sorted by latitude offers each point only those within the widest
-    reach. Second, the vectorised haversine keeps the survivors within the
-    reach. Third, the scalar :func:`haversine_km` and the original per-pair
-    tests decide membership and ties on what is left, each point's events in
-    input order, so results are identical to checking every pair. The latitude
-    test drops no match: h = sin²(Δφ/2) + cos φ₁ cos φ₂ sin²(Δλ/2) ≥ sin²(Δφ/2),
-    so the distance is at least R·|Δφ|. A block holds at most ``_BLOCK_PAIRS``
-    pairs, or one point's, so memory stays bounded however long the feed is.
+    The match runs in three stages. First, boolean masks over each block of
+    geotagged points keep the (point, event) pairs inside the event's padded
+    span whose latitudes differ by at most the event's reach, its radius plus
+    a small slack, over R. This drops no match: h = sin²(Δφ/2) + cos φ₁ cos φ₂
+    sin²(Δλ/2) ≥ sin²(Δφ/2), so the distance is at least R·|Δφ|. Second, the
+    vectorised haversine keeps the survivors within the reach. Third, the
+    scalar :func:`haversine_km` and the original per-pair tests decide
+    membership and ties on what is left, each point's events in input order,
+    so results are identical to checking every pair. A block holds at most
+    about ``_BLOCK_PAIRS`` pairs, so memory stays bounded however long the
+    feed is.
     """
     located = [p for p in points if p.lat is not None]
     if not located or not events:
@@ -114,43 +114,36 @@ def assign_labels(
     ev_lon = np.radians([e.lon for e in events])
     ev_cos = np.cos(ev_lat)
     reach = np.array([e.radius_km for e in events], dtype=np.float64) * (1.0 + 1e-9) + 1e-6
-    lat_reach = reach / EARTH_RADIUS_KM
-    ts = np.array([p.ts for p in located], dtype=np.float64)
-    lat = np.radians([p.lat for p in located])
-    # point i's pairs, bounds[i]:bounds[i + 1], are the events by_lat[first[i]:last[i]],
-    # whose latitudes lie within the widest reach of its own
-    by_lat = np.argsort(ev_lat)
-    first = np.searchsorted(ev_lat[by_lat], lat - lat_reach.max(), side="left")
-    last = np.searchsorted(ev_lat[by_lat], lat + lat_reach.max(), side="right")
-    bounds = np.concatenate(([0], np.cumsum(last - first)))
+    lat_lo = ev_lat - reach / EARTH_RADIUS_KM
+    lat_hi = ev_lat + reach / EARTH_RADIUS_KM
 
     out: list[LabelAssignment] = []
-    start = 0
-    while start < len(located):
-        # a block: the next points whose pairs number at most _BLOCK_PAIRS, or one point
-        stop = int(np.searchsorted(bounds, bounds[start] + _BLOCK_PAIRS, side="right")) - 1
-        stop = max(start + 1, stop)
-        pair = np.arange(bounds[start], bounds[stop])
-        rows = np.searchsorted(bounds, pair, side="right") - 1
-        j = by_lat[first[rows] + pair - bounds[rows]]
-        near = ((span_lo[j] <= ts[rows]) & (ts[rows] <= span_hi[j])
-                & (np.abs(lat[rows] - ev_lat[j]) <= lat_reach[j]))
-        rows, j = rows[near], j[near]
-        lon = np.radians([located[r].lon for r in rows.tolist()])
+    step = max(1, _BLOCK_PAIRS // len(events))
+    for start in range(0, len(located), step):
+        block = located[start:start + step]
+        ts = np.array([p.ts for p in block], dtype=np.float64)
+        # events whose padded span can overlap the block's time range, in input order
+        cand = np.flatnonzero((span_lo <= ts.max()) & (span_hi >= ts.min()))
+        if cand.size == 0:
+            continue
+        lat = np.radians([p.lat for p in block])
+        lon = np.radians([p.lon for p in block])
+        ts, col = ts[:, None], lat[:, None]
+        near = ((span_lo[cand] <= ts) & (ts <= span_hi[cand])
+                & (lat_lo[cand] <= col) & (col <= lat_hi[cand]))
+        # np.nonzero walks row-major: points in block order, events in input order
+        rows, cols = np.nonzero(near)
+        j = cand[cols]
         h = (np.sin((lat[rows] - ev_lat[j]) / 2.0) ** 2
-             + np.cos(lat[rows]) * ev_cos[j] * np.sin((lon - ev_lon[j]) / 2.0) ** 2)
+             + np.cos(lat[rows]) * ev_cos[j] * np.sin((lon[rows] - ev_lon[j]) / 2.0) ** 2)
         keep = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h))) <= reach[j]
-        rows, j = rows[keep], j[keep]
-        # points in input order, each point's events in input order
-        order = np.lexsort((j, rows))
         survivors: dict[int, list[CorroborativeEvent]] = {}
-        for r, e in zip(rows[order].tolist(), j[order].tolist()):
+        for r, e in zip(rows[keep].tolist(), j[keep].tolist()):
             survivors.setdefault(r, []).append(events[e])
         for r, candidates in survivors.items():
-            match = _nearest_match(located[r], candidates, pad_seconds)
+            match = _nearest_match(block[r], candidates, pad_seconds)
             if match is not None:
                 out.append(match)
-        start = stop
     return out
 
 
