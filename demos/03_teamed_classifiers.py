@@ -19,7 +19,7 @@ from driftstream import (
     Pool,
     PoolConfig,
     decision_lines,
-    process_point,
+    route_window,
     train_classifier,
 )
 
@@ -71,11 +71,13 @@ probes = {
     "inside a region": inside_vec,
     "nowhere near anything": -(storms + quiet + slides),
 }
+# routing returns nothing; the memories that now hold a probe are its record
 for name, vec in probes.items():
     x = DataPoint(id=name, ts=99, text="", vec=vec)
-    outcome = process_point(pool, x, cfg)
-    print(f"  {name:<24s} appended to {list(outcome.models_appended) or 'nothing'}, "
-          f"general memory: {outcome.general_memory_hit}")
+    route_window(pool, [x], cfg)
+    held = [m.id for m in pool.models if x in m.memory.points]
+    print(f"  {name:<24s} held by {held or 'no model memory'}, "
+          f"general memory: {x in pool.general.points}")
 print(f"  general memory now holds {len(pool.general)} point(s) for future models")
 
 print("\n== teamed prediction for a window of one point ==")

@@ -35,7 +35,7 @@ from .pool import (
     PoolConfig,
     evaluate_models,
     on_drift,
-    process_point,
+    route_window,
     train_classifier,
 )
 from .synth import SynthConfig, generate_synthetic

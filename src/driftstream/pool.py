@@ -109,12 +109,6 @@ class Pool:
 
 
 @dataclass(frozen=True)
-class RoutingOutcome:
-    models_appended: tuple[str, ...]
-    general_memory_hit: bool
-
-
-@dataclass(frozen=True)
 class PoolDelta:
     retrained: tuple[str, ...]
     generated: tuple[str, ...]
@@ -230,7 +224,7 @@ def train_classifier(
     )
 
 
-def route_window(pool: Pool, points: Sequence[DataPoint], cfg: PoolConfig) -> list[RoutingOutcome]:
+def route_window(pool: Pool, points: Sequence[DataPoint], cfg: PoolConfig) -> None:
     """Route ``points`` one after another through the k models nearest each.
 
     A point's distance to a model is the cosine distance to the memory's
@@ -242,13 +236,13 @@ def route_window(pool: Pool, points: Sequence[DataPoint], cfg: PoolConfig) -> li
     Routing reads no label and never changes a model's weights or band: in a
     replay a window's points carry their labels when they are routed, and
     models learn from them only at the boundary. So each model's memory,
-    order key, band ends and effective lambda are read once per call.
+    order key, band ends and effective lambda are read once per call. It
+    returns nothing: a memory took a point iff the point is in it.
     """
     memories = [m.memory for m in pool.models]
     keys = [(m.created_at, m.id) for m in pool.models]
     regions = [(m.band.lo, m.band.hi, cfg.effective_lambda(m.band)) for m in pool.models]
     k, general = cfg.k, pool.general
-    outcomes = []
     for point in points:
         vec = point.vec
         shape, norm = vec.shape, vector_norm(vec)
@@ -260,23 +254,14 @@ def route_window(pool: Pool, points: Sequence[DataPoint], cfg: PoolConfig) -> li
             # (d, (created_at, id), j): j keeps equal keys in pool order
             keyed.append((_cosine(vec, centroid, norm, centroid_norm), keys[j], j))
         keyed.sort()
-        appended = []
         owned = False
-        for d, (_, model_id), j in keyed[:k]:
+        for d, _, j in keyed[:k]:
             where = membership(*regions[j], d)
             if where != OUTSIDE:
                 memories[j].append(point)
-                appended.append(model_id)
                 owned |= where == INSIDE
         if not owned:
             general.append(point)
-        outcomes.append(RoutingOutcome(tuple(appended), general_memory_hit=not owned))
-    return outcomes
-
-
-def process_point(pool: Pool, point: DataPoint, cfg: PoolConfig) -> RoutingOutcome:
-    """Route one point: :func:`route_window` of a window of one."""
-    return route_window(pool, [point], cfg)[0]
 
 
 def on_drift(pool: Pool, verdicts: dict, cfg: PoolConfig, window_index: int = 0) -> PoolDelta:
@@ -325,10 +310,18 @@ def on_drift(pool: Pool, verdicts: dict, cfg: PoolConfig, window_index: int = 0)
 def evaluate_models(pool: Pool, labeled: list[DataPoint], window_index: int | None = None) -> None:
     """Refresh omega as the f-score over labeled points inside each model's band.
 
-    Models with no in-band labeled evidence keep their previous omega.
+    Models with no in-band labeled evidence keep their previous omega. A
+    labeled point of another width than the models' is an :class:`InputError`,
+    raised before any model changes.
     """
     if not labeled:
         raise InputError("need at least one labeled point")
+    if pool.models:
+        width = len(pool.models[0].centroid)
+        for p in labeled:
+            if p.vec.shape != (width,):
+                raise InputError(f"labeled point {p.id} of width {len(p.vec)} "
+                                 f"for models of width {width}")
     y = np.array([p.label for p in labeled])
     dist, probs = score_columns(pool.models, stack_vectors([p.vec for p in labeled]))
     for j, model in enumerate(pool.models):

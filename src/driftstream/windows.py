@@ -36,9 +36,9 @@ class DataWindow:
     """
 
     def __init__(self, points=(), capacity: int = DEFAULT_WINDOW_SIZE, window_id: str = ""):
-        """The window of appending ``points`` in order. When they fit in
-        ``capacity``, the running sum is taken from zeros and in order as
-        appending takes it, so it has the same bits."""
+        """The window of appending ``points`` in order; more points than
+        ``capacity`` are an :class:`InputError`. The running sum is taken from
+        zeros and in order as appending takes it, so it has the same bits."""
         self.capacity = check_int(capacity, "window capacity", 1)
         self.id = window_id
         self.points: list[DataPoint] = []
@@ -47,9 +47,8 @@ class DataWindow:
         self._distances: np.ndarray | None = None
         points = list(points)
         if len(points) > self.capacity:
-            for p in points:
-                self.append(p)
-        elif points:
+            raise InputError(f"{len(points)} points exceed window capacity {self.capacity}")
+        if points:
             vec_sum = np.zeros_like(points[0].vec)
             for p in points:
                 self._check_width(p, vec_sum)

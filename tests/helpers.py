@@ -1,10 +1,10 @@
 """Shared fixtures-by-hand for the test suite: geometry builders, the
 independent routing oracle, the point-by-point routing reference, the
-pair-by-pair labeling reference, the scalar classifier with the
-point-by-point team prediction and model evaluation references built on
-it, the text-by-text embedding reference,
-the numpy-call cosine distance the lean one must equal, and the checkpoint
-document whose json_line save_pool's bytes must equal."""
+memories' record of where a point was routed, the pair-by-pair labeling
+reference, the scalar classifier with the point-by-point team prediction
+and model evaluation references built on it, the text-by-text embedding
+reference, the numpy-call cosine distance the lean one must equal, and the
+checkpoint document whose json_line save_pool's bytes must equal."""
 
 import base64
 import math
@@ -13,7 +13,7 @@ import numpy as np
 
 from driftstream.core import DataPoint, _token_bucket_sign, cosine_distance, tokenize
 from driftstream.corroborate import LabelAssignment, haversine_km
-from driftstream.pool import ModelRecord, RoutingOutcome, f_score, sigmoid
+from driftstream.pool import ModelRecord, f_score, sigmoid
 from driftstream.windows import INSIDE, OUTSIDE, DataWindow, DeltaBand, band_membership
 
 
@@ -74,16 +74,23 @@ def reference_process_point(pool, point, cfg):
     """Route one point through its k nearest models with the scalar distance
     and band_membership; route_window over a window must leave the pool as
     calling this once per point, in order, does."""
-    appended, owned = [], False
+    owned = False
     for d, model in k_nearest(pool.models, point.vec, cfg.k):
         where = band_membership(model.band, d, cfg.effective_lambda(model.band))
         if where != OUTSIDE:
             model.memory.append(point)
-            appended.append(model.id)
             owned |= where == INSIDE
     if not owned:
         pool.general.append(point)
-    return RoutingOutcome(tuple(appended), general_memory_hit=not owned)
+
+
+def routed_to(pool, x):
+    """(ids of the models whose memory took ``x``, whether the general memory
+    took it), read from the memories after routing ``x`` last: a memory took
+    ``x`` iff ``x`` is its last point."""
+    def took(window):
+        return bool(window.points) and window.points[-1] is x
+    return {m.id for m in pool.models if took(m.memory)}, took(pool.general)
 
 
 def random_routing_fixture(rng):

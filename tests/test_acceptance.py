@@ -4,13 +4,13 @@ measured values, then asserts."""
 import json
 
 import numpy as np
-from helpers import cone_window, oracle_route, random_routing_fixture
+from helpers import cone_window, oracle_route, random_routing_fixture, routed_to
 
 from driftstream.corroborate import CorroborativeEvent, assign_labels, haversine_km
 from driftstream.drift import detect_drift, kl_divergence
 from driftstream.ensemble import _softmax
 from driftstream.pipeline import PipelineConfig, replay
-from driftstream.pool import logistic_loss_and_grad, process_point
+from driftstream.pool import logistic_loss_and_grad, route_window
 from driftstream.synth import SynthConfig, generate_synthetic
 from driftstream.windows import centroid_distances, empirical_delta_band
 
@@ -151,9 +151,8 @@ def test_07_routing_oracle_equivalence():
     mismatches = 0
     for _ in range(1000):
         pool, state, x, cfg = random_routing_fixture(rng)
-        outcome = process_point(pool, x, cfg)
-        exp_app, exp_gm = oracle_route(state, x, cfg.lam)
-        if set(outcome.models_appended) != exp_app or outcome.general_memory_hit != exp_gm:
+        route_window(pool, [x], cfg)
+        if routed_to(pool, x) != oracle_route(state, x, cfg.lam):
             mismatches += 1
     report(7, "routing-oracle", mismatches == 0,
            f"{1000 - mismatches}/1000 randomized fixtures match exactly")

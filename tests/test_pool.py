@@ -17,6 +17,7 @@ from helpers import (
     reference_checkpoint,
     reference_evaluate_models,
     reference_process_point,
+    routed_to,
     vec_at_distance,
     window_to_json,
 )
@@ -38,7 +39,6 @@ from driftstream.pool import (
     load_pool,
     logistic_loss_and_grad,
     on_drift,
-    process_point,
     route_window,
     save_pool,
     score_columns,
@@ -110,8 +110,9 @@ def routing_inputs(draw):
     def build():
         pool = Pool(general_capacity=general_capacity)
         for mid, seeds, capacity, band, created_at in models:
-            memory = DataWindow([point(f"{mid}-{i}", v) for i, v in enumerate(seeds)],
-                                capacity=capacity, window_id=mid)
+            memory = DataWindow(capacity=capacity, window_id=mid)
+            for i, v in enumerate(seeds):  # more seeds than the capacity evict the oldest
+                memory.append(point(f"{mid}-{i}", v))
             pool.models.append(ModelRecord(id=mid, weights=np.zeros(dim + 1), memory=memory,
                                            band=band, omega=0.9, created_at=created_at,
                                            last_evaluated=created_at))
@@ -288,19 +289,18 @@ class TestScoreColumns:
 class TestProcessPoint:
     def test_point_of_another_width_is_refused_by_the_general_memory(self):
         pool = Pool()
-        process_point(pool, point("a", np.array([1.0, 0.0, 0.0])), PoolConfig())
+        route_window(pool, [point("a", np.array([1.0, 0.0, 0.0]))], PoolConfig())
         with pytest.raises(InputError, match=r"width 1 in window 'general' of width 3"):
-            process_point(pool, point("b", np.array([2.0])), PoolConfig())
+            route_window(pool, [point("b", np.array([2.0]))], PoolConfig())
         assert [p.id for p in pool.general.points] == ["a"]
 
     def test_inside_band_appends_and_owns(self):
         pool = Pool()
         pool.models.append(make_model("m1", np.array([1.0, 0.0]), DeltaBand(0.6, 0.4, 0.6)))
-        outcome = process_point(pool, point("x", vec_at_distance(0.5)), PoolConfig())
-        assert outcome.models_appended == ("m1",)
-        assert not outcome.general_memory_hit
+        x = point("x", vec_at_distance(0.5))
+        route_window(pool, [x], PoolConfig())
+        assert routed_to(pool, x) == ({"m1"}, False)
         assert len(pool.general) == 0
-        assert pool.models[0].memory.points[-1].id == "x"
 
     @pytest.mark.parametrize("label", [None, 1, 0])
     def test_routing_leaves_weights_bit_identical(self, label):
@@ -312,9 +312,9 @@ class TestProcessPoint:
                                       weights=np.array([-0.3, 0.2, 0.7]), created_at=1))
         before = [m.weights.copy() for m in pool.models]
         x = point("x", vec_at_distance(0.5), label=label)
-        outcome = process_point(pool, x, PoolConfig(lam=0.7))
+        route_window(pool, [x], PoolConfig(lam=0.7))
         # inside m1's band and in m2's generalization margin: both memories grow
-        assert outcome.models_appended == ("m1", "m2")
+        assert routed_to(pool, x) == ({"m1", "m2"}, False)
         for model, weights in zip(pool.models, before):
             np.testing.assert_array_equal(model.weights.view(np.uint64), weights.view(np.uint64))
 
@@ -322,31 +322,32 @@ class TestProcessPoint:
         pool = Pool()
         pool.models.append(make_model("m1", np.array([1.0, 0.0]), DeltaBand(0.6, 0.4, 0.6)))
         x = point("x", vec_at_distance(0.5), label=1)
-        assert process_point(pool, x, PoolConfig()).models_appended == ("m1",)
+        route_window(pool, [x], PoolConfig())
+        assert routed_to(pool, x) == ({"m1"}, False)
         np.testing.assert_array_equal(pool.models[0].weights.view(np.uint64),
                                       np.zeros(3).view(np.uint64))
 
     def test_generalization_band_appends_without_owning(self):
         pool = Pool()
         pool.models.append(make_model("m1", np.array([1.0, 0.0]), DeltaBand(0.6, 0.4, 0.6)))
-        outcome = process_point(pool, point("x", vec_at_distance(0.65)), PoolConfig(lam=0.7))
-        assert outcome.models_appended == ("m1",)
-        assert outcome.general_memory_hit  # still lands in general memory
-        assert pool.general.points[0].id == "x"
-        assert pool.models[0].memory.points[-1].id == "x"
+        x = point("x", vec_at_distance(0.65))
+        route_window(pool, [x], PoolConfig(lam=0.7))
+        assert routed_to(pool, x) == ({"m1"}, True)  # still lands in general memory
+        assert pool.general.points == [x]
 
     def test_far_point_goes_to_general_memory_only(self):
         pool = Pool()
         pool.models.append(make_model("m1", np.array([1.0, 0.0]), DeltaBand(0.6, 0.4, 0.6)))
-        outcome = process_point(pool, point("x", vec_at_distance(0.9)), PoolConfig(lam=0.7))
-        assert outcome.models_appended == ()
-        assert outcome.general_memory_hit
+        x = point("x", vec_at_distance(0.9))
+        route_window(pool, [x], PoolConfig(lam=0.7))
+        assert routed_to(pool, x) == (set(), True)
         assert len(pool.models[0].memory) == 1
 
     def test_empty_pool_goes_straight_to_general_memory(self):
         pool = Pool()
-        outcome = process_point(pool, point("x", [1.0, 0.0]), PoolConfig())
-        assert outcome.general_memory_hit and len(pool.general) == 1
+        x = point("x", [1.0, 0.0])
+        route_window(pool, [x], PoolConfig())
+        assert pool.general.points == [x]
 
 
 class TestRoutingOracle:
@@ -354,10 +355,8 @@ class TestRoutingOracle:
         rng = np.random.default_rng(42)
         for trial in range(300):
             pool, state, x, cfg = random_routing_fixture(rng)
-            outcome = process_point(pool, x, cfg)
-            exp_app, exp_gm = oracle_route(state, x, cfg.lam)
-            assert set(outcome.models_appended) == exp_app, f"trial {trial}"
-            assert outcome.general_memory_hit == exp_gm, f"trial {trial}"
+            route_window(pool, [x], cfg)
+            assert routed_to(pool, x) == oracle_route(state, x, cfg.lam), f"trial {trial}"
 
 
 class TestRouteWindow:
@@ -368,9 +367,17 @@ class TestRouteWindow:
         build, window, labels, cfg = inputs
         labeled = [p if label is None else p.with_label(label) for p, label in zip(window, labels)]
         pool, reference = build(), build()
+        sent = []  # ids of the points the reference sent to the general memory, in order
         with np.errstate(over="ignore"):  # the norms of huge vectors overflow, then are rescaled
-            outcomes = route_window(pool, labeled, cfg)
-            assert outcomes == [reference_process_point(reference, x, cfg) for x in window]
+            route_window(pool, labeled, cfg)
+            for x in window:
+                reference_process_point(reference, x, cfg)
+                if routed_to(reference, x)[1]:
+                    sent.append(x.id)
+        if len(window) <= pool.general.capacity:
+            # no point of the window is evicted, so the general memory holds its hits
+            ids = {x.id for x in window}
+            assert [p.id for p in pool.general.points if p.id in ids] == sent
         for got, want in zip([m.memory for m in pool.models] + [pool.general],
                              [m.memory for m in reference.models] + [reference.general]):
             assert [p.id for p in got.points] == [p.id for p in want.points]
@@ -412,7 +419,7 @@ class TestDistanceReuse:
             pool.models.append(make_model(f"m{j}", rng.standard_normal(4),
                                           DeltaBand(0.6, 0.2, 0.8), created_at=j))
         x = point("x", rng.standard_normal(4))
-        process_point(pool, x, PoolConfig(k=5))
+        route_window(pool, [x], PoolConfig(k=5))
         assert len(distance_calls) == n_models
         distance_calls.clear()
         # prediction takes one distance column per model, never a scalar pair
@@ -563,6 +570,17 @@ class TestEvaluateModels:
         evaluate_models(pool, labeled)
         assert pool.models[0].omega == 0.4
 
+    def test_labeled_point_of_another_width_is_refused_before_any_change(self):
+        # widths 2 + 1 + 3 would stack into three rows of two values
+        pool = Pool()
+        pool.models.append(make_model("m1", np.array([1.0, 0.0]), DeltaBand(0.6, 0.0, 1.0),
+                                      omega=0.4, created_at=1))
+        labeled = [point("a", [1.0, 0.0], label=1), point("b", [0.5], label=0),
+                   point("c", [0.1, 0.2, 0.3], label=1)]
+        with pytest.raises(InputError, match=r"^labeled point b of width 1 for models of width 2$"):
+            evaluate_models(pool, labeled, window_index=3)
+        assert (pool.models[0].omega, pool.models[0].last_evaluated) == (0.4, 1)
+
     @given(evaluation_inputs(), st.one_of(st.none(), st.integers(0, 9)))
     @settings(max_examples=300, deadline=None)
     def test_matches_point_by_point_reference(self, inputs, window_index):
@@ -621,9 +639,10 @@ class TestCheckpoint:
         save_pool(pool, tmp_path / "pool.json")
         restored = load_pool(tmp_path / "pool.json")
         x = point("x", rng.standard_normal(6))
-        a = process_point(copy.deepcopy(pool), x, cfg)
-        b = process_point(restored, x, cfg)
-        assert a == b
+        for name, routed in (("a.json", pool), ("b.json", restored)):
+            route_window(routed, [x], cfg)
+            save_pool(routed, tmp_path / name)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     # -- the checkpoint format: JSON metadata plus base64 little-endian float64 blocks --
 

@@ -66,18 +66,18 @@ class TestDataWindow:
                         | st.floats(-1e6, 1e6, allow_subnormal=True),
                         min_size=d, max_size=d),
                min_size=1, max_size=40)),
-           spare=st.integers(-3, 3))
+           spare=st.integers(0, 3))
     @example(rows=[[-0.0, 1.0], [-0.0, -0.0]], spare=0)  # appending starts from +0.0
     @example(rows=[[1e16]] + [[1.0]] * 14 + [[-1e16]], spare=0)  # each 1.0 is lost, in order
     @settings(max_examples=300, deadline=None)
     def test_built_window_is_the_appended_window(self, rows, spare):
-        # the constructor sums the points that fit from zeros, in order: every bit as
-        # appending them one by one, full windows (spare 0), -0.0 and evictions included
+        # the constructor sums the points from zeros, in order: every bit as appending
+        # them one by one, full windows (spare 0) and -0.0 included
         block = np.array(rows, dtype=np.float64)
         block.flags.writeable = False
         points = [DataPoint.from_checked(f"p{i}", i, "", row, None, None)
                   for i, row in enumerate(block)]
-        capacity = max(len(points) + spare, 1)
+        capacity = len(points) + spare
         with np.errstate(over="ignore", invalid="ignore"):  # sums of 1e308 overflow
             appended = DataWindow(capacity=capacity, window_id="w")
             for p in points:
@@ -89,13 +89,22 @@ class TestDataWindow:
             assert c1.tobytes() == c2.tobytes() and struct.pack("<d", n1) == struct.pack("<d", n2)
             assert centroid_distances(built).tobytes() == centroid_distances(appended).tobytes()
 
-    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    @pytest.mark.parametrize("capacity", [3, 4])
     def test_built_window_refuses_a_point_of_another_width(self, capacity):
-        # capacity 3 sums the points that fit; 1 and 2 append them with evictions
         points = [DataPoint(id=f"p{i}", ts=i, text="", vec=np.zeros(w))
                   for i, w in enumerate([2, 2, 1])]
         with pytest.raises(InputError, match=r"point p2 of width 1 in window 'w' of width 2"):
             DataWindow(points, capacity=capacity, window_id="w")
+
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_built_window_refuses_more_points_than_its_capacity(self, capacity):
+        # as a restored window does: the constructor never evicts
+        points = [DataPoint(id=f"p{i}", ts=i, text="", vec=np.zeros(2)) for i in range(3)]
+        message = rf"^3 points exceed window capacity {capacity}$"
+        with pytest.raises(InputError, match=message):
+            DataWindow(points, capacity=capacity, window_id="w")
+        with pytest.raises(InputError, match=message):
+            DataWindow.restore(points, np.zeros(2), capacity=capacity, window_id="w")
 
     @pytest.mark.parametrize("capacity", [1, 4])
     def test_point_of_another_width_is_refused(self, capacity):
