@@ -1,8 +1,11 @@
 """Domain types, deterministic text embedding, and the shared distance metric.
 
-Every other module works on :class:`DataPoint` values and measures proximity
-with :func:`cosine_distance`. Embeddings are deterministic: either feature
-hashing (no external model) or a lookup table of precomputed vectors.
+Every other module works on :class:`DataPoint` values. Proximity is the one
+cosine distance of :func:`cosine_distance`: routing takes it point by point
+with :func:`_cosine` on norms it already holds, and scoring and bands take a
+block of points to one centroid at once with
+:func:`centroid_cosine_distances`. Embeddings are deterministic: either
+feature hashing (no external model) or a lookup table of precomputed vectors.
 """
 
 from __future__ import annotations
@@ -198,15 +201,19 @@ class DataPoint:
     label: int | None = None
 
     def __post_init__(self):
+        check_string(self.id, "point id")
+        where = f"point {self.id}: "
+        check_ts(self.ts, where + "ts")
+        check_string(self.text, where + "text")
         vec = np.asarray(self.vec, dtype=np.float64)
         object.__setattr__(self, "vec", vec)
         if vec.ndim != 1:
-            raise InputError(f"point {self.id}: vec must be 1-d, got shape {vec.shape}")
+            raise InputError(f"{where}vec must be 1-d, got shape {vec.shape}")
         if not np.isfinite(vec).all():
-            raise InputError(f"point {self.id}: vec has non-finite components")
-        check_geo(self.lat, self.lon, f"point {self.id}: ")
+            raise InputError(f"{where}vec has non-finite components")
+        check_geo(self.lat, self.lon, where)
         if self.label is not None:
-            check_label(self.label, f"point {self.id}: label")
+            check_label(self.label, where + "label")
 
     @classmethod
     def from_checked(cls, id, ts, text, vec, lat, lon, label=None) -> "DataPoint":

@@ -1,8 +1,9 @@
 """Corroborative events and retroactive spatio-temporal labeling.
 
-Trusted feeds (agency reports, news) arrive late but carry annotations; any
-stream point inside an event's space-time extent inherits the event's
-polarity as its label.
+Trusted feeds (agency reports, news) arrive late but carry annotations. The
+nearest matching event labels a point: a stream point inside the space-time
+extent of one or more events takes the polarity of the nearest of them as its
+label.
 """
 
 from __future__ import annotations
@@ -98,12 +99,15 @@ def assign_labels(
     span whose latitudes differ by at most the event's reach, its radius plus
     a small slack, over R. This drops no match: h = sin²(Δφ/2) + cos φ₁ cos φ₂
     sin²(Δλ/2) ≥ sin²(Δφ/2), so the distance is at least R·|Δφ|. Second, the
-    vectorised haversine keeps the survivors within the reach. Third, the
-    scalar :func:`haversine_km` and the original per-pair tests decide
-    membership and ties on what is left, each point's events in input order,
-    so results are identical to checking every pair. A block holds at most
-    about ``_BLOCK_PAIRS`` pairs, so memory stays bounded however long the
-    feed is.
+    vectorised haversine keeps the survivors within the reach. Third, one
+    loop over the survivors, each point's events in input order, keeps a pair
+    whose scalar :func:`haversine_km` is within the event's radius, and for
+    each point the least (distance, id), so results are identical to checking
+    every pair. The loop does not test the span again: the span mask compares
+    the same float64 values as the rule, and exactly, because every timestamp
+    is an integer within years 1-9999 (``core.MIN_TS``/``MAX_TS``), far inside
+    the integers float64 holds exactly. A block holds at most about
+    ``_BLOCK_PAIRS`` pairs, so memory stays bounded however long the feed is.
     """
     located = [p for p in points if p.lat is not None]
     if not located or not events:
@@ -137,35 +141,19 @@ def assign_labels(
         h = (np.sin((lat[rows] - ev_lat[j]) / 2.0) ** 2
              + np.cos(lat[rows]) * ev_cos[j] * np.sin((lon[rows] - ev_lon[j]) / 2.0) ** 2)
         keep = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h))) <= reach[j]
-        survivors: dict[int, list[CorroborativeEvent]] = {}
+        # the exact decision on each surviving pair, in order: the scalar distance
+        # within the radius, and per point the least (distance, id), so a full
+        # tie keeps the first event in input order
+        best: dict[int, tuple[float, str, CorroborativeEvent]] = {}
         for r, e in zip(rows[keep].tolist(), j[keep].tolist()):
-            survivors.setdefault(r, []).append(events[e])
-        for r, candidates in survivors.items():
-            match = _nearest_match(block[r], candidates, pad_seconds)
-            if match is not None:
-                out.append(match)
+            event = events[e]
+            dist = haversine_km(block[r].geo, (event.lat, event.lon))
+            if dist <= event.radius_km and (r not in best or (dist, event.id) < best[r][:2]):
+                best[r] = (dist, event.id, event)
+        # rows ascend, so the block's points come out in input order
+        out.extend(LabelAssignment(point_id=block[r].id, event_id=event.id, label=event.label,
+                                   distance_km=dist) for r, (dist, _, event) in best.items())
     return out
-
-
-def _nearest_match(
-    p: DataPoint, events: Iterable[CorroborativeEvent], pad_seconds: float,
-) -> LabelAssignment | None:
-    """The exact per-pair decision: padded span, scalar haversine within the
-    radius, nearest event first and then the smallest id."""
-    best: tuple[float, str, CorroborativeEvent] | None = None
-    for e in events:
-        if not (e.ts_start - pad_seconds <= p.ts <= e.ts_end + pad_seconds):
-            continue
-        dist = haversine_km(p.geo, (e.lat, e.lon))
-        if dist > e.radius_km:
-            continue
-        key = (dist, e.id)
-        if best is None or key < (best[0], best[1]):
-            best = (dist, e.id, e)
-    if best is None:
-        return None
-    dist, _, e = best
-    return LabelAssignment(point_id=p.id, event_id=e.id, label=e.label, distance_km=dist)
 
 
 def load_events(path: str | Path) -> list[CorroborativeEvent]:

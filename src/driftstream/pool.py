@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (
     DataPoint, InputError, _cosine, centroid_cosine_distances, check_int, check_ranges,
-    check_string, check_ts, is_number, json_line, stack_vectors, vector_norm,
+    check_string, is_number, json_line, stack_vectors, vector_norm,
 )
 from .windows import (
     DEFAULT_DELTA,
@@ -91,6 +91,9 @@ class ModelRecord:
     last_evaluated: int
 
     def __post_init__(self):
+        check_string(self.id, "model id")
+        check_int(self.created_at, "created_at", 0)
+        check_int(self.last_evaluated, "last_evaluated", 0)
         if not (is_number(self.omega) and 0.0 <= self.omega <= 1.0):
             raise InputError(f"omega {self.omega!r} outside [0, 1]")
 
@@ -393,11 +396,9 @@ def _window_from_json(d: dict) -> DataWindow:
     # a window holds a running sum of its vectors' width exactly when it holds points
     if (None if vec_sum is None else vec_sum.shape) != (vecs.shape[1:] if meta else None):
         raise ValueError(f"running sum does not fit the {len(meta)} points of the window")
-    points = [DataPoint(id=check_string(m["id"], "point id"), ts=check_ts(m["ts"]),
-                        text=check_string(m["text"], "text"), lat=m["lat"], lon=m["lon"],
+    points = [DataPoint(id=m["id"], ts=m["ts"], text=m["text"], lat=m["lat"], lon=m["lon"],
                         label=m["label"], vec=v) for m, v in zip(meta, vecs)]
-    return DataWindow.restore(points, vec_sum, capacity=d["capacity"],
-                              window_id=check_string(d["id"], "window id"))
+    return DataWindow.restore(points, vec_sum, capacity=d["capacity"], window_id=d["id"])
 
 
 def save_pool(pool: Pool, path: str | Path) -> None:
@@ -435,7 +436,8 @@ def load_pool(path: str | Path) -> Pool:
     bool is no number), a band record whose keys are not exactly its fields
     (delta, lo, hi), a window over its capacity, a non-finite float, a running
     sum or weights that do not fit the pool's one vector width, and two models
-    with one id."""
+    with one id. A point's, window's or model's own fields are refused by its
+    constructor, as in a record built by hand."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         pool = Pool()
@@ -447,11 +449,10 @@ def load_pool(path: str | Path) -> Pool:
             if sorted(md["band"]) != sorted(keys):
                 raise InputError(f"band keys {sorted(md['band'])}, not {keys}")
             model = ModelRecord(
-                id=check_string(md["id"], "model id"), weights=_decode_f8(md["weights"]),
+                id=md["id"], weights=_decode_f8(md["weights"]),
                 memory=_window_from_json(md["memory"]), band=DeltaBand(**md["band"]),
-                omega=md["omega"],
-                created_at=check_int(md["created_at"], "created_at", 0),
-                last_evaluated=check_int(md["last_evaluated"], "last_evaluated", 0),
+                omega=md["omega"], created_at=md["created_at"],
+                last_evaluated=md["last_evaluated"],
             )
             if model.id in {m.id for m in pool.models}:
                 raise InputError(f"two models with id {model.id!r}")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ConfigError, DataPoint, InputError, centroid_cosine_distances, check_int, is_number,
-    stack_vectors, vector_norm,
+    ConfigError, DataPoint, InputError, centroid_cosine_distances, check_int, check_string,
+    is_number, stack_vectors, vector_norm,
 )
 
 DEFAULT_WINDOW_SIZE = 3000
@@ -40,7 +40,7 @@ class DataWindow:
         ``capacity`` are an :class:`InputError`. The running sum is taken from
         zeros and in order as appending takes it, so it has the same bits."""
         self.capacity = check_int(capacity, "window capacity", 1)
-        self.id = window_id
+        self.id = check_string(window_id, "window id")
         self.points: list[DataPoint] = []
         self._vec_sum: np.ndarray | None = None
         self._centroid: tuple[np.ndarray, float] | None = None

@@ -57,6 +57,20 @@ class TestDataPoint:
         with pytest.raises(InputError, match="point a: label"):
             DataPoint(id="a", ts=0, text="", vec=np.zeros(3), label=label)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("id", 5, r"^point id 5 is not a string$"),
+        ("ts", "soon", r"^point a: ts 'soon' is not an integer$"),
+        ("ts", True, r"^point a: ts True is not an integer$"),
+        ("ts", 2**60, rf"^point a: ts {2**60} outside years 1-9999$"),
+        ("ts", core.MIN_TS - 1, rf"^point a: ts {core.MIN_TS - 1} outside years 1-9999$"),
+        ("text", None, r"^point a: text None is not a string$"),
+    ])
+    def test_bad_id_ts_or_text_is_refused_naming_the_field(self, field, value, message):
+        # a checkpoint refuses these values, so a point never holds them
+        fields = {"id": "a", "ts": 0, "text": "", "vec": np.zeros(3), field: value}
+        with pytest.raises(InputError, match=message):
+            DataPoint(**fields)
+
     def test_nonfinite_vec_rejected(self):
         with pytest.raises(InputError):
             DataPoint(id="a", ts=0, text="", vec=np.array([1.0, np.nan]))

@@ -301,6 +301,47 @@ class TestPrefilterMatchesReference:
         assert [(a.point_id, a.event_id) for a in got] == [
             (f"p{i}", f"e{i}") for i in range(n)]
 
+    @pytest.mark.parametrize("pad", [0, 600.0])
+    def test_packed_region_where_the_prefilter_drops_little(self, pad):
+        # every event within reach of most points, so most pairs reach the
+        # decision loop; events share centres, so distance ties fall to the id
+        rng = np.random.default_rng(33)
+        centres = rng.uniform([40.0, 10.0], [42.0, 12.0], (60, 2))
+        ids = rng.permutation(250)
+        events = []
+        for k in range(250):
+            lat, lon = centres[rng.integers(len(centres))]
+            start = int(rng.integers(0, 8000))
+            events.append(event(f"e{ids[k]:03d}", float(lat), float(lon),
+                                radius=float(rng.uniform(25.0, 80.0)), ts_start=start,
+                                ts_end=start + int(rng.integers(0, 3000)),
+                                polarity=("relevant", "irrelevant")[k % 2]))
+        lat = rng.uniform(40.0, 42.0, 1000)
+        lon = rng.uniform(10.0, 12.0, 1000)
+        # a tenth lie before or after every padded span; one in twenty has no place
+        ts = np.where(rng.random(1000) < 0.1, rng.choice([-5000, 20000], 1000),
+                      rng.integers(0, 11000, 1000))
+        points = [point(f"p{i}", None, None, ts=int(ts[i])) if i % 20 == 0
+                  else point(f"p{i}", float(lat[i]), float(lon[i]), ts=int(ts[i]))
+                  for i in range(1000)]
+        expected = reference_assign_labels(points, events, pad)
+        for block_pairs in (64, corroborate._BLOCK_PAIRS):
+            with mock.patch.object(corroborate, "_BLOCK_PAIRS", block_pairs):
+                assert assign_labels(points, events, pad) == expected
+        # the fixture does what it claims: many labels, several matches per
+        # label, and labels won on a distance tie by an event later in input order
+        by_id = {p.id: p for p in points}
+        tied, matches = [], 0
+        for a in expected:
+            p = by_id[a.point_id]
+            near = [e for e in events if e.ts_start - pad <= p.ts <= e.ts_end + pad
+                    and haversine_km(p.geo, (e.lat, e.lon)) <= e.radius_km]
+            matches += len(near)
+            tied += [[e.id for e in near if e.lat == near_e.lat and e.lon == near_e.lon]
+                     for near_e in near if near_e.id == a.event_id]
+        assert len(expected) > 400 and matches > 3 * len(expected)
+        assert any(len(ids) > 1 and ids[0] != min(ids) for ids in tied)
+
     def test_tie_on_distance_and_id_goes_to_the_first_event_in_input_order(self):
         p = point("p", 10.0, 20.0, ts=50)
         relevant = event("e", 10.2, 20.1, radius=100.0, polarity="relevant")

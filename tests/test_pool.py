@@ -223,6 +223,39 @@ class TestTrainClassifier:
         assert np.array_equal(with_extra.weights, labeled_only.weights)
         assert len(with_extra.memory) == 120
 
+    def test_model_id_other_than_a_string_is_refused(self):
+        # a checkpoint refuses such an id, so no model is built with one
+        pts = two_cluster_points(np.random.default_rng(6), n=40)
+        with pytest.raises(InputError, match=r"id 7 is not a string"):
+            train_classifier(pts, PoolConfig(min_train=10), model_id=7)
+
+
+class TestModelRecord:
+    """A record refuses at construction what load_pool refuses in a checkpoint."""
+
+    @staticmethod
+    def record(**given):
+        fields = dict(id="m1", weights=np.zeros(3),
+                      memory=DataWindow([point("p", [1.0, 0.0])], capacity=4, window_id="m1"),
+                      band=DeltaBand(0.6, 0.0, 1.0), omega=0.5, created_at=2, last_evaluated=3)
+        return ModelRecord(**{**fields, **given})
+
+    def test_valid_record(self):
+        assert self.record().id == "m1"
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("id", 7, r"^model id 7 is not a string$"),
+        ("id", None, r"^model id None is not a string$"),
+        ("created_at", -1, r"^created_at -1 is not an integer >= 0$"),
+        ("created_at", "x", r"^created_at 'x' is not an integer >= 0$"),
+        ("created_at", 1.0, r"^created_at 1.0 is not an integer >= 0$"),
+        ("last_evaluated", True, r"^last_evaluated True is not an integer >= 0$"),
+        ("last_evaluated", -3, r"^last_evaluated -3 is not an integer >= 0$"),
+    ])
+    def test_bad_id_or_window_index_is_refused_naming_the_field(self, field, value, message):
+        with pytest.raises(InputError, match=message):
+            self.record(**{field: value})
+
 
 class TestGradient:
     def test_matches_central_finite_differences(self):

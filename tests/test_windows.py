@@ -106,6 +106,13 @@ class TestDataWindow:
         with pytest.raises(InputError, match=message):
             DataWindow.restore(points, np.zeros(2), capacity=capacity, window_id="w")
 
+    @pytest.mark.parametrize("window_id", [3, None, b"w"])
+    def test_window_id_other_than_a_string_is_refused(self, window_id):
+        with pytest.raises(InputError, match=rf"^window id {window_id!r} is not a string$"):
+            DataWindow(capacity=4, window_id=window_id)
+        with pytest.raises(InputError, match=r"^window id .* is not a string$"):
+            DataWindow.restore([], None, capacity=4, window_id=window_id)
+
     @pytest.mark.parametrize("capacity", [1, 4])
     def test_point_of_another_width_is_refused(self, capacity):
         w = make_window([[1.0, 0.0, 0.0]], capacity=capacity)
