@@ -107,11 +107,26 @@ def json_line(obj) -> str:
 
 # Field rules of the data types and file readers: each raises an InputError naming
 # the field (with any caller prefix) and the value. A bool is never a number,
-# timestamp or label; exact int and float skip the slow numbers-ABC isinstance test.
+# timestamp or label. A record's number is one json_line writes: an int or float
+# instance (np.float64 is a float; np.int64 and np.float32 are neither). Settings,
+# which hold such a number as the int or float it equals, and feed events also take
+# any numbers.Integral or numbers.Real. Exact int and float skip the slower tests.
 
 def is_int(value) -> bool:
-    return type(value) is int or (isinstance(value, numbers.Integral)
-                                  and not isinstance(value, bool))
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+
+
+def is_number(value) -> bool:
+    return type(value) in (int, float) or (isinstance(value, (int, float))
+                                           and not isinstance(value, bool))
+
+
+def is_integral(value) -> bool:
+    return is_int(value) or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def is_real(value) -> bool:
+    return is_number(value) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 def check_int(value, name: str, least: int) -> int:
@@ -121,9 +136,9 @@ def check_int(value, name: str, least: int) -> int:
     return value
 
 
-def check_ts(value, name: str = "ts") -> int:
-    """An integer Unix timestamp within UTC years 1-9999."""
-    if not is_int(value):
+def check_ts(value, name: str = "ts", is_kind=is_int) -> int:
+    """An integer Unix timestamp within UTC years 1-9999, an integer by ``is_kind``."""
+    if not is_kind(value):
         raise InputError(f"{name} {value!r} is not an integer")
     if not MIN_TS <= value <= MAX_TS:
         raise InputError(f"{name} {value} outside years 1-9999")
@@ -136,14 +151,9 @@ def check_string(value, name: str) -> str:
     return value
 
 
-def is_number(value) -> bool:
-    return type(value) in (int, float) or (isinstance(value, numbers.Real)
-                                           and not isinstance(value, bool))
-
-
 # A setting's type is its field's string annotation (``from __future__ import annotations``):
 # "int", "float" or "str", or "T | None" when it may be unset. An int is a float; a bool is neither.
-_SETTING_TYPES = {"int": (int, is_int, "an integer"), "float": (float, is_number, "a number"),
+_SETTING_TYPES = {"int": (int, is_integral, "an integer"), "float": (float, is_real, "a number"),
                   "str": (str, lambda v: type(v) is str, "a string")}
 
 
@@ -155,21 +165,25 @@ def setting_types(cls) -> dict[str, tuple[tuple, bool]]:
 
 def check_ranges(config, ranges: dict) -> None:
     """Refuse the first setting of ``config`` whose value is not of its annotated
-    type, then the first failing its (test, rule); NaN fails every test."""
+    type, then the first failing its (test, rule); NaN fails every test. A
+    number no record takes (``np.int64(3)``) is held as the int or float it equals."""
     for key, ((_, is_kind, what), optional) in setting_types(type(config)).items():
         value = getattr(config, key)
         if not (is_kind(value) or optional and value is None):
             raise ConfigError(f"{CONFIG_KEYS.get(key, key)}={value!r} is not {what}")
+        if is_real(value) and not is_number(value):
+            object.__setattr__(config, key, int(value) if is_integral(value) else float(value))
     for key, (ok, rule) in ranges.items():
         value = getattr(config, key)
         if not ok(value):
             raise ConfigError(f"{CONFIG_KEYS.get(key, key)}={value!r} out of range: must be {rule}")
 
 
-def check_coordinates(lat, lon, where: str = "") -> None:
-    """Degrees within ±90 and ±180; the range test also refuses NaN and infinities."""
+def check_coordinates(lat, lon, where: str = "", is_kind=is_number) -> None:
+    """Degrees within ±90 and ±180, numbers by ``is_kind``; the range test also
+    refuses NaN and infinities."""
     for name, value, limit in (("lat", lat, 90.0), ("lon", lon, 180.0)):
-        if not is_number(value) or not -limit <= value <= limit:
+        if not is_kind(value) or not -limit <= value <= limit:
             raise InputError(f"{where}{name} {value!r} out of range")
 
 
@@ -188,9 +202,10 @@ def check_label(value, name: str = "label") -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataPoint:
-    """One stream item. Immutable; relabeling produces a new instance."""
+    """One stream item. Immutable; relabeling produces a new instance. Its
+    numbers are ones its checkpoint record can hold (see :func:`is_number`)."""
 
     id: str
     ts: int
@@ -221,8 +236,6 @@ class DataPoint:
         above, built without running them again; ``vec`` must be a 1-d float64
         array."""
         p = object.__new__(cls)
-        # one field at a time, in field order, as __init__ sets them, so that
-        # the points share their dicts' keys
         put = object.__setattr__
         put(p, "id", id)
         put(p, "ts", ts)

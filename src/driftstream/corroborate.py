@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
-    DataPoint, InputError, check_coordinates, check_string, check_ts, check_unique, is_number,
-    json_line, read_jsonl,
+    DataPoint, InputError, check_coordinates, check_string, check_ts, check_unique, is_integral,
+    is_real, json_line, read_jsonl,
 )
 
 EARTH_RADIUS_KM = 6371.0088
@@ -48,13 +48,13 @@ class CorroborativeEvent:
 
     def __post_init__(self):
         check_string(self.id, "event id")
-        check_ts(self.ts_start, f"event {self.id}: ts_start")
-        check_ts(self.ts_end, f"event {self.id}: ts_end")
+        check_ts(self.ts_start, f"event {self.id}: ts_start", is_integral)
+        check_ts(self.ts_end, f"event {self.id}: ts_end", is_integral)
         if self.ts_start > self.ts_end:
             raise InputError(f"event {self.id}: ts_start after ts_end")
-        if not is_number(self.radius_km) or not 0.0 < self.radius_km <= MAX_RADIUS_KM:
+        if not is_real(self.radius_km) or not 0.0 < self.radius_km <= MAX_RADIUS_KM:
             raise InputError(f"event {self.id}: radius {self.radius_km} out of range")
-        check_coordinates(self.lat, self.lon, f"event {self.id}: ")
+        check_coordinates(self.lat, self.lon, f"event {self.id}: ", is_real)
         if self.polarity not in (POLARITY_RELEVANT, POLARITY_IRRELEVANT):
             raise InputError(f"event {self.id}: unknown polarity {self.polarity!r}")
         check_string(self.source, f"event {self.id}: source")

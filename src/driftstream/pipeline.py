@@ -30,6 +30,7 @@ from collections.abc import Iterator
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from datetime import date
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 import numpy as np
@@ -252,29 +253,38 @@ def _cell_of(point: DataPoint) -> str:
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
-def aggregate_events(positives: list[tuple[DataPoint, float]]) -> Iterator[dict]:
-    """The knowledgebase rows, one per detected event, each formed as it is taken.
+def aggregate_events(positives: list[tuple[DataPoint, float]]) -> Iterator[tuple[str, int]]:
+    """(line, post count) of each knowledgebase row, one per detected event,
+    each formed as it is taken.
 
     An event is the positives of one 1-degree cell and one UTC day. Rows come
     sorted by cell, then day, and give the day as an ISO ``YYYY-MM-DD`` date;
-    each group is dropped once its row is yielded.
+    each group is dropped once its row is yielded. A line is what ``json_line``
+    writes of ``{"cell", "date", "points", "first_ts", "last_ts",
+    "mean_probability", "centroid_geo"}``, formatted straight from the fields
+    with the encoder's own string escaper and the int and float reprs it writes
+    numbers with (a mean of finite numbers is a finite float).
     """
     groups: dict[tuple[str, int], list[tuple[DataPoint, float]]] = {}
     for point, prob in positives:
         groups.setdefault((_cell_of(point), point.ts // 86400), []).append((point, prob))
+    dates: dict[int, str] = {}  # each day's quoted ISO date, formatted once
     for cell, day in sorted(groups):
         members = groups.pop((cell, day))
         pts = [p for p, _ in members]
+        if day not in dates:
+            dates[day] = _string(date.fromordinal(_EPOCH_ORDINAL + day).isoformat())
         # _cell_of puts every post without coordinates, and only those, in "global"
-        centroid = None if cell == "global" else [
-            sum(p.lat for p in pts) / len(pts), sum(p.lon for p in pts) / len(pts)]
-        yield {
-            "cell": cell, "date": date.fromordinal(_EPOCH_ORDINAL + day).isoformat(),
-            "points": [p.id for p in pts],
-            "first_ts": min(p.ts for p in pts), "last_ts": max(p.ts for p in pts),
-            "mean_probability": sum(pr for _, pr in members) / len(members),
-            "centroid_geo": centroid,
-        }
+        centroid = "null" if cell == "global" else (
+            f"[{float.__repr__(sum(p.lat for p in pts) / len(pts))},"
+            f"{float.__repr__(sum(p.lon for p in pts) / len(pts))}]")
+        ts = [p.ts for p in pts]
+        mean = sum(pr for _, pr in members) / len(members)
+        yield (f'{{"cell":{_string(cell)},"date":{dates[day]},'
+               f'"points":[{",".join([_string(p.id) for p in pts])}],'
+               f'"first_ts":{int.__repr__(min(ts))},"last_ts":{int.__repr__(max(ts))},'
+               f'"mean_probability":{float.__repr__(mean)},"centroid_geo":{centroid}}}\n',
+               len(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +442,9 @@ def replay(
 
     histogram: Counter = Counter()  # number of events keyed by their post count
     with open(out / "knowledgebase.jsonl", "w", encoding="utf-8") as fh:
-        for row in aggregate_events(positives):
-            histogram[len(row["points"])] += 1
-            _write_jsonl(fh, [row])
+        for line, size in aggregate_events(positives):
+            histogram[size] += 1
+            fh.write(line)
     (out / "events_histogram.json").write_text(
         json_line({str(k): histogram[k] for k in sorted(histogram)}), encoding="utf-8")
     write_reports_csv(report_rows, out / "reports.csv")

@@ -18,6 +18,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from typing import Sequence
 
@@ -362,16 +363,27 @@ def _write_f8(fh, a: np.ndarray) -> None:
     fh.write(b'"}')
 
 
+def _number(v) -> str:
+    """None, an int or a finite float as json_line writes it."""
+    if v is None:
+        return "null"
+    return float.__repr__(v) if isinstance(v, float) else int.__repr__(v)
+
+
 def _write_window(fh, w: DataWindow) -> None:
     fh.write(b'{"capacity":%s,"id":%s,"vec_sum":' % (_json(w.capacity), _json(w.id)))
     if w._vec_sum is None:
         fh.write(b"null")
     else:
         _write_f8(fh, w._vec_sum)
-    fh.write(b',"points":%s,"vecs":' % _json([
-        {"id": p.id, "ts": p.ts, "lat": p.lat, "lon": p.lon, "text": p.text, "label": p.label}
+    # each point's record as json_line writes {"id", "ts", "lat", "lon", "text",
+    # "label"}, formatted straight from its fields with the encoder's own string
+    # escaper and number reprs
+    fh.write(b',"points":[%s],"vecs":' % ",".join([
+        f'{{"id":{_string(p.id)},"ts":{int.__repr__(p.ts)},"lat":{_number(p.lat)},'
+        f'"lon":{_number(p.lon)},"text":{_string(p.text)},"label":{_number(p.label)}}}'
         for p in w.points
-    ]))
+    ]).encode("ascii"))
     _write_f8(fh, w.vectors() if w.points else np.empty((0, 0)))
     fh.write(b"}")
 

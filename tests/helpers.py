@@ -3,15 +3,17 @@ independent routing oracle, the point-by-point routing reference, the
 memories' record of where a point was routed, the pair-by-pair labeling
 reference, the scalar classifier with the point-by-point team prediction
 and model evaluation references built on it, the text-by-text embedding
-reference, the numpy-call cosine distance the lean one must equal, and the
-checkpoint document whose json_line save_pool's bytes must equal."""
+reference, the numpy-call cosine distance the lean one must equal, the
+checkpoint document whose json_line save_pool's bytes must equal, and the
+knowledgebase rows whose json_line aggregate_events' lines must equal."""
 
 import base64
 import math
+from datetime import date
 
 import numpy as np
 
-from driftstream.core import DataPoint, _token_bucket_sign, cosine_distance, tokenize
+from driftstream.core import DataPoint, _token_bucket_sign, cosine_distance, json_line, tokenize
 from driftstream.corroborate import LabelAssignment, haversine_km
 from driftstream.pool import ModelRecord, f_score, sigmoid
 from driftstream.windows import INSIDE, OUTSIDE, DataWindow, DeltaBand, band_membership
@@ -284,3 +286,30 @@ def reference_checkpoint(pool):
             for m in pool.models
         ],
     }
+
+
+def reference_knowledgebase(positives):
+    """(json_line of the row, post count) of each knowledgebase row, built as a
+    dict: the positives grouped by 1-degree cell ("global" without coordinates)
+    and UTC day, sorted by cell, then day."""
+    groups = {}
+    for point, prob in positives:
+        cell = ("global" if point.geo is None
+                else f"{int(math.floor(point.lat))}:{int(math.floor(point.lon))}")
+        groups.setdefault((cell, point.ts // 86400), []).append((point, prob))
+    lines = []
+    for cell, day in sorted(groups):
+        members = groups[cell, day]
+        pts = [p for p, _ in members]
+        centroid = None if cell == "global" else [
+            sum(p.lat for p in pts) / len(pts), sum(p.lon for p in pts) / len(pts)]
+        row = {
+            "cell": cell,
+            "date": date.fromordinal(date(1970, 1, 1).toordinal() + day).isoformat(),
+            "points": [p.id for p in pts],
+            "first_ts": min(p.ts for p in pts), "last_ts": max(p.ts for p in pts),
+            "mean_probability": sum(pr for _, pr in members) / len(members),
+            "centroid_geo": centroid,
+        }
+        lines.append((json_line(row), len(pts)))
+    return lines

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from driftstream.core import CONFIG_KEYS, ConfigError, EmbedderConfig
 from driftstream.pipeline import PipelineConfig, parse_config, serialize_config
-from driftstream.pool import PoolConfig
+from driftstream.pool import Pool, PoolConfig
 from driftstream.synth import SynthConfig
 
 CONFIGS = (EmbedderConfig, PoolConfig, PipelineConfig, SynthConfig)
@@ -66,6 +66,17 @@ def test_wrong_type_message(call, message):
 def test_int_is_a_float_and_numpy_ints_are_ints():
     cfg = PipelineConfig(kl_threshold=0, pad_seconds=3600, k=np.int64(3))
     assert (cfg.kl_threshold, cfg.pad_seconds, cfg.k) == (0, 3600, 3)
+
+
+def test_numpy_settings_are_held_as_the_numbers_records_take():
+    # the window size is the general memory's capacity and delta each band's, both
+    # written to checkpoints, which hold int and float instances only
+    cfg = PipelineConfig(window_size=np.int64(7), delta=np.float32(0.5), kl_threshold=np.int64(0),
+                         learn_rate=np.float64(0.25))
+    assert [(type(v), v) for v in (cfg.window_size, cfg.delta, cfg.kl_threshold)] == [
+        (int, 7), (float, 0.5), (int, 0)]
+    assert type(cfg.learn_rate) is np.float64  # a float already
+    Pool(general_capacity=cfg.window_size)
 
 
 # any text: a path setting the key=value format cannot read back as itself is refused

@@ -1,7 +1,9 @@
+import dataclasses
 import gzip
 import hashlib
 import logging
 import os
+import re
 import struct
 import threading
 import weakref
@@ -63,6 +65,7 @@ class TestDataPoint:
         ("ts", True, r"^point a: ts True is not an integer$"),
         ("ts", 2**60, rf"^point a: ts {2**60} outside years 1-9999$"),
         ("ts", core.MIN_TS - 1, rf"^point a: ts {core.MIN_TS - 1} outside years 1-9999$"),
+        ("ts", np.int64(5), rf"^point a: ts {re.escape(repr(np.int64(5)))} is not an integer$"),
         ("text", None, r"^point a: text None is not a string$"),
     ])
     def test_bad_id_ts_or_text_is_refused_naming_the_field(self, field, value, message):
@@ -70,6 +73,22 @@ class TestDataPoint:
         fields = {"id": "a", "ts": 0, "text": "", "vec": np.zeros(3), field: value}
         with pytest.raises(InputError, match=message):
             DataPoint(**fields)
+
+    # coordinates its checkpoint record cannot hold: json_line writes int and float
+    # instances only, and np.float64 is a float
+    @pytest.mark.parametrize("field", ["lat", "lon"])
+    @pytest.mark.parametrize("value", [np.float32(1.5), np.int64(3)])
+    def test_numpy_coordinate_other_than_float64_is_refused_naming_the_field(self, field, value):
+        fields = {"id": "a", "ts": 0, "text": "", "vec": np.zeros(3), "lat": 1.0, "lon": 2.0,
+                  field: value}
+        with pytest.raises(InputError,
+                           match=f"^point a: {field} {re.escape(repr(value))} out of range$"):
+            DataPoint(**fields)
+
+    def test_float64_coordinates_accepted(self):
+        p = DataPoint(id="a", ts=0, text="", vec=np.zeros(3), lat=np.float64(2.5),
+                      lon=np.float64(-0.0))
+        assert p.geo == (2.5, 0.0)
 
     def test_nonfinite_vec_rejected(self):
         with pytest.raises(InputError):
@@ -80,7 +99,11 @@ class TestDataPoint:
         q = p.with_label(1)
         assert p.label is None and q == DataPoint(id="a", ts=0, text="", vec=p.vec, lat=1.5,
                                                   lon=-2.0, label=1)
-        assert q.vec is p.vec and vars(q).keys() == vars(p).keys()
+        assert q.vec is p.vec
+        assert [getattr(q, f.name) for f in dataclasses.fields(DataPoint)] == [
+            p.id, p.ts, p.text, p.vec, p.lat, p.lon, 1]
+        # a point's fields are slots: a point has no __dict__
+        assert not hasattr(p, "__dict__") and not hasattr(q, "__dict__")
 
     @pytest.mark.parametrize("label", [2, True, 1.0, None])
     def test_with_label_refuses_what_the_constructor_refuses(self, label):

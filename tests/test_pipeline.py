@@ -8,13 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import reference_knowledgebase
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftstream.pipeline as pipeline
 from driftstream.cli import main as cli_main
 from driftstream.corroborate import assign_labels, load_events
-from driftstream.core import MIN_TS, ConfigError, DataPoint, EmbedderConfig, InputError
+from driftstream.core import MAX_TS, MIN_TS, ConfigError, DataPoint, EmbedderConfig, InputError
 from driftstream.ensemble import decision_lines
 from driftstream.pipeline import (
     PipelineConfig,
@@ -303,12 +304,57 @@ class TestLoadStream:
             points[1].vec += 1.0
 
 
+# ids with JSON escapes, non-ASCII and lone surrogates
+_AWKWARD_ID = st.text(st.one_of(st.sampled_from(['"', "\\", "\n", "\x7f", "é", "☔",
+                                                 "\U0001f30a", "\ud800"]),
+                                st.characters(exclude_categories=())), max_size=5)
+# days at the ends of years 1 and 9999, the epoch, and any day between
+_TS = st.one_of(st.sampled_from([MIN_TS, MIN_TS + 86399, MIN_TS + 86400, -1, 0,
+                                 MAX_TS - 86400, MAX_TS - 86399, MAX_TS]),
+                st.integers(MIN_TS, MAX_TS))
+
+
+def _degrees(limit):
+    """int, float, np.float64 and -0.0 coordinates, most in a few cells near 0"""
+    near = st.floats(-2.0, 2.0)
+    return st.one_of(near, st.integers(-2, 2), near.map(np.float64), st.just(-0.0),
+                     st.one_of(st.floats(-limit, limit), st.integers(-limit, limit)))
+
+
+@st.composite
+def positive_pairs(draw):
+    """(post, probability) pairs: geo-less posts and posts with coordinates, many
+    sharing a cell and a day"""
+    pairs = []
+    for _ in range(draw(st.integers(0, 12))):
+        lat, lon = (draw(_degrees(90)), draw(_degrees(180))) if draw(st.integers(0, 3)) else (
+            None, None)
+        ts = draw(_TS)
+        if pairs and draw(st.booleans()):  # the day of an earlier post, and maybe its cell
+            twin = draw(st.sampled_from(pairs))[0]
+            ts = twin.ts
+            if draw(st.booleans()):
+                lat, lon = twin.lat, twin.lon
+        post = DataPoint(id=draw(_AWKWARD_ID), ts=ts, text="", vec=np.zeros(1), lat=lat, lon=lon)
+        pairs.append((post, draw(st.floats(0.5, 1.0))))
+    return pairs
+
+
+def knowledgebase_rows(positives):
+    """The rows of aggregate_events' lines, each checked against its post count."""
+    rows = []
+    for line, size in aggregate_events(positives):
+        rows.append(json.loads(line))
+        assert size == len(rows[-1]["points"])
+    return rows
+
+
 class TestAggregateEvents:
     def _pt(self, pid, ts, lat, lon):
         return DataPoint(id=pid, ts=ts, text="", vec=np.zeros(2), lat=lat, lon=lon)
 
     def test_single_positive_single_event(self):
-        events = list(aggregate_events([(self._pt("p", 1000, 10.5, 20.5), 0.9)]))
+        events = knowledgebase_rows([(self._pt("p", 1000, 10.5, 20.5), 0.9)])
         assert events == [{
             "cell": "10:20", "date": "1970-01-01", "points": ["p"], "first_ts": 1000,
             "last_ts": 1000, "mean_probability": 0.9, "centroid_geo": [10.5, 20.5],
@@ -321,27 +367,27 @@ class TestAggregateEvents:
         rows = aggregate_events([(a, 0.9), (b, 0.8)])
         # an iterator, not a list of rows: each row is built when it is taken
         assert iter(rows) is rows
-        assert next(rows)["points"] == ["a"]  # cell "10:20" sorts before "1:2"
-        assert next(rows)["points"] == ["b"]
+        assert json.loads(next(rows)[0])["points"] == ["a"]  # cell "10:20" sorts before "1:2"
+        assert json.loads(next(rows)[0])["points"] == ["b"]
         assert next(rows, None) is None
 
     def test_same_cell_different_days_split(self):
-        events = list(aggregate_events([
+        events = knowledgebase_rows([
             (self._pt("a", 1000, 10.5, 20.5), 0.8),
             (self._pt("b", 1000 + 86400, 10.5, 20.5), 0.6),
-        ]))
+        ])
         assert len(events) == 2
 
     def test_geo_less_points_pool_in_global_cell(self):
         p = DataPoint(id="p", ts=500, text="", vec=np.zeros(2))
-        events = list(aggregate_events([(p, 0.7)]))
+        events = knowledgebase_rows([(p, 0.7)])
         assert events[0]["cell"] == "global" and events[0]["centroid_geo"] is None
 
     def test_centroid_and_span(self):
-        events = list(aggregate_events([
+        events = knowledgebase_rows([
             (self._pt("a", 1000, 10.0, 20.0), 0.8),
             (self._pt("b", 2000, 10.4, 20.8), 0.6),
-        ]))
+        ])
         e = events[0]
         assert e["first_ts"] == 1000 and e["last_ts"] == 2000
         assert e["centroid_geo"] == [pytest.approx(10.2), pytest.approx(20.4)]
@@ -351,16 +397,26 @@ class TestAggregateEvents:
         # 0999-12-31T23:00Z and 1000-01-01T00:00Z: a date string without the
         # leading zero would sort the later day first
         late_999, new_1000 = -30610227600, -30610224000
-        events = list(aggregate_events([
+        events = knowledgebase_rows([
             (self._pt("first", MIN_TS, 10.5, 20.5), 0.9),
             (self._pt("new", new_1000, 1.5, 2.5), 0.8),
             (self._pt("late", late_999, 1.5, 2.5), 0.7),
-        ]))
+        ])
         assert [(e["cell"], e["date"], e["points"]) for e in events] == [
             ("10:20", "0001-01-01", ["first"]),
             ("1:2", "0999-12-31", ["late"]),
             ("1:2", "1000-01-01", ["new"]),
         ]
+
+    def test_lone_post_at_negative_zero_writes_positive_zero(self):
+        # the centroid is a sum from 0 over the members, as the dict rows had it
+        line, _ = next(aggregate_events([(self._pt("p", 0, -0.0, -0.0), 0.75)]))
+        assert '"centroid_geo":[0.0,0.0]' in line
+
+    @given(positive_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_lines_equal_json_line_of_the_dict_rows(self, positives):
+        assert list(aggregate_events(positives)) == reference_knowledgebase(positives)
 
 
 CENTRES = {(10.0, 10.0): "relevant", (-10.0, -10.0): "irrelevant"}  # the polarity of each

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import re
 import sys
 import tracemalloc
 
@@ -251,10 +252,19 @@ class TestModelRecord:
         ("created_at", 1.0, r"^created_at 1.0 is not an integer >= 0$"),
         ("last_evaluated", True, r"^last_evaluated True is not an integer >= 0$"),
         ("last_evaluated", -3, r"^last_evaluated -3 is not an integer >= 0$"),
+        # json_line writes int instances only
+        ("created_at", np.int64(2), rf"^created_at {re.escape(repr(np.int64(2)))} is not"),
+        ("last_evaluated", np.int64(3), rf"^last_evaluated {re.escape(repr(np.int64(3)))} is not"),
     ])
     def test_bad_id_or_window_index_is_refused_naming_the_field(self, field, value, message):
         with pytest.raises(InputError, match=message):
             self.record(**{field: value})
+
+    def test_omega_a_checkpoint_cannot_write_is_refused(self):
+        # json_line writes int and float instances only; np.float64 is a float
+        with pytest.raises(InputError, match=rf"^omega {re.escape(repr(np.float32(0.5)))} outside"):
+            self.record(omega=np.float32(0.5))
+        assert self.record(omega=np.float64(0.25)).omega == 0.25
 
 
 class TestGradient:
@@ -472,6 +482,12 @@ class TestGeneralMemory:
             pool.general.append(point(f"p{i}", [float(i)]))
         assert [p.id for p in pool.general.points] == ["p2", "p3", "p4"]
         np.testing.assert_array_equal(pool.general.centroid, [3.0])
+
+    def test_numpy_capacity_is_refused(self):
+        # a checkpoint writes the capacity with json_line, which takes int instances only
+        message = f"^window capacity {re.escape(repr(np.int64(10)))} is not an integer >= 1$"
+        with pytest.raises(InputError, match=message):
+            Pool(general_capacity=np.int64(10))
 
 
 class TestOnDrift:
@@ -919,6 +935,12 @@ _AWKWARD_TEXT = st.text(st.one_of(st.sampled_from(_AWKWARD_CHARS),
 _SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e300, -1e300)
 
 
+def _coordinates(limit):
+    """float, int, np.float64 and -0.0 degrees"""
+    return st.one_of(st.floats(-limit, limit), st.integers(-limit, limit),
+                     st.floats(-limit, limit).map(np.float64), st.just(-0.0))
+
+
 @st.composite
 def checkpoint_windows(draw, dim, window_id):
     """A window of 0-4 points of width ``dim``, some evicted, with awkward ids,
@@ -929,7 +951,7 @@ def checkpoint_windows(draw, dim, window_id):
         vec = rng.standard_normal(dim)
         vec[0] = draw(st.sampled_from(_SPECIAL_FLOATS))
         lat, lon = draw(st.one_of(st.just((None, None)),
-                                  st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))))
+                                  st.tuples(_coordinates(90), _coordinates(180))))
         window.append(DataPoint(
             id=draw(_AWKWARD_TEXT), ts=draw(st.integers(core.MIN_TS, core.MAX_TS)),
             text=draw(_AWKWARD_TEXT), vec=vec, lat=lat, lon=lon,
@@ -966,6 +988,24 @@ class TestSaveByParts:
         path = tmp_path_factory.getbasetemp() / "parts.json"
         save_pool(pool, path)
         assert path.read_bytes() == core.json_line(reference_checkpoint(pool)).encode("ascii")
+
+    def test_point_records_of_every_kind_equal_the_whole_document(self, tmp_path):
+        pool = Pool()
+        for i, (pid, text, lat, lon, label) in enumerate([
+            ('q"1', 'é ☔ "wet"', 3, -7, None),
+            ("pé", 'say "hi"\n', np.float64(2.5), np.float64(-179.75), 0),
+            ("z\\", "", -0.0, 0.0, 1),
+            ("n", "plain", None, None, 1),
+        ]):
+            pool.general.append(DataPoint(id=pid, ts=i, text=text, vec=np.ones(2), lat=lat,
+                                          lon=lon, label=label))
+        save_pool(pool, tmp_path / "kinds.json")
+        raw = (tmp_path / "kinds.json").read_bytes()
+        assert raw == core.json_line(reference_checkpoint(pool)).encode("ascii")
+        # np.float64 is written as its float, not as numpy's repr of it
+        for record in (b'"lat":3,"lon":-7,', b'"lat":2.5,"lon":-179.75,', b'"lat":-0.0,"lon":0.0,',
+                       b'"lat":null,"lon":null,'):
+            assert record in raw
 
     def test_block_of_several_slices_equals_one_encode(self, tmp_path):
         # 100 x 300 vectors are 240,000 bytes: one whole 196,608-byte slice and a

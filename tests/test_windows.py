@@ -229,6 +229,8 @@ class TestDeltaBand:
         "delta_over_one": (1.5, 0.1, 0.4),
         "delta_nan": (math.nan, 0.1, 0.4),
         "delta_bool": (True, 0.1, 0.4),
+        "delta_float32": (np.float32(0.5), 0.1, 0.4),  # a checkpoint cannot write it
+        "hi_int64": (0.6, 0, np.int64(1)),
         "lo_negative": (0.6, -0.1, 0.4),
         "lo_nan": (0.6, math.nan, 0.4),
         "lo_string": (0.6, "0.1", 0.4),
